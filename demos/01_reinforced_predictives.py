@@ -15,7 +15,7 @@ from pcid.processes import init_reinforced_states, reinforced_predictive, reinfo
 spec = specs.PolyaSpec(n_coords=1, w0=(1.0,), base=(specs.UniformBase(),))
 states = init_reinforced_states(spec)
 streams = PathStreams(master_seed=7, path_index=0, n_coords=1)
-rule = spec.as_reinforced().coupling
+rule = specs.reinforced_view(spec).coupling
 
 print("independent Polya sequence, w0 = 1, uniform base")
 print(f"{'n':>3} {'draw':>8} {'pred mean':>10} {'pred var':>9} {'atoms':>6}")

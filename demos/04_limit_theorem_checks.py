@@ -1,7 +1,9 @@
 """Run the statistical verifiers on positive and negative controls.
 
-Moderate sizes keep this demo quick; the acceptance suite in
-tests/test_acceptance.py runs the full-scale versions.
+Moderate sizes keep this demo quick. The test suite runs the same
+verifiers at smaller sizes:
+
+    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 """
 
 from pcid import specs

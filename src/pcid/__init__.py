@@ -22,6 +22,7 @@ from .specs import (
     CrossFraction,
     DegenerateWeight,
     DiscreteBase,
+    FeedbackWeight,
     GammaWeight,
     GaussianLastTickSpec,
     IidWeights,
@@ -35,6 +36,7 @@ from .specs import (
     UniformCoupledSpec,
     UniformWeight,
     list_spec_kinds,
+    reinforced_view,
     spec_from_dict,
 )
 from .statistics import (

@@ -22,13 +22,10 @@ import numpy as np
 from . import processes
 from .specs import (
     Ar1DriftSpec,
-    BrokenFeedbackWeightSpec,
     GaussianLastTickSpec,
-    PolyaSpec,
-    ReinforcedSpec,
     SpecValidationError,
     StateSpaceCidSpec,
-    UniformCoupledSpec,
+    reinforced_view,
 )
 
 _SUB_BITS = 16
@@ -185,54 +182,48 @@ class Ensemble:
             raise MissingSeriesError("terminal mixture moments exist only for reinforced kinds")
         psums = self.arrays["weighted_power_sums"]
         tot = self.arrays["total_weight"]
-        rspec = self.spec.as_reinforced() if hasattr(self.spec, "as_reinforced") else self.spec
-        if isinstance(rspec, BrokenFeedbackWeightSpec):
-            from .specs import UniformBase
-            bases = [UniformBase()] * rspec.n_coords
-            w0 = np.full(rspec.n_coords, rspec.w0)
-        else:
-            bases = list(rspec.base)
-            w0 = np.asarray(rspec.w0)
+        rspec = reinforced_view(self.spec)
+        w0 = np.asarray(rspec.w0)
         m = np.empty(psums.shape[:2] + (5,))
         m[:, :, 0] = 1.0
         for r in range(1, 5):
-            base_r = np.array([b.raw_moment(r) for b in bases])
+            base_r = np.array([b.raw_moment(r) for b in rspec.base])
             m[:, :, r] = (w0 * base_r + psums[:, :, r - 1]) / tot
         return m
 
     def terminal_mean(self) -> np.ndarray:
-        """(paths, coords) mean of the terminal predictive distribution."""
+        """(paths, coords) mean of the terminal predictive distribution: the
+        kind's terminal record, else the reinforced mixture moments, else the
+        last predictive mean."""
         if "terminal_mu" in self.arrays:
             return self.arrays["terminal_mu"]
-        return self.terminal_moments()[:, :, 1]
+        if "weighted_power_sums" in self.arrays:
+            return self.terminal_moments()[:, :, 1]
+        return self.predictive_mean[:, -1, :]
 
     def terminal_variance(self) -> np.ndarray:
-        """(paths, coords) variance of the terminal predictive distribution."""
+        """(paths, coords) variance of the terminal predictive distribution,
+        found in the same order as `terminal_mean`."""
         if "terminal_sigma2" in self.arrays:
             return self.arrays["terminal_sigma2"]
-        m = self.terminal_moments()
-        return m[:, :, 2] - m[:, :, 1] ** 2
+        if "weighted_power_sums" in self.arrays:
+            m = self.terminal_moments()
+            return m[:, :, 2] - m[:, :, 1] ** 2
+        return self.predictive_var[:, -1, :]
 
     def terminal_mixture(self, path: int, coord: int) -> processes.MixtureDistribution:
         """Exact terminal predictive mixture of one path/coordinate
         (requires recorded observations and weights)."""
-        rspec = self.spec.as_reinforced() if hasattr(self.spec, "as_reinforced") else self.spec
-        if isinstance(rspec, BrokenFeedbackWeightSpec):
-            from .specs import UniformBase
-            base, w0 = UniformBase(), rspec.w0
-        elif isinstance(rspec, ReinforcedSpec):
-            base, w0 = rspec.base[coord], rspec.w0[coord]
-        else:
+        rspec = reinforced_view(self.spec)
+        if rspec is None:
             raise MissingSeriesError("terminal mixtures exist only for reinforced kinds")
         return processes.MixtureDistribution(
-            base, w0, self.observations[path, :, coord], self.weights[path, :, coord])
-
-
-_REINFORCED = (ReinforcedSpec, PolyaSpec, UniformCoupledSpec, BrokenFeedbackWeightSpec)
+            rspec.base[coord], rspec.w0[coord],
+            self.observations[path, :, coord], self.weights[path, :, coord])
 
 
 def default_record(spec) -> frozenset:
-    if isinstance(spec, _REINFORCED):
+    if reinforced_view(spec) is not None:
         return frozenset({"observations", "predictive_mean", "predictive_var", "weights"})
     if isinstance(spec, GaussianLastTickSpec):
         return frozenset({"observations", "predictive_mean", "predictive_var",
@@ -254,7 +245,7 @@ def _series_bytes_per_path(spec, horizon: int, record: frozenset) -> int:
             per += 8 * (horizon + 1)
     # working buffers: random inputs + (for reinforced kinds) cumulative weights
     per += 8 * horizon * k * 2
-    if isinstance(spec, _REINFORCED):
+    if reinforced_view(spec) is not None:
         per += 8 * horizon * k * (2 if "observations" not in record else 1)
     return max(per, 64)
 
@@ -269,13 +260,13 @@ def _chunk_draws(spec, horizon: int, master_seed: int, path_lo: int, n_paths: in
     """Pre-generate the chunk's random inputs from per-path substreams."""
     filler = _StreamFiller(master_seed)
     k = spec.n_coords
-    if isinstance(spec, _REINFORCED):
-        layout = processes.reinforced_draw_layout(spec, horizon)
+    rspec = reinforced_view(spec)
+    if rspec is not None:
         coord_u = np.empty((n_paths, horizon, k))
         for p in range(n_paths):
             for i in range(k):
                 coord_u[p, :, i] = filler.rekey(path_lo + p, 1 + i).random(horizon)
-        wshape = layout["weight_shape"]
+        wshape = processes.reinforced_weight_shape(rspec, horizon)
         weight_u = None
         if wshape is not None:
             weight_u = np.empty((n_paths,) + wshape)
@@ -306,7 +297,7 @@ def _chunk_draws(spec, horizon: int, master_seed: int, path_lo: int, n_paths: in
 def _run_chunk(spec, horizon: int, master_seed: int, path_lo: int, n_paths: int,
                record: frozenset) -> dict:
     draws = _chunk_draws(spec, horizon, master_seed, path_lo, n_paths)
-    if isinstance(spec, _REINFORCED):
+    if reinforced_view(spec) is not None:
         return processes.simulate_reinforced_chunk(
             spec, horizon, draws["coord_u"], draws["weight_u"], record)
     if isinstance(spec, GaussianLastTickSpec):
@@ -390,21 +381,15 @@ def recompute_predictive_series(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     the recorded observations and weights alone (no look-ahead check). Uses
     the same running-sum arithmetic as the simulator, so the recomputation
     must match the recorded series bit for bit."""
-    rspec = ens.spec.as_reinforced() if hasattr(ens.spec, "as_reinforced") else ens.spec
-    if isinstance(rspec, BrokenFeedbackWeightSpec):
-        from .specs import UniformBase
-        bases = [UniformBase()] * rspec.n_coords
-        w0 = np.full(rspec.n_coords, rspec.w0)
-    elif isinstance(rspec, ReinforcedSpec):
-        bases = list(rspec.base)
-        w0 = np.asarray(rspec.w0)
-    else:
+    rspec = reinforced_view(ens.spec)
+    if rspec is None:
         raise MissingSeriesError("recomputation applies to reinforced kinds")
+    w0 = np.asarray(rspec.w0)
     x = ens.observations
     w = ens.weights
     n_paths, horizon, k = x.shape
-    m1 = np.array([b.raw_moment(1) for b in bases])
-    m2 = np.array([b.raw_moment(2) for b in bases])
+    m1 = np.array([b.raw_moment(1) for b in rspec.base])
+    m2 = np.array([b.raw_moment(2) for b in rspec.base])
     # accumulate in the simulator's exact order: ((w0 + W_1) + W_2) + ...
     w0_row = np.broadcast_to(w0, (n_paths, 1, k))
     tot = np.cumsum(np.concatenate([w0_row, w], axis=1), axis=1)[:, 1:, :]

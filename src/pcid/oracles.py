@@ -195,44 +195,19 @@ def tilde_sigma_components(moments: np.ndarray) -> dict:
     cross-reinforced uniform pair, vectorized over paths.
 
     moments: (..., 2, 5) raw moments of the two terminal predictives.
-    Returns diag_own, diag_companion (..., 2) and offdiag (...):
+    Returns diag_companion (..., 2) and offdiag (...):
 
-    * diag_own[i]      = 4 int (x - mu_i)^2 (x - 1/2)^2 d alpha_i
-    * diag_companion[i]= 4 sigma2_i * int (y - 1/2)^2 d alpha_j,  j != i
-    * offdiag          = 4 sigma2_1 sigma2_2
+    * diag_companion[i] = 4 sigma2_i * int (y - 1/2)^2 d alpha_j,  j != i
+    * offdiag           = 4 sigma2_1 sigma2_2
 
     The squared increments of the scaled sample-mean deviation of
     coordinate i carry the coupling factor (1 - 2 x_j) of the *other*
-    coordinate, so ensemble variances track diag_companion; diag_own is the
-    same quartic integrated against the own coordinate's measure and is kept
-    for reference (it is what a single-sequence reduction would give).
+    coordinate, so ensemble variances track diag_companion.
     """
     m = np.asarray(moments, dtype=float)
     mu = m[..., 1]
     s2 = m[..., 2] - mu ** 2
     int_half = m[..., 2] - m[..., 1] + 0.25 * m[..., 0]  # int (x - 1/2)^2 d alpha
-    diag_own = 4.0 * quartic_integral_from_moments(m, mu, 0.5)
     diag_companion = 4.0 * s2 * int_half[..., ::-1]
     offdiag = 4.0 * s2[..., 0] * s2[..., 1]
-    return {"diag_own": diag_own, "diag_companion": diag_companion, "offdiag": offdiag}
-
-
-def tilde_sigma_uniform(alpha1, alpha2) -> np.ndarray:
-    """2x2 sample-mean limit covariance built from two terminal predictive
-    measures, with diagonal 4 int (x - mu_i)^2 (x - 1/2)^2 d alpha_i and
-    off-diagonal 4 sigma2_1 sigma2_2."""
-    m = np.stack([mixture_raw_moments(alpha1), mixture_raw_moments(alpha2)])
-    parts = tilde_sigma_components(m)
-    return np.array([[parts["diag_own"][0], parts["offdiag"]],
-                     [parts["offdiag"], parts["diag_own"][1]]])
-
-
-def tilde_sigma_uniform_companion(alpha1, alpha2) -> np.ndarray:
-    """Variant of `tilde_sigma_uniform` whose diagonal integrates the
-    coupling factor against the companion coordinate's measure; this is the
-    diagonal that simulated ensemble variances of the scaled sample-mean
-    deviation track (see `tilde_sigma_components`)."""
-    m = np.stack([mixture_raw_moments(alpha1), mixture_raw_moments(alpha2)])
-    parts = tilde_sigma_components(m)
-    return np.array([[parts["diag_companion"][0], parts["offdiag"]],
-                     [parts["offdiag"], parts["diag_companion"][1]]])
+    return {"diag_companion": diag_companion, "offdiag": offdiag}

@@ -27,16 +27,13 @@ import numpy as np
 
 from .specs import (
     Ar1DriftSpec,
-    BetaSchedule,
-    BrokenFeedbackWeightSpec,
     CommonWeight,
     CrossFraction,
+    FeedbackWeight,
     GaussianLastTickSpec,
     IidWeights,
-    PolyaSpec,
-    ReinforcedSpec,
     StateSpaceCidSpec,
-    UniformCoupledSpec,
+    reinforced_view,
 )
 
 
@@ -100,14 +97,6 @@ class MixtureDistribution:
             idx = np.searchsorted(self._sorted_values, x, side="right")
             atom_mass = np.where(idx > 0, self._sorted_cumweights[np.maximum(idx - 1, 0)], 0.0)
         return (self.base_weight * self.base.cdf(x) + atom_mass) / self.total_weight
-
-    def sample(self, rng) -> float:
-        """One draw using a single uniform (base inverse-CDF composition)."""
-        s = rng.random() * self.total_weight
-        if s < self.base_weight or self.n_atoms == 0:
-            return float(self.base.ppf(min(s / self.base_weight, 1.0 - 1e-16)))
-        k = np.searchsorted(self._sorted_cumweights, s - self.base_weight, side="right")
-        return float(self._sorted_values[min(k, self.n_atoms - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +162,7 @@ def reinforced_predictive(state: ReinforcedCoordState) -> MixtureDistribution:
 
 
 def init_reinforced_states(spec) -> list[ReinforcedCoordState]:
-    rspec = spec.as_reinforced() if hasattr(spec, "as_reinforced") else spec
-    if isinstance(rspec, BrokenFeedbackWeightSpec):
-        from .specs import UniformBase
-        return [ReinforcedCoordState(rspec.w0, UniformBase()) for _ in range(rspec.n_coords)]
+    rspec = reinforced_view(spec)
     return [ReinforcedCoordState(w, b) for w, b in zip(rspec.w0, rspec.base)]
 
 
@@ -185,8 +171,9 @@ def reinforced_step(states, rule, n: int, streams):
 
     Coordinates draw from their current predictives (conditionally
     independent), then the step weights are drawn from the coupling rule,
-    independently of the new observations, and the atoms are appended.
-    Returns the vector of observations.
+    independently of the new observations (except under FeedbackWeight,
+    the negative control), and the atoms are appended. Returns the vector
+    of observations.
     """
     if n < 1:
         raise ProcessError(f"step index must be >= 1, got {n}")
@@ -194,7 +181,9 @@ def reinforced_step(states, rule, n: int, streams):
         return uniform_coupled_step(states, rule.beta.value(n), n, streams)
     k = len(states)
     x = np.array([st.sample(streams.coord(i)) for i, st in enumerate(states)])
-    if isinstance(rule, CommonWeight):
+    if isinstance(rule, FeedbackWeight):
+        weights = [float(rule.scale * xi + rule.shift) for xi in x]
+    elif isinstance(rule, CommonWeight):
         if rule.dist.consumes_uniform:
             w_common = float(rule.dist.from_uniform(streams.weights.random()))
         else:
@@ -317,22 +306,16 @@ def _row_first_greater(C: np.ndarray, n: int, q: np.ndarray, rows: np.ndarray) -
     return lo
 
 
-_REINFORCED_KINDS = (ReinforcedSpec, PolyaSpec, UniformCoupledSpec, BrokenFeedbackWeightSpec)
-
-
-def reinforced_draw_layout(spec, horizon: int) -> dict:
-    """Random-input layout for one path: which substreams are consumed and how."""
-    rspec = spec.as_reinforced() if hasattr(spec, "as_reinforced") else spec
-    if isinstance(rspec, BrokenFeedbackWeightSpec):
-        return {"coord_uniforms": horizon, "weight_shape": None, "n_coords": rspec.n_coords}
+def reinforced_weight_shape(rspec, horizon: int) -> tuple | None:
+    """Shape of one path's weight uniforms (substream 0) for a reinforced
+    view, or None when its coupling draws none. Each coordinate consumes
+    `horizon` uniforms of its own substream besides."""
     coupling = rspec.coupling
-    if isinstance(coupling, CrossFraction):
-        wshape = None
-    elif isinstance(coupling, CommonWeight):
-        wshape = (horizon,) if coupling.dist.consumes_uniform else None
-    else:
-        wshape = (horizon, rspec.n_coords) if coupling.dist.consumes_uniform else None
-    return {"coord_uniforms": horizon, "weight_shape": wshape, "n_coords": rspec.n_coords}
+    if isinstance(coupling, CommonWeight) and coupling.dist.consumes_uniform:
+        return (horizon,)
+    if isinstance(coupling, IidWeights) and coupling.dist.consumes_uniform:
+        return (horizon, rspec.n_coords)
+    return None
 
 
 def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
@@ -343,21 +326,11 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
     draw share the uniform via the composition scheme). weight_u: None,
     (P, H) for common weights, or (P, H, K) for i.i.d. weights.
     """
-    rspec = spec.as_reinforced() if hasattr(spec, "as_reinforced") else spec
-    broken_feedback = None
-    if isinstance(rspec, BrokenFeedbackWeightSpec):
-        from .specs import UniformBase
-        broken_feedback = (rspec.scale, rspec.shift)
-        k = rspec.n_coords
-        w0 = np.full(k, rspec.w0)
-        bases = [UniformBase()] * k
-        coupling = None
-    else:
-        k = rspec.n_coords
-        w0 = np.asarray(rspec.w0, dtype=float)
-        bases = list(rspec.base)
-        coupling = rspec.coupling
-    cross = isinstance(coupling, CrossFraction)
+    rspec = reinforced_view(spec)
+    k = rspec.n_coords
+    w0 = np.asarray(rspec.w0, dtype=float)
+    bases = rspec.base
+    coupling = rspec.coupling
     n_paths = coord_u.shape[0]
     rows = np.arange(n_paths)
 
@@ -395,9 +368,9 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
             x_step[:, i] = np.where(from_base, base_vals, atom_vals)
         obs[:, n - 1, :] = x_step
 
-        if broken_feedback is not None:
-            w_step = broken_feedback[0] * x_step + broken_feedback[1]
-        elif cross:
+        if isinstance(coupling, FeedbackWeight):
+            w_step = coupling.scale * x_step + coupling.shift
+        elif isinstance(coupling, CrossFraction):
             a = coupling.beta.value(n) * x_step[:, ::-1]
             if np.any(a >= 1.0):
                 raise ProcessError("degenerate reinforcement: fraction A reached 1")

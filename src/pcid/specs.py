@@ -4,14 +4,16 @@ A ProcessSpec describes one p-c.i.d. construction: its kind, its
 parameters, and the number of coordinates. Specs are plain data: they
 validate themselves, serialize to/from dicts (for experiment configs and
 report provenance), and are interpreted by the simulators in
-:mod:`pcid.processes`.
+:mod:`pcid.processes`. This module is the only one that knows how a spec
+reads as a reinforced system (`reinforced_view`) and how it maps to and
+from a dict (`to_dict` / `from_dict`, derived from the dataclass fields).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import ClassVar, Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 from scipy import special
@@ -31,11 +33,105 @@ def _require(cond: bool, field_name: str, message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Dict form, derived from the dataclass fields
+# ---------------------------------------------------------------------------
+
+# Readers of plain fields, keyed by the field's annotation.
+_READERS = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "float | None": lambda v: None if v is None else float(v),
+    "tuple[float, ...]": lambda v: tuple(float(x) for x in v),
+}
+
+
+def _broadcast(x: tuple, k: int, field_name: str) -> tuple:
+    """Broadcast a single entry to a length-k tuple."""
+    _require(len(x) in (1, k), field_name, f"expected 1 or {k} entries, got {len(x)}")
+    return x * (k if len(x) == 1 else 1)
+
+
+def _read_nested(kinds, d, field_name: str):
+    """A nested component from its dict form; `kinds` is its class, or a
+    registry from the dict's "kind" to the class."""
+    _require(isinstance(d, dict) and "kind" in d, field_name, "expected a dict with a 'kind'")
+    if isinstance(kinds, dict):
+        _require(d["kind"] in kinds, field_name,
+                 f"unknown kind {d['kind']!r}; known kinds: {sorted(kinds)}")
+        kinds = kinds[d["kind"]]
+    return kinds.from_dict(d, field_name)
+
+
+def _read_field(f, raw, field_name: str):
+    """One field's value from its dict form."""
+    kinds = f.metadata.get("kinds")
+    if not f.metadata.get("per_coord"):
+        return _read_nested(kinds, raw, field_name) if kinds else _READERS[f.type](raw)
+    if not isinstance(raw, (list, tuple)):    # one entry for every coordinate
+        raw = [raw]
+        names = [field_name]
+    else:
+        names = [f"{field_name}[{i}]" for i in range(len(raw))]
+    if kinds:
+        return tuple(_read_nested(kinds, x, n) for x, n in zip(raw, names))
+    return tuple(float(x) for x in raw)
+
+
+class _DictForm:
+    """`to_dict` / `from_dict` for the spec dataclasses and their components.
+
+    The dict form holds the class's `kind` and every dataclass field. Field
+    metadata refines it: "key" renames the field, "per_coord" marks a tuple
+    with one entry per coordinate (a single entry is broadcast to
+    `n_coords`), and "kinds" marks a nested component.
+    """
+
+    def to_dict(self) -> dict:
+        d = {"kind": self.kind}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, tuple):
+                v = [x.to_dict() if isinstance(x, _DictForm) else x for x in v]
+            elif isinstance(v, _DictForm):
+                v = v.to_dict()
+            d[f.metadata.get("key", f.name)] = v
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict, where: str = ""):
+        """Build from the dict form. Absent keys take the field defaults;
+        `where` prefixes the field names that errors report."""
+        values: dict = {}
+        for f in fields(cls):
+            key = f.metadata.get("key", f.name)
+            field_name = f"{where}.{key}" if where else key
+            if key in d:
+                try:
+                    v = _read_field(f, d[key], field_name)
+                except SpecValidationError:
+                    raise
+                except (TypeError, ValueError) as exc:
+                    raise SpecValidationError(field_name,
+                                              f"cannot read {d[key]!r}: {exc}") from None
+            elif f.default is not MISSING:
+                v = f.default
+            elif f.default_factory is not MISSING:
+                v = f.default_factory()
+            else:
+                raise SpecValidationError(field_name, "required field is missing")
+            if f.metadata.get("per_coord"):
+                v = _broadcast(v, values["n_coords"], field_name)
+            values[f.name] = v
+        return cls(**values)
+
+
+# ---------------------------------------------------------------------------
 # Base measures (the nu_i driving a reinforced coordinate)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UniformBase:
+class UniformBase(_DictForm):
     """Uniform distribution on (a, b)."""
 
     a: float = 0.0
@@ -66,15 +162,12 @@ class UniformBase:
     def support(self) -> tuple[float, float]:
         return (self.a, self.b)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
-class NormalBase:
+class NormalBase(_DictForm):
     """Normal distribution with the given mean and variance."""
 
-    mean_value: float = 0.0
+    mean_value: float = field(default=0.0, metadata={"key": "mean"})
     var: float = 1.0
     kind: ClassVar[str] = "normal"
 
@@ -114,12 +207,9 @@ class NormalBase:
         sd = math.sqrt(self.var)
         return (self.mean_value - 8.0 * sd, self.mean_value + 8.0 * sd)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "mean": self.mean_value, "var": self.var}
-
 
 @dataclass(frozen=True)
-class DiscreteBase:
+class DiscreteBase(_DictForm):
     """Finite discrete distribution given by support points and probabilities."""
 
     values: tuple[float, ...]
@@ -163,9 +253,6 @@ class DiscreteBase:
     def support(self) -> tuple[float, float]:
         return (min(self.values), max(self.values))
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "values": list(self.values), "probs": list(self.probs)}
-
 
 BASE_MEASURES = {
     UniformBase.kind: UniformBase,
@@ -174,24 +261,12 @@ BASE_MEASURES = {
 }
 
 
-def base_from_dict(d: dict, field_name: str = "base"):
-    _require(isinstance(d, dict) and "kind" in d, field_name, "expected a dict with a 'kind'")
-    kind = d["kind"]
-    _require(kind in BASE_MEASURES, field_name, f"unknown base measure kind {kind!r}")
-    if kind == "uniform":
-        return UniformBase(float(d.get("a", 0.0)), float(d.get("b", 1.0)))
-    if kind == "normal":
-        return NormalBase(float(d.get("mean", 0.0)), float(d.get("var", 1.0)))
-    return DiscreteBase(tuple(float(v) for v in d["values"]),
-                        tuple(float(p) for p in d["probs"]))
-
-
 # ---------------------------------------------------------------------------
 # Reinforcement-weight distributions (support must lie in (0, inf))
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DegenerateWeight:
+class DegenerateWeight(_DictForm):
     """W identically equal to `value`. Consumes no randomness."""
 
     value: float = 1.0
@@ -214,12 +289,9 @@ class DegenerateWeight:
     def from_uniform(self, u):
         return np.full_like(np.asarray(u, float), self.value)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
-
 
 @dataclass(frozen=True)
-class TwoPointWeight:
+class TwoPointWeight(_DictForm):
     """W = lo with probability p_lo, else hi."""
 
     lo: float = 1.0
@@ -245,12 +317,9 @@ class TwoPointWeight:
     def from_uniform(self, u):
         return np.where(np.asarray(u, float) < self.p_lo, self.lo, self.hi)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "lo": self.lo, "hi": self.hi, "p_lo": self.p_lo}
-
 
 @dataclass(frozen=True)
-class UniformWeight:
+class UniformWeight(_DictForm):
     """W uniform on (a, b) with a > 0."""
 
     a: float = 0.5
@@ -274,12 +343,9 @@ class UniformWeight:
     def from_uniform(self, u):
         return self.a + (self.b - self.a) * np.asarray(u, float)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
-class GammaWeight:
+class GammaWeight(_DictForm):
     """W = shift + Gamma(shape, scale). Drawn by inverse CDF, so one uniform per draw."""
 
     shape: float = 2.0
@@ -307,9 +373,6 @@ class GammaWeight:
     def from_uniform(self, u):
         return self.shift + self.scale * special.gammaincinv(self.shape, np.asarray(u, float))
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "shape": self.shape, "scale": self.scale, "shift": self.shift}
-
 
 WEIGHT_DISTS = {
     DegenerateWeight.kind: DegenerateWeight,
@@ -319,27 +382,12 @@ WEIGHT_DISTS = {
 }
 
 
-def weight_from_dict(d: dict, field_name: str = "weight"):
-    _require(isinstance(d, dict) and "kind" in d, field_name, "expected a dict with a 'kind'")
-    kind = d["kind"]
-    _require(kind in WEIGHT_DISTS, field_name, f"unknown weight distribution kind {kind!r}")
-    if kind == "degenerate":
-        return DegenerateWeight(float(d.get("value", 1.0)))
-    if kind == "two_point":
-        return TwoPointWeight(float(d.get("lo", 1.0)), float(d.get("hi", 3.0)),
-                              float(d.get("p_lo", 0.5)))
-    if kind == "uniform":
-        return UniformWeight(float(d.get("a", 0.5)), float(d.get("b", 1.5)))
-    return GammaWeight(float(d.get("shape", 2.0)), float(d.get("scale", 1.0)),
-                       float(d.get("shift", 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # Coupling of the weights across coordinates
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BetaSchedule:
+class BetaSchedule(_DictForm):
     """Cross-reinforcement fractions beta_n with beta_1 = 1 and 0 < beta_n <= 1.
 
     kinds: "constant_one" (beta_n = 1), "harmonic" (beta_n = 2/(n+1)),
@@ -374,62 +422,57 @@ class BetaSchedule:
             return self.ratio ** (n - 1)
         return self.table[min(n, len(self.table)) - 1]
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "table":
-            d["table"] = list(self.table)
-        if self.kind == "geometric":
-            d["ratio"] = self.ratio
-        return d
-
-    @staticmethod
-    def from_dict(d: dict, field_name: str = "beta") -> "BetaSchedule":
-        _require(isinstance(d, dict) and "kind" in d, field_name, "expected a dict with a 'kind'")
-        return BetaSchedule(d["kind"], tuple(float(b) for b in d.get("table", ())),
-                            float(d.get("ratio", 0.5)))
-
 
 @dataclass(frozen=True)
-class IidWeights:
+class IidWeights(_DictForm):
     """Independent weights across coordinates and steps, all drawn from `dist`."""
 
-    dist: object
+    dist: object = field(metadata={"kinds": WEIGHT_DISTS})
     kind: ClassVar[str] = "independent_iid_weights"
 
     def validate(self, field_name: str = "coupling") -> None:
         self.dist.validate(f"{field_name}.dist")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "dist": self.dist.to_dict()}
-
 
 @dataclass(frozen=True)
-class CommonWeight:
+class CommonWeight(_DictForm):
     """One weight per step, shared by every coordinate."""
 
-    dist: object
+    dist: object = field(metadata={"kinds": WEIGHT_DISTS})
     kind: ClassVar[str] = "common_weight"
 
     def validate(self, field_name: str = "coupling") -> None:
         self.dist.validate(f"{field_name}.dist")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "dist": self.dist.to_dict()}
-
 
 @dataclass(frozen=True)
-class CrossFraction:
+class CrossFraction(_DictForm):
     """Reinforcement fraction of coordinate i set to beta_n * x_j for the other
     coordinate j (two coordinates only)."""
 
-    beta: BetaSchedule = field(default_factory=BetaSchedule)
+    beta: BetaSchedule = field(default_factory=BetaSchedule, metadata={"kinds": BetaSchedule})
     kind: ClassVar[str] = "cross_fraction"
 
     def validate(self, field_name: str = "coupling") -> None:
         self.beta.validate(f"{field_name}.beta")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "beta": self.beta.to_dict()}
+
+@dataclass(frozen=True)
+class FeedbackWeight(_DictForm):
+    """Weight set by the observation it reinforces, W = scale * x + shift.
+
+    The weight depends on the observation, so the system is not p-c.i.d.
+    This rule is how `broken_feedback_weight` reads as a reinforced system;
+    it is not a config coupling and is left out of COUPLING_RULES.
+    """
+
+    scale: float = 1.0
+    shift: float = 0.1
+    kind: ClassVar[str] = "feedback_weight"
+
+    def validate(self, field_name: str = "coupling") -> None:
+        _require(self.scale > 0 and self.shift > 0, field_name,
+                 "scale and shift must be positive")
 
 
 COUPLING_RULES = {
@@ -439,39 +482,22 @@ COUPLING_RULES = {
 }
 
 
-def coupling_from_dict(d: dict, field_name: str = "coupling"):
-    _require(isinstance(d, dict) and "kind" in d, field_name, "expected a dict with a 'kind'")
-    kind = d["kind"]
-    _require(kind in COUPLING_RULES, field_name, f"unknown coupling rule kind {kind!r}")
-    if kind == "cross_fraction":
-        return CrossFraction(BetaSchedule.from_dict(d.get("beta", {"kind": "harmonic"}),
-                                                    f"{field_name}.beta"))
-    dist = weight_from_dict(d["dist"], f"{field_name}.dist")
-    return COUPLING_RULES[kind](dist)
-
-
 # ---------------------------------------------------------------------------
 # Process specs
 # ---------------------------------------------------------------------------
 
-def _as_tuple(x, k: int, field_name: str) -> tuple:
-    """Broadcast a scalar (or single entry) to a length-k tuple."""
-    if isinstance(x, (list, tuple)):
-        _require(len(x) in (1, k), field_name, f"expected 1 or {k} entries, got {len(x)}")
-        return tuple(x) * (k if len(x) == 1 else 1)
-    return (x,) * k
-
-
 @dataclass(frozen=True)
-class ReinforcedSpec:
+class ReinforcedSpec(_DictForm):
     """Randomly reinforced predictive system: coordinate i draws from the
     normalized mixture (w0_i nu_i + sum_k W_{k,i} delta_{x_{k,i}}) / total and
     the just-observed value is appended with a fresh positive weight."""
 
     n_coords: int = 1
-    w0: tuple[float, ...] = (1.0,)
-    base: tuple = (UniformBase(),)
-    coupling: object = field(default_factory=lambda: CommonWeight(DegenerateWeight(1.0)))
+    w0: tuple[float, ...] = field(default=(1.0,), metadata={"per_coord": True})
+    base: tuple = field(default=(UniformBase(),),
+                        metadata={"per_coord": True, "kinds": BASE_MEASURES})
+    coupling: object = field(default_factory=lambda: CommonWeight(DegenerateWeight(1.0)),
+                             metadata={"kinds": COUPLING_RULES})
     kind: ClassVar[str] = "reinforced"
 
     def validate(self) -> None:
@@ -491,59 +517,27 @@ class ReinforcedSpec:
                 _require(lo >= 0.0 and hi <= 1.0, f"base[{i}]",
                          "cross_fraction coupling needs base support within [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "n_coords": self.n_coords, "w0": list(self.w0),
-                "base": [b.to_dict() for b in self.base], "coupling": self.coupling.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReinforcedSpec":
-        k = int(d.get("n_coords", 1))
-        w0 = _as_tuple(d.get("w0", 1.0), k, "w0")
-        base_raw = d.get("base", {"kind": "uniform"})
-        if isinstance(base_raw, dict):
-            base = (base_from_dict(base_raw),) * k
-        else:
-            base = tuple(base_from_dict(b, f"base[{i}]") for i, b in enumerate(base_raw))
-            base = _as_tuple(list(base), k, "base")
-        coupling = coupling_from_dict(d.get("coupling",
-                                            {"kind": "common_weight",
-                                             "dist": {"kind": "degenerate", "value": 1.0}}))
-        return cls(k, tuple(float(w) for w in w0), base, coupling)
-
 
 @dataclass(frozen=True)
-class PolyaSpec:
+class PolyaSpec(_DictForm):
     """Independent Polya sequences: the reinforced scheme with W = 1."""
 
     n_coords: int = 1
-    w0: tuple[float, ...] = (1.0,)
-    base: tuple = (UniformBase(),)
+    w0: tuple[float, ...] = field(default=(1.0,), metadata={"per_coord": True})
+    base: tuple = field(default=(UniformBase(),),
+                        metadata={"per_coord": True, "kinds": BASE_MEASURES})
     kind: ClassVar[str] = "polya"
 
     def validate(self) -> None:
-        self.as_reinforced().validate()
-
-    def as_reinforced(self) -> ReinforcedSpec:
-        return ReinforcedSpec(self.n_coords, self.w0, self.base,
-                              CommonWeight(DegenerateWeight(1.0)))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "n_coords": self.n_coords, "w0": list(self.w0),
-                "base": [b.to_dict() for b in self.base]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PolyaSpec":
-        r = ReinforcedSpec.from_dict({**d, "coupling": {"kind": "common_weight",
-                                                        "dist": {"kind": "degenerate", "value": 1.0}}})
-        return cls(r.n_coords, r.w0, r.base)
+        reinforced_view(self).validate()
 
 
 @dataclass(frozen=True)
-class UniformCoupledSpec:
+class UniformCoupledSpec(_DictForm):
     """Two uniform(0,1)-based reinforced sequences coupled through the
     reinforcement fraction A_{n,i} = beta_n * x_{n,j}, j != i."""
 
-    beta: BetaSchedule = field(default_factory=BetaSchedule)
+    beta: BetaSchedule = field(default_factory=BetaSchedule, metadata={"kinds": BetaSchedule})
     w0: float = 1.0
     kind: ClassVar[str] = "uniform_coupled"
     n_coords: ClassVar[int] = 2
@@ -553,21 +547,9 @@ class UniformCoupledSpec:
         _require(self.w0 > 0 and math.isfinite(self.w0), "w0",
                  f"must be positive, got {self.w0}")
 
-    def as_reinforced(self) -> ReinforcedSpec:
-        return ReinforcedSpec(2, (self.w0, self.w0), (UniformBase(), UniformBase()),
-                              CrossFraction(self.beta))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "beta": self.beta.to_dict(), "w0": self.w0}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UniformCoupledSpec":
-        return cls(BetaSchedule.from_dict(d.get("beta", {"kind": "harmonic"})),
-                   float(d.get("w0", 1.0)))
-
 
 @dataclass(frozen=True)
-class BrokenFeedbackWeightSpec:
+class BrokenFeedbackWeightSpec(_DictForm):
     """Negative control: a reinforced scheme whose weight is a function of the
     observation it reinforces, W_{n,i} = scale * x_{n,i} + shift. This violates
     the independence of weight and observation, so the array is not p-c.i.d.;
@@ -585,25 +567,16 @@ class BrokenFeedbackWeightSpec:
         _require(self.shift > 0, "shift", f"must be positive, got {self.shift}")
         _require(self.scale > 0, "scale", f"must be positive, got {self.scale}")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "n_coords": self.n_coords, "w0": self.w0,
-                "shift": self.shift, "scale": self.scale}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BrokenFeedbackWeightSpec":
-        return cls(int(d.get("n_coords", 2)), float(d.get("w0", 1.0)),
-                   float(d.get("shift", 0.1)), float(d.get("scale", 1.0)))
-
 
 @dataclass(frozen=True)
-class GaussianLastTickSpec:
+class GaussianLastTickSpec(_DictForm):
     """Gaussian predictive system driven by arrival times: the predictive mean
     is the duration-weighted (last-tick) average of past observations and the
     predictive variance shrinks by the factor 1 - lambda_n^2 each step."""
 
     n_coords: int = 1
-    mu1: tuple[float, ...] = (0.0,)
-    sigma2_1: tuple[float, ...] = (1.0,)
+    mu1: tuple[float, ...] = field(default=(0.0,), metadata={"per_coord": True})
+    sigma2_1: tuple[float, ...] = field(default=(1.0,), metadata={"per_coord": True})
     rate: float = 1.0
     t0: float | None = None  # None: first Poisson inter-arrival
     kind: ClassVar[str] = "gaussian_last_tick"
@@ -618,22 +591,9 @@ class GaussianLastTickSpec:
         if self.t0 is not None:
             _require(self.t0 > 0, "t0", f"must be positive, got {self.t0}")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "n_coords": self.n_coords, "mu1": list(self.mu1),
-                "sigma2_1": list(self.sigma2_1), "rate": self.rate, "t0": self.t0}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianLastTickSpec":
-        k = int(d.get("n_coords", 1))
-        mu1 = _as_tuple(d.get("mu1", 0.0), k, "mu1")
-        s21 = _as_tuple(d.get("sigma2_1", 1.0), k, "sigma2_1")
-        t0 = d.get("t0")
-        return cls(k, tuple(float(m) for m in mu1), tuple(float(s) for s in s21),
-                   float(d.get("rate", 1.0)), None if t0 is None else float(t0))
-
 
 @dataclass(frozen=True)
-class StateSpaceCidSpec:
+class StateSpaceCidSpec(_DictForm):
     """Damped-random-walk state-space model: a latent level accumulates
     shrinking Gaussian increments with Var = b_n - b_{n-1}, observations add
     independent N(0, c - b_n) noise. b_n increases to c_prime < c; the default
@@ -666,21 +626,9 @@ class StateSpaceCidSpec:
             return self.b_table[min(n, len(self.b_table)) - 1]
         return self.c_prime * (1.0 - 2.0 ** (-n))
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "theta0": self.theta0, "c": self.c, "c_prime": self.c_prime}
-        if self.b_table:
-            d["b_table"] = list(self.b_table)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StateSpaceCidSpec":
-        return cls(float(d.get("theta0", 0.0)), float(d.get("c", 1.0)),
-                   float(d.get("c_prime", 0.5)),
-                   tuple(float(b) for b in d.get("b_table", ())))
-
 
 @dataclass(frozen=True)
-class Ar1DriftSpec:
+class Ar1DriftSpec(_DictForm):
     """Negative control: X_{n+1} = drift + phi X_n + noise. With a nonzero
     drift the marginals shift with n, so the sequence is not c.i.d. With
     phi = drift = 0 it degenerates to an i.i.d. Gaussian sequence."""
@@ -698,23 +646,30 @@ class Ar1DriftSpec:
         _require(self.noise_var > 0, "noise_var", f"must be positive, got {self.noise_var}")
         _require(self.init_var > 0, "init_var", f"must be positive, got {self.init_var}")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "phi": self.phi, "drift": self.drift,
-                "noise_var": self.noise_var, "init_mean": self.init_mean,
-                "init_var": self.init_var}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Ar1DriftSpec":
-        return cls(float(d.get("phi", 0.8)), float(d.get("drift", 0.3)),
-                   float(d.get("noise_var", 1.0)), float(d.get("init_mean", 0.0)),
-                   float(d.get("init_var", 1.0)))
-
 
 SPEC_KINDS = {
     cls.kind: cls
     for cls in (ReinforcedSpec, PolyaSpec, UniformCoupledSpec, BrokenFeedbackWeightSpec,
                 GaussianLastTickSpec, StateSpaceCidSpec, Ar1DriftSpec)
 }
+
+
+def reinforced_view(spec) -> ReinforcedSpec | None:
+    """The spec read as a reinforced system (w0, base measures and coupling
+    per coordinate), or None for kinds that are not reinforced."""
+    if isinstance(spec, ReinforcedSpec):
+        return spec
+    if isinstance(spec, PolyaSpec):
+        return ReinforcedSpec(spec.n_coords, spec.w0, spec.base,
+                              CommonWeight(DegenerateWeight(1.0)))
+    if isinstance(spec, UniformCoupledSpec):
+        return ReinforcedSpec(2, (spec.w0, spec.w0), (UniformBase(), UniformBase()),
+                              CrossFraction(spec.beta))
+    if isinstance(spec, BrokenFeedbackWeightSpec):
+        k = spec.n_coords
+        return ReinforcedSpec(k, (spec.w0,) * k, (UniformBase(),) * k,
+                              FeedbackWeight(spec.scale, spec.shift))
+    return None
 
 
 def spec_from_dict(d: dict):

@@ -164,17 +164,10 @@ def clt_path_summaries(ens: Ensemble) -> dict:
     if not err <= 1e-8:
         raise StatisticsError(
             f"telescoping identity violated at terminal step: {err:.3e}")
-    try:
-        sigma2_alpha = ens.terminal_variance()
-        moments = ens.terminal_moments() if "weighted_power_sums" in ens.arrays else None
-    except KeyError:
-        sigma2_alpha = ens.predictive_var[:, -1, :]
-        moments = None
-    out = {"S": s, "S_tilde": s_tilde, "sigma2_alpha": sigma2_alpha,
-           "mu_alpha": ens.terminal_mean() if "weighted_power_sums" in ens.arrays
-           or "terminal_mu" in ens.arrays else ens.predictive_mean[:, -1, :]}
-    if moments is not None:
-        out["terminal_moments"] = moments
+    out = {"S": s, "S_tilde": s_tilde, "sigma2_alpha": ens.terminal_variance(),
+           "mu_alpha": ens.terminal_mean()}
+    if "weighted_power_sums" in ens.arrays:
+        out["terminal_moments"] = ens.terminal_moments()
     return out
 
 

@@ -28,9 +28,8 @@ from .specs import (
     Ar1DriftSpec,
     CommonWeight,
     GaussianLastTickSpec,
-    PolyaSpec,
-    ReinforcedSpec,
     UniformCoupledSpec,
+    reinforced_view,
 )
 
 VERIFIER_SUBSTREAM = 0xFFFF  # reserved; engine paths use substreams 0..K
@@ -250,7 +249,7 @@ def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
 # ---------------------------------------------------------------------------
 
 def _clt_record(spec) -> frozenset:
-    if isinstance(spec, (ReinforcedSpec, PolyaSpec, UniformCoupledSpec)):
+    if reinforced_view(spec) is not None:
         return frozenset({"observations", "predictive_mean"})
     return frozenset({"observations", "predictive_mean", "predictive_var"})
 
@@ -315,8 +314,8 @@ def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
     subchecks: list[SubCheck] = []
     params: dict = {}
 
-    rspec = spec.as_reinforced() if isinstance(spec, PolyaSpec) else spec
-    if isinstance(rspec, ReinforcedSpec) and isinstance(rspec.coupling, CommonWeight):
+    rspec = reinforced_view(spec)
+    if rspec is not None and isinstance(rspec.coupling, CommonWeight):
         moments = oracles.weight_moments(rspec.coupling.dist)
         ratio = moments.variance / moments.mean ** 2
         params["weight_variance_ratio"] = ratio

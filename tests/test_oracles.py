@@ -18,8 +18,7 @@ from pcid.oracles import (
     polya_limit_moments,
     quartic_integral_from_moments,
     rru_clt_variance,
-    tilde_sigma_uniform,
-    tilde_sigma_uniform_companion,
+    tilde_sigma_components,
     weight_moments,
 )
 
@@ -149,20 +148,20 @@ def test_quartic_integral_matches_quadrature():
     assert direct == pytest.approx(expected, rel=1e-10)
 
 
+def _pair_moments(mixture):
+    return np.stack([mixture_raw_moments(mixture)] * 2)
+
+
 def test_tilde_sigma_for_uniform_measures():
     uniform = MixtureDistribution(specs.UniformBase(), 1.0)
-    mat = tilde_sigma_uniform(uniform, uniform)
-    assert mat[0, 0] == pytest.approx(1.0 / 20.0, abs=1e-12)
-    assert mat[1, 1] == pytest.approx(1.0 / 20.0, abs=1e-12)
-    assert mat[0, 1] == pytest.approx(1.0 / 36.0, abs=1e-12)
-    assert mat[1, 0] == mat[0, 1]
-    companion = tilde_sigma_uniform_companion(uniform, uniform)
-    assert companion[0, 1] == pytest.approx(1.0 / 36.0, abs=1e-12)
+    parts = tilde_sigma_components(_pair_moments(uniform))
+    assert parts["offdiag"] == pytest.approx(1.0 / 36.0, abs=1e-12)
     # for uniform marginals the companion diagonal coincides with 4 var^2
-    assert companion[0, 0] == pytest.approx(1.0 / 36.0, abs=1e-12)
+    assert np.allclose(parts["diag_companion"], 1.0 / 36.0, rtol=0.0, atol=1e-12)
 
 
 def test_tilde_sigma_degenerate_measure_vanishes():
     point = MixtureDistribution(specs.DiscreteBase((0.5,), (1.0,)), 1.0)
-    assert np.allclose(tilde_sigma_uniform(point, point), 0.0, atol=1e-15)
-    assert np.allclose(tilde_sigma_uniform_companion(point, point), 0.0, atol=1e-15)
+    parts = tilde_sigma_components(_pair_moments(point))
+    assert np.allclose(parts["diag_companion"], 0.0, atol=1e-15)
+    assert np.allclose(parts["offdiag"], 0.0, atol=1e-15)

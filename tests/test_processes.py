@@ -125,7 +125,7 @@ def test_common_weight_is_shared():
 
 def test_cross_fraction_dispatches_to_uniform_coupled():
     spec = specs.UniformCoupledSpec()
-    rspec = spec.as_reinforced()
+    rspec = specs.reinforced_view(spec)
     s1 = processes.init_reinforced_states(spec)
     s2 = processes.init_reinforced_states(spec)
     x1 = reinforced_step(s1, rspec.coupling, 1, PathStreams(9, 0, 2))
@@ -295,7 +295,7 @@ def test_sigma2_product_identity():
 # ---------------------------------------------------------------------------
 
 def _scalar_reinforced_path(spec, horizon, master_seed, path):
-    rspec = spec.as_reinforced() if hasattr(spec, "as_reinforced") else spec
+    rspec = specs.reinforced_view(spec)
     states = processes.init_reinforced_states(spec)
     streams = PathStreams(master_seed, path, rspec.n_coords)
     xs = []
@@ -310,6 +310,7 @@ def _scalar_reinforced_path(spec, horizon, master_seed, path):
     specs.CommonWeight(specs.GammaWeight(2.5, 1.0, 0.1)),
     specs.IidWeights(specs.UniformWeight(0.5, 1.5)),
     specs.CrossFraction(specs.BetaSchedule("harmonic")),
+    specs.FeedbackWeight(scale=4.0, shift=0.1),
 ])
 def test_scalar_matches_vectorized_reinforced(coupling):
     spec = specs.ReinforcedSpec(2, (1.0, 2.0), (specs.UniformBase(), specs.UniformBase()),
@@ -317,10 +318,14 @@ def test_scalar_matches_vectorized_reinforced(coupling):
     if isinstance(coupling, specs.CrossFraction):
         spec = specs.ReinforcedSpec(2, (1.0, 1.0),
                                     (specs.UniformBase(), specs.UniformBase()), coupling)
+    if isinstance(coupling, specs.FeedbackWeight):
+        spec = specs.BrokenFeedbackWeightSpec(2, 1.0, coupling.shift, coupling.scale)
     ens = run_ensemble(spec, 4, 40, 123)
     for p in range(4):
         xs, states = _scalar_reinforced_path(spec, 40, 123, p)
         assert np.array_equal(xs, ens.observations[p])
+        ws = np.array([st.atom_weights for st in states]).T
+        assert np.array_equal(ws, ens.weights[p])
         mus = np.array([st.predictive_mean() for st in states])
         assert np.array_equal(mus, ens.predictive_mean[p, -1])
         sig = np.array([st.predictive_var() for st in states])

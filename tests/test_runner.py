@@ -48,6 +48,15 @@ def test_unknown_spec_kind_exits_2(tmp_path, capsys):
     assert "unknown spec kind" in capsys.readouterr().err
 
 
+def test_malformed_spec_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"spec": {"kind": "reinforced",
+                                        "coupling": {"kind": "common_weight"}},
+                               "n_paths": 10, "horizon": 5}))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "coupling.dist" in capsys.readouterr().err
+
+
 def test_unknown_test_name_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"spec": {"kind": "polya"}, "n_paths": 10, "horizon": 5,

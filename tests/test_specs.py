@@ -1,7 +1,15 @@
+import json
+from importlib import resources
+
 import pytest
 
 from pcid import specs
 from pcid.specs import SpecValidationError, spec_from_dict
+
+CONFIG_SPECS = [json.loads(p.read_text(encoding="utf-8"))["spec"]
+                for p in sorted(resources.files("pcid").joinpath("configs").iterdir(),
+                                key=lambda p: p.name)
+                if p.name.endswith(".json")]
 
 
 ALL_KINDS = ["ar1_drift", "broken_feedback_weight", "gaussian_last_tick", "polya",
@@ -31,7 +39,7 @@ def test_list_spec_kinds():
     {"kind": "state_space_cid", "theta0": 0.3, "c": 2.0, "c_prime": 1.0},
     {"kind": "ar1_drift", "phi": 0.5, "drift": 0.2},
     {"kind": "broken_feedback_weight", "n_coords": 2, "shift": 0.1},
-])
+] + CONFIG_SPECS)
 def test_round_trip(doc):
     spec = spec_from_dict(doc)
     again = spec_from_dict(spec.to_dict())
@@ -58,6 +66,10 @@ def test_round_trip(doc):
     ({"kind": "state_space_cid", "b_table": [0.6]}, "b_table"),
     ({"kind": "ar1_drift", "phi": 1.5}, "phi"),
     ({"kind": "broken_feedback_weight", "shift": 0.0}, "shift"),
+    ({"kind": "reinforced", "coupling": {"kind": "common_weight"}}, "coupling.dist"),
+    ({"kind": "polya", "base": {"kind": "discrete", "probs": [1.0]}}, "base.values"),
+    ({"kind": "uniform_coupled", "beta": {"kind": "table", "table": 0.5}}, "beta.table"),
+    ({"kind": "polya", "w0": "abc"}, "w0"),
 ])
 def test_validation_names_offending_field(doc, field):
     with pytest.raises(SpecValidationError) as err:
