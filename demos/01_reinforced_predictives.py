@@ -10,7 +10,7 @@ import numpy as np
 
 from pcid import specs
 from pcid.engine import PathStreams
-from pcid.processes import init_reinforced_states, reinforced_predictive, reinforced_step
+from pcid.processes import init_reinforced_states, reinforced_step
 
 spec = specs.PolyaSpec(n_coords=1, w0=(1.0,), base=(specs.UniformBase(),))
 states = init_reinforced_states(spec)
@@ -25,10 +25,10 @@ for n in range(1, 11):
     print(f"{n:3d} {x[0]:8.4f} {st.predictive_mean():10.4f} "
           f"{st.predictive_var():9.4f} {len(st.atom_values):6d}")
 
-mix = reinforced_predictive(states[0])
+probs = states[0].component_probabilities()
 print("\nterminal predictive components (base first):")
-print(np.array2string(mix.component_probabilities(), precision=4))
-print(f"probabilities sum to {mix.component_probabilities().sum():.15f}")
+print(np.array2string(probs, precision=4))
+print(f"probabilities sum to {probs.sum():.15f}")
 
 print("\nwith common random weights in {1,3}, all coordinates share the "
       "same reinforcement each step:")

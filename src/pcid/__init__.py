@@ -5,11 +5,9 @@ __version__ = "0.1.0"
 
 from .engine import Ensemble, RngStream, derive_stream, map_path_chunks, run_ensemble
 from .processes import (
-    MixtureDistribution,
     ReinforcedCoordState,
     gaussian_last_tick_step,
     poisson_arrivals,
-    reinforced_predictive,
     reinforced_step,
     state_space_cid_step,
     uniform_coupled_step,

@@ -110,21 +110,19 @@ class _StreamFiller:
 # Ensembles
 # ---------------------------------------------------------------------------
 
-_SERIES_DOC = {
-    "observations": "(paths, horizon, coords) observed values",
-    "predictive_mean": "(paths, horizon+1, coords) one-step predictive means, prior first",
-    "predictive_var": "(paths, horizon+1, coords) one-step predictive variances, prior first",
-    "weights": "(paths, horizon, coords) reinforcement weights",
-    "arrivals": "(paths, horizon+1) arrival times",
-    "lambdas": "(paths, horizon) interpolation fractions t_n / T_{n+1}",
-    "theta": "(paths, horizon) latent level of the state-space model",
-}
-
-
 @dataclass
 class Ensemble:
     """Recorded output of `run_ensemble`: per-path series plus cheap per-path
-    terminal summaries (always present where the kind defines them)."""
+    terminal summaries (always present where the kind defines them).
+
+    Series shapes, with P paths, H steps and K coordinates:
+
+    * observations, weights: (P, H, K);
+    * predictive_mean, predictive_var: (P, H+1, K), the prior first;
+    * arrivals: (P, H+1) arrival times;
+    * lambdas: (P, H) interpolation fractions t_n / T_{n+1};
+    * theta: (P, H) latent level of the state-space model.
+    """
 
     spec: object
     n_paths: int
@@ -176,19 +174,17 @@ class Ensemble:
         return self.spec.n_coords
 
     def terminal_moments(self) -> np.ndarray:
-        """(paths, coords, 5) raw moments m_0..m_4 of the terminal predictive
+        """(paths, coords, 3) raw moments m_0..m_2 of the terminal predictive
         mixture of each reinforced coordinate."""
         if "weighted_power_sums" not in self.arrays:
             raise MissingSeriesError("terminal mixture moments exist only for reinforced kinds")
         psums = self.arrays["weighted_power_sums"]
         tot = self.arrays["total_weight"]
         rspec = reinforced_view(self.spec)
-        w0 = np.asarray(rspec.w0)
-        m = np.empty(psums.shape[:2] + (5,))
-        m[:, :, 0] = 1.0
-        for r in range(1, 5):
-            base_r = np.array([b.raw_moment(r) for b in rspec.base])
-            m[:, :, r] = (w0 * base_r + psums[:, :, r - 1]) / tot
+        base_m = np.array([[b.raw_moment(1), b.raw_moment(2)] for b in rspec.base])
+        m = np.ones(psums.shape[:2] + (3,))
+        m[:, :, 1:] = processes.mixture_moment(np.asarray(rspec.w0)[:, None], base_m,
+                                               psums, tot[:, :, None])
         return m
 
     def terminal_mean(self) -> np.ndarray:
@@ -211,15 +207,21 @@ class Ensemble:
             return m[:, :, 2] - m[:, :, 1] ** 2
         return self.predictive_var[:, -1, :]
 
-    def terminal_mixture(self, path: int, coord: int) -> processes.MixtureDistribution:
-        """Exact terminal predictive mixture of one path/coordinate
-        (requires recorded observations and weights)."""
+    def terminal_mixture(self, path: int, coord: int) -> processes.ReinforcedCoordState:
+        """Terminal predictive mixture of one path/coordinate (requires
+        recorded observations and weights). Its total weight and power sums
+        are the ensemble's own, so its moments equal `terminal_mean` and
+        `terminal_variance` bit for bit; zero-weight atoms are left out."""
         rspec = reinforced_view(self.spec)
         if rspec is None:
             raise MissingSeriesError("terminal mixtures exist only for reinforced kinds")
-        return processes.MixtureDistribution(
-            rspec.base[coord], rspec.w0[coord],
-            self.observations[path, :, coord], self.weights[path, :, coord])
+        x = self.observations[path, :, coord]
+        w = self.weights[path, :, coord]
+        keep = w > 0
+        return processes.ReinforcedCoordState(
+            rspec.w0[coord], rspec.base[coord], x[keep].tolist(), w[keep].tolist(),
+            np.cumsum(w[keep]).tolist(), float(self.arrays["total_weight"][path, coord]),
+            self.arrays["weighted_power_sums"][path, coord].tolist())
 
 
 def default_record(spec) -> frozenset:
@@ -369,10 +371,9 @@ def run_ensemble(spec, n_paths: int, horizon: int, master_seed: int,
     A pure function of (spec, n_paths, horizon, master_seed): the result is
     bit-identical for any thread count and any chunking.
     """
-    _validate_run_args(spec, n_paths, horizon, master_seed)
-    record = frozenset(record) if record is not None else default_record(spec)
     reduced = map_path_chunks(spec, n_paths, horizon, master_seed, lambda e: e.arrays,
                               record=record, threads=threads, chunk_paths=chunk_paths)
+    record = frozenset(record) if record is not None else default_record(spec)
     return Ensemble(spec, n_paths, horizon, master_seed, record, reduced)
 
 

@@ -174,27 +174,11 @@ def polya_limit_moments(w0: float, base, interval: tuple[float, float]) -> Inter
 # Sample-mean limit covariance for the cross-reinforced uniform pair
 # ---------------------------------------------------------------------------
 
-def quartic_integral_from_moments(m, a, b):
-    """int (x-a)^2 (x-b)^2 d alpha from raw moments m_0..m_4 (last axis)."""
-    m = np.asarray(m, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c3 = -2.0 * (a + b)
-    c2 = a * a + 4.0 * a * b + b * b
-    c1 = -2.0 * a * b * (a + b)
-    c0 = (a * b) ** 2
-    return (m[..., 4] + c3 * m[..., 3] + c2 * m[..., 2] + c1 * m[..., 1] + c0 * m[..., 0])
-
-
-def mixture_raw_moments(mixture) -> np.ndarray:
-    return np.array([mixture.raw_moment(r) for r in range(5)])
-
-
 def tilde_sigma_components(moments: np.ndarray) -> dict:
     """Plug-in components of the sample-mean limit covariance for the
     cross-reinforced uniform pair, vectorized over paths.
 
-    moments: (..., 2, 5) raw moments of the two terminal predictives.
+    moments: (..., 2, 3) raw moments m_0..m_2 of the two terminal predictives.
     Returns diag_companion (..., 2) and offdiag (...):
 
     * diag_companion[i] = 4 sigma2_i * int (y - 1/2)^2 d alpha_j,  j != i

@@ -5,7 +5,9 @@ Two layers live here.
 * Scalar, single-path operations (`reinforced_step`, `uniform_coupled_step`,
   `gaussian_last_tick_step`, `state_space_cid_step`, `poisson_arrivals`)
   written directly against the per-coordinate state objects. These are the
-  readable reference implementations.
+  readable reference implementations. A `ReinforcedCoordState` is also a
+  reinforced coordinate's predictive mixture: it gives the predictive
+  mean, variance, CDF and component probabilities, and draws from it.
 
 * Batch kernels (`simulate_*_chunk`) that advance a whole chunk of paths
   per step with numpy. They consume pre-generated random inputs and follow
@@ -42,73 +44,27 @@ class ProcessError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Mixture predictive distribution
-# ---------------------------------------------------------------------------
-
-class MixtureDistribution:
-    """Normalized mixture (w0 * base + sum_k W_k delta_{x_k}) / total_weight.
-
-    Zero-weight atoms are dropped at construction; they never affect the
-    distribution. Moments and CDF values are exact given the atoms.
-    """
-
-    def __init__(self, base, base_weight: float, atom_values=None, atom_weights=None):
-        if base_weight <= 0:
-            raise ProcessError(f"base weight must be positive, got {base_weight}")
-        av = np.asarray(atom_values if atom_values is not None else [], dtype=float)
-        aw = np.asarray(atom_weights if atom_weights is not None else [], dtype=float)
-        if av.shape != aw.shape:
-            raise ProcessError("atom values and weights must have matching shapes")
-        if np.any(aw < 0):
-            raise ProcessError("atom weights must be non-negative")
-        keep = aw > 0
-        self.base = base
-        self.base_weight = float(base_weight)
-        self.atom_values = av[keep]
-        self.atom_weights = aw[keep]
-        self.total_weight = self.base_weight + float(np.sum(self.atom_weights))
-        order = np.argsort(self.atom_values, kind="stable")
-        self._sorted_values = self.atom_values[order]
-        self._sorted_cumweights = np.cumsum(self.atom_weights[order])
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self.atom_values)
-
-    def component_probabilities(self) -> np.ndarray:
-        """Probability of the base component followed by each atom."""
-        w = np.concatenate(([self.base_weight], self.atom_weights))
-        return w / self.total_weight
-
-    def raw_moment(self, r: int) -> float:
-        atom_part = float(np.sum(self.atom_weights * self.atom_values ** r))
-        return (self.base_weight * self.base.raw_moment(r) + atom_part) / self.total_weight
-
-    def mean(self) -> float:
-        return self.raw_moment(1)
-
-    def variance(self) -> float:
-        return self.raw_moment(2) - self.mean() ** 2
-
-    def cdf(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        atom_mass = np.zeros_like(x)
-        if self.n_atoms:
-            idx = np.searchsorted(self._sorted_values, x, side="right")
-            atom_mass = np.where(idx > 0, self._sorted_cumweights[np.maximum(idx - 1, 0)], 0.0)
-        return (self.base_weight * self.base.cdf(x) + atom_mass) / self.total_weight
-
-
-# ---------------------------------------------------------------------------
 # Per-coordinate states and scalar steps
 # ---------------------------------------------------------------------------
 
+def mixture_moment(w0, base_moment, power_sum, total_weight):
+    """Raw moment (w0 * nu_r + S_r) / total of the predictive mixture, where
+    nu_r is the base measure's r-th raw moment and S_r = sum_k W_k x_k^r.
+
+    Scalars and arrays alike. This is the only place the formula is
+    written, so the scalar state, the batch kernel and
+    `Ensemble.terminal_moments` agree bit for bit."""
+    return (w0 * base_moment + power_sum) / total_weight
+
+
 @dataclass
 class ReinforcedCoordState:
-    """Sufficient statistics of one reinforced coordinate.
+    """One reinforced coordinate and its predictive mixture
+    (w0 * base + sum_k W_k delta_{x_k}) / total_weight.
 
     The atom list holds (value, weight) pairs in arrival order together with
     the running cumulative weights, so a predictive draw is a binary search.
+    Zero-weight atoms are never appended; they do not affect the mixture.
     """
 
     w0: float
@@ -117,8 +73,8 @@ class ReinforcedCoordState:
     atom_weights: list = dc_field(default_factory=list)
     cum_weights: list = dc_field(default_factory=list)
     total_weight: float = 0.0
-    # running sums of W * x^r, r = 1..4, for exact mixture moments
-    power_sums: list = dc_field(default_factory=lambda: [0.0, 0.0, 0.0, 0.0])
+    # running sums of W * x and W * x^2, for exact mixture moments
+    power_sums: list = dc_field(default_factory=lambda: [0.0, 0.0])
 
     def __post_init__(self):
         if self.total_weight == 0.0:
@@ -132,17 +88,32 @@ class ReinforcedCoordState:
         prev = self.cum_weights[-1] if self.cum_weights else 0.0
         self.cum_weights.append(prev + weight)
         self.total_weight = self.total_weight + weight
-        xr = value
-        for r in range(4):
-            self.power_sums[r] += weight * xr
-            xr *= value
+        self.power_sums[0] += weight * value
+        self.power_sums[1] += weight * (value * value)
 
     def predictive_mean(self) -> float:
-        return (self.w0 * self.base.raw_moment(1) + self.power_sums[0]) / self.total_weight
+        return mixture_moment(self.w0, self.base.raw_moment(1), self.power_sums[0],
+                              self.total_weight)
 
     def predictive_var(self) -> float:
-        m2 = (self.w0 * self.base.raw_moment(2) + self.power_sums[1]) / self.total_weight
-        return m2 - self.predictive_mean() ** 2
+        m2 = mixture_moment(self.w0, self.base.raw_moment(2), self.power_sums[1],
+                            self.total_weight)
+        mean = self.predictive_mean()
+        # mean * mean, as numpy squares arrays; float ** 2 calls pow(), which
+        # is not always correctly rounded
+        return m2 - mean * mean
+
+    def component_probabilities(self) -> np.ndarray:
+        """Probability of the base component followed by each atom."""
+        return np.concatenate(([self.w0], self.atom_weights)) / self.total_weight
+
+    def cdf(self, x) -> np.ndarray:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        values = np.asarray(self.atom_values, dtype=float)
+        order = np.argsort(values, kind="stable")
+        cum = np.concatenate(([0.0], np.cumsum(np.asarray(self.atom_weights)[order])))
+        atom_mass = cum[np.searchsorted(values[order], x, side="right")]
+        return (self.w0 * self.base.cdf(x) + atom_mass) / self.total_weight
 
     def recomputed_total(self) -> float:
         return self.w0 + math.fsum(self.atom_weights)
@@ -154,11 +125,6 @@ class ReinforcedCoordState:
             return float(self.base.ppf(s / self.w0))
         k = int(np.searchsorted(np.asarray(self.cum_weights), s - self.w0, side="right"))
         return self.atom_values[min(k, len(self.atom_values) - 1)]
-
-
-def reinforced_predictive(state: ReinforcedCoordState) -> MixtureDistribution:
-    """Current one-step predictive distribution of a reinforced coordinate."""
-    return MixtureDistribution(state.base, state.w0, state.atom_values, state.atom_weights)
 
 
 def init_reinforced_states(spec) -> list[ReinforcedCoordState]:
@@ -306,6 +272,18 @@ def _row_first_greater(C: np.ndarray, n: int, q: np.ndarray, rows: np.ndarray) -
     return lo
 
 
+def _predictive_buffers(record, n_paths: int, horizon: int, k: int,
+                        prior_mean, prior_var) -> dict:
+    """Zeroed (P, H+1, K) arrays for whichever of predictive_mean and
+    predictive_var `record` asks for, each with its prior at step 0."""
+    bufs = {}
+    for name, prior in (("predictive_mean", prior_mean), ("predictive_var", prior_var)):
+        if name in record:
+            bufs[name] = np.zeros((n_paths, horizon + 1, k))
+            bufs[name][:, 0, :] = prior
+    return bufs
+
+
 def reinforced_weight_shape(rspec, horizon: int) -> tuple | None:
     """Shape of one path's weight uniforms (substream 0) for a reinforced
     view, or None when its coupling draws none. Each coordinate consumes
@@ -337,20 +315,14 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
     obs = np.zeros((n_paths, horizon, k))
     cumw = np.zeros((n_paths, horizon, k))
     tot = np.broadcast_to(w0, (n_paths, k)).copy()
-    psums = np.zeros((n_paths, k, 4))
+    psums = np.zeros((n_paths, k, 2))
     base_m1 = np.array([b.raw_moment(1) for b in bases])
     base_m2 = np.array([b.raw_moment(2) for b in bases])
 
     want_weights = "weights" in record
-    want_mean = "predictive_mean" in record
-    want_var = "predictive_var" in record
     weights_out = np.zeros((n_paths, horizon, k)) if want_weights else None
-    mean_out = np.zeros((n_paths, horizon + 1, k)) if want_mean else None
-    var_out = np.zeros((n_paths, horizon + 1, k)) if want_var else None
-    if want_mean:
-        mean_out[:, 0, :] = base_m1
-    if want_var:
-        var_out[:, 0, :] = base_m2 - base_m1 ** 2
+    pred = _predictive_buffers(record, n_paths, horizon, k, base_m1, base_m2 - base_m1 ** 2)
+    mean_out, var_out = pred.get("predictive_mean"), pred.get("predictive_var")
 
     x_step = np.empty((n_paths, k))
     for n in range(1, horizon + 1):
@@ -392,19 +364,14 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
         prev = cumw[:, n - 2, :] if n >= 2 else 0.0
         cumw[:, n - 1, :] = prev + w_step
         tot = tot + w_step
-        # powers chained exactly as the scalar layer computes them
-        x2 = x_step * x_step
-        x3 = x2 * x_step
-        x4 = x3 * x_step
         psums[:, :, 0] += w_step * x_step
-        psums[:, :, 1] += w_step * x2
-        psums[:, :, 2] += w_step * x3
-        psums[:, :, 3] += w_step * x4
-        if want_mean:
-            mean_out[:, n, :] = (w0 * base_m1 + psums[:, :, 0]) / tot
-        if want_var:
-            m2 = (w0 * base_m2 + psums[:, :, 1]) / tot
-            mu_n = (w0 * base_m1 + psums[:, :, 0]) / tot
+        psums[:, :, 1] += w_step * (x_step * x_step)
+        if pred:
+            mu_n = mixture_moment(w0, base_m1, psums[:, :, 0], tot)
+        if mean_out is not None:
+            mean_out[:, n, :] = mu_n
+        if var_out is not None:
+            m2 = mixture_moment(w0, base_m2, psums[:, :, 1], tot)
             var_out[:, n, :] = m2 - mu_n ** 2
 
     out = {"total_weight": tot, "weighted_power_sums": psums}
@@ -412,10 +379,7 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
         out["observations"] = obs
     if want_weights:
         out["weights"] = weights_out
-    if want_mean:
-        out["predictive_mean"] = mean_out
-    if want_var:
-        out["predictive_var"] = var_out
+    out.update(pred)
     return out
 
 
@@ -439,16 +403,10 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
     s2 = np.tile(np.asarray(spec.sigma2_1, dtype=float), (n_paths, 1))
     gamma_hat = np.ones(n_paths)
 
-    want_mean = "predictive_mean" in record
-    want_var = "predictive_var" in record
     obs = np.zeros((n_paths, horizon, k)) if "observations" in record else None
     lambdas = np.zeros((n_paths, horizon)) if "lambdas" in record else None
-    mean_out = np.zeros((n_paths, horizon + 1, k)) if want_mean else None
-    var_out = np.zeros((n_paths, horizon + 1, k)) if want_var else None
-    if want_mean:
-        mean_out[:, 0, :] = mu
-    if want_var:
-        var_out[:, 0, :] = s2
+    pred = _predictive_buffers(record, n_paths, horizon, k, mu, s2)
+    mean_out, var_out = pred.get("predictive_mean"), pred.get("predictive_var")
 
     for n in range(1, horizon + 1):
         x = mu + np.sqrt(s2) * z[:, n - 1, :]
@@ -461,9 +419,9 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
         mu = (1.0 - lam_col) * mu + lam_col * x
         s2 = (1.0 - lam_col ** 2) * s2
         gamma_hat = gamma_hat * (1.0 - lam ** 2)
-        if want_mean:
+        if mean_out is not None:
             mean_out[:, n, :] = mu
-        if want_var:
+        if var_out is not None:
             var_out[:, n, :] = s2
 
     out = {"gamma_hat": gamma_hat, "terminal_mu": mu, "terminal_sigma2": s2}
@@ -473,10 +431,7 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
         out["arrivals"] = arrivals
     if lambdas is not None:
         out["lambdas"] = lambdas
-    if want_mean:
-        out["predictive_mean"] = mean_out
-    if want_var:
-        out["predictive_var"] = var_out
+    out.update(pred)
     return out
 
 
@@ -491,14 +446,8 @@ def simulate_state_space_chunk(spec: StateSpaceCidSpec, horizon: int,
     p_var = np.zeros(n_paths)             # posterior variance
     obs = np.zeros((n_paths, horizon, 1)) if "observations" in record else None
     theta_out = np.zeros((n_paths, horizon)) if "theta" in record else None
-    want_mean = "predictive_mean" in record
-    want_var = "predictive_var" in record
-    mean_out = np.zeros((n_paths, horizon + 1, 1)) if want_mean else None
-    var_out = np.zeros((n_paths, horizon + 1, 1)) if want_var else None
-    if want_mean:
-        mean_out[:, 0, 0] = spec.theta0
-    if want_var:
-        var_out[:, 0, 0] = spec.c
+    pred = _predictive_buffers(record, n_paths, horizon, 1, spec.theta0, spec.c)
+    mean_out, var_out = pred.get("predictive_mean"), pred.get("predictive_var")
 
     for n in range(1, horizon + 1):
         b_prev, b_n = spec.b(n - 1), spec.b(n)
@@ -514,9 +463,9 @@ def simulate_state_space_chunk(spec: StateSpaceCidSpec, horizon: int,
         gain = prior_var / (prior_var + obs_var)
         m = m + gain * (x - m)
         p_var = (1.0 - gain) * prior_var
-        if want_mean:
+        if mean_out is not None:
             mean_out[:, n, 0] = m
-        if want_var:
+        if var_out is not None:
             # predictive Var(X_{n+1} | X_{1:n}) = P_n + (b_{n+1}-b_n) + (c-b_{n+1})
             var_out[:, n, 0] = p_var + (spec.c - b_n)
 
@@ -525,10 +474,7 @@ def simulate_state_space_chunk(spec: StateSpaceCidSpec, horizon: int,
         out["observations"] = obs
     if theta_out is not None:
         out["theta"] = theta_out
-    if want_mean:
-        out["predictive_mean"] = mean_out
-    if want_var:
-        out["predictive_var"] = var_out
+    out.update(pred)
     return out
 
 
@@ -537,29 +483,19 @@ def simulate_ar1_chunk(spec: Ar1DriftSpec, horizon: int, z: np.ndarray,
     """Run a chunk of the AR(1)-with-drift control. z: (P, H) normals."""
     n_paths = z.shape[0]
     obs = np.zeros((n_paths, horizon, 1)) if "observations" in record else None
-    want_mean = "predictive_mean" in record
-    want_var = "predictive_var" in record
-    mean_out = np.zeros((n_paths, horizon + 1, 1)) if want_mean else None
-    var_out = np.zeros((n_paths, horizon + 1, 1)) if want_var else None
-    if want_mean:
-        mean_out[:, 0, 0] = spec.init_mean
-    if want_var:
-        var_out[:, 0, 0] = spec.init_var
+    pred = _predictive_buffers(record, n_paths, horizon, 1, spec.init_mean, spec.init_var)
+    mean_out, var_out = pred.get("predictive_mean"), pred.get("predictive_var")
     x = spec.init_mean + math.sqrt(spec.init_var) * z[:, 0]
     for n in range(1, horizon + 1):
         if n > 1:
             x = spec.drift + spec.phi * x + math.sqrt(spec.noise_var) * z[:, n - 1]
         if obs is not None:
             obs[:, n - 1, 0] = x
-        if want_mean:
+        if mean_out is not None:
             mean_out[:, n, 0] = spec.drift + spec.phi * x
-        if want_var:
+        if var_out is not None:
             var_out[:, n, 0] = spec.noise_var
-    out = {}
+    out = dict(pred)
     if obs is not None:
         out["observations"] = obs
-    if want_mean:
-        out["predictive_mean"] = mean_out
-    if want_var:
-        out["predictive_var"] = var_out
     return out

@@ -66,32 +66,54 @@ def _load_config_text(path_or_name: str) -> str:
                       f"bundled: {sorted(p.stem for p in resources.files('pcid').joinpath('configs').iterdir())}")
 
 
+def _as_int(value, key: str, source: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{source}: {key} must be an integer, got {value!r}") from exc
+
+
 def parse_config(doc: dict, source: str = "<config>") -> ExperimentConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{source}: the config must be a JSON object, "
+                          f"got {type(doc).__name__}")
     try:
         spec = spec_from_dict(doc.get("spec", {}))
     except SpecValidationError as exc:
         raise ConfigError(f"{source}: invalid spec: {exc}") from exc
-    n_paths = int(doc.get("n_paths", 0))
-    horizon = int(doc.get("horizon", 0))
+    n_paths = _as_int(doc.get("n_paths", 0), "n_paths", source)
+    horizon = _as_int(doc.get("horizon", 0), "horizon", source)
     if n_paths < 1:
         raise ConfigError(f"{source}: n_paths must be >= 1, got {n_paths}")
     if horizon < 1:
         raise ConfigError(f"{source}: horizon must be >= 1, got {horizon}")
     tests = doc.get("tests", [])
+    if not isinstance(tests, list):
+        raise ConfigError(f"{source}: tests must be a list, got {tests!r}")
     for t in tests:
         if not isinstance(t, dict) or "name" not in t:
             raise ConfigError(f"{source}: each test entry needs a 'name'")
         if t["name"] not in VERIFIERS:
             raise ConfigError(f"{source}: unknown check {t['name']!r}; "
                               f"known: {list_verifier_names()}")
-    record = list(doc.get("record", []))
+        params = t.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"{source}: check {t['name']!r}: params must be an object, "
+                              f"got {params!r}")
+        if "n_paths" in params:
+            _as_int(params["n_paths"], f"check {t['name']!r}: params.n_paths", source)
+        if params.get("horizon") is not None:
+            _as_int(params["horizon"], f"check {t['name']!r}: params.horizon", source)
+    record = doc.get("record", [])
+    if not isinstance(record, list):
+        raise ConfigError(f"{source}: record must be a list, got {record!r}")
     series_format = doc.get("format", "csv")
     if series_format not in ("csv", "json"):
         raise ConfigError(f"{source}: format must be 'csv' or 'json', got {series_format!r}")
     seed = doc.get("master_seed")
     return ExperimentConfig(doc.get("name", "experiment"), spec, n_paths, horizon,
-                            None if seed is None else int(seed),
-                            tests, record, series_format, doc)
+                            None if seed is None else _as_int(seed, "master_seed", source),
+                            tests, list(record), series_format, doc)
 
 
 def load_config(path_or_name: str) -> ExperimentConfig:

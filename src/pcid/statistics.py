@@ -92,10 +92,7 @@ def slln_running_average(ens: Ensemble, functional: str) -> np.ndarray:
 def _marginal_distance(sorted_obs: np.ndarray, mixture, n_grid: int) -> float:
     lo = min(sorted_obs[0], mixture.base.support()[0])
     hi = max(sorted_obs[-1], mixture.base.support()[1])
-    pts = np.linspace(lo, hi, n_grid)
-    if mixture.n_atoms:
-        pts = np.concatenate([pts, mixture.atom_values])
-    pts = np.sort(pts)
+    pts = np.sort(np.concatenate([np.linspace(lo, hi, n_grid), mixture.atom_values]))
     emp = np.searchsorted(sorted_obs, pts, side="right") / len(sorted_obs)
     return float(np.max(np.abs(emp - mixture.cdf(pts))))
 

@@ -42,7 +42,8 @@ def test_array_shapes(rru_two_point_spec):
     assert ens.predictive_mean.shape == (p, h + 1, k)
     assert ens.predictive_var.shape == (p, h + 1, k)
     assert ens.weights.shape == (p, h, k)
-    assert ens.terminal_moments().shape == (p, k, 5)
+    assert ens.arrays["weighted_power_sums"].shape == (p, k, 2)
+    assert ens.terminal_moments().shape == (p, k, 3)
     gspec = specs.GaussianLastTickSpec(n_coords=3, mu1=(0.0,) * 3, sigma2_1=(1.0,) * 3)
     gens = run_ensemble(gspec, p, h, 3)
     assert gens.arrivals.shape == (p, h + 1)

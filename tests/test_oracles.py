@@ -5,7 +5,6 @@ import pytest
 
 from pcid import oracles, specs
 from pcid.engine import run_ensemble
-from pcid.processes import MixtureDistribution
 from pcid.oracles import (
     composite_simpson,
     corr_uniform_step2,
@@ -14,9 +13,7 @@ from pcid.oracles import (
     gamma_partial_product_closed,
     gamma_second_moment_partial,
     gamma_variance_lower_bound,
-    mixture_raw_moments,
     polya_limit_moments,
-    quartic_integral_from_moments,
     rru_clt_variance,
     tilde_sigma_components,
     weight_moments,
@@ -136,32 +133,19 @@ def test_polya_limit_moments_against_urn_simulation():
     assert abs(masses.var() - ref.variance) < 0.01
 
 
-def test_quartic_integral_matches_quadrature():
-    mix = MixtureDistribution(specs.UniformBase(), 1.3, [0.2, 0.6, 0.9], [0.5, 1.0, 0.25])
-    m = mixture_raw_moments(mix)
-    a, b = 0.35, 0.5
-    direct = quartic_integral_from_moments(m, a, b)
-    base_part = composite_simpson(lambda x: (x - a) ** 2 * (x - b) ** 2, 0.0, 1.0)
-    atom_part = sum(w * (v - a) ** 2 * (v - b) ** 2
-                    for v, w in zip(mix.atom_values, mix.atom_weights))
-    expected = (mix.base_weight * base_part + atom_part) / mix.total_weight
-    assert direct == pytest.approx(expected, rel=1e-10)
-
-
-def _pair_moments(mixture):
-    return np.stack([mixture_raw_moments(mixture)] * 2)
+def _pair_moments(base):
+    """m_0..m_2 of a mixture with no atoms, for both coordinates."""
+    return np.array([[1.0, base.raw_moment(1), base.raw_moment(2)]] * 2)
 
 
 def test_tilde_sigma_for_uniform_measures():
-    uniform = MixtureDistribution(specs.UniformBase(), 1.0)
-    parts = tilde_sigma_components(_pair_moments(uniform))
+    parts = tilde_sigma_components(_pair_moments(specs.UniformBase()))
     assert parts["offdiag"] == pytest.approx(1.0 / 36.0, abs=1e-12)
     # for uniform marginals the companion diagonal coincides with 4 var^2
     assert np.allclose(parts["diag_companion"], 1.0 / 36.0, rtol=0.0, atol=1e-12)
 
 
 def test_tilde_sigma_degenerate_measure_vanishes():
-    point = MixtureDistribution(specs.DiscreteBase((0.5,), (1.0,)), 1.0)
-    parts = tilde_sigma_components(_pair_moments(point))
+    parts = tilde_sigma_components(_pair_moments(specs.DiscreteBase((0.5,), (1.0,))))
     assert np.allclose(parts["diag_companion"], 0.0, atol=1e-15)
     assert np.allclose(parts["offdiag"], 0.0, atol=1e-15)

@@ -7,16 +7,14 @@ from scipy import stats as sps
 
 from conftest import FakeStream, FakeStreams
 from pcid import processes, specs
-from pcid.engine import PathStreams, run_ensemble
+from pcid.engine import Ensemble, PathStreams, run_ensemble
 from pcid.processes import (
     GaussianCoordState,
-    MixtureDistribution,
     ProcessError,
     ReinforcedCoordState,
     StateSpaceCidState,
     gaussian_last_tick_step,
     poisson_arrivals,
-    reinforced_predictive,
     reinforced_step,
     state_space_cid_step,
     uniform_coupled_step,
@@ -29,19 +27,17 @@ from pcid.processes import (
 
 def test_predictive_without_atoms_is_base():
     state = ReinforcedCoordState(1.5, specs.UniformBase())
-    mix = reinforced_predictive(state)
-    assert mix.n_atoms == 0
-    assert mix.component_probabilities().tolist() == [1.0]
+    assert state.atom_values == []
+    assert state.component_probabilities().tolist() == [1.0]
     pts = np.linspace(-0.5, 1.5, 9)
-    assert np.allclose(mix.cdf(pts), specs.UniformBase().cdf(pts))
+    assert np.allclose(state.cdf(pts), specs.UniformBase().cdf(pts))
 
 
 def test_predictive_equal_weights():
     state = ReinforcedCoordState(1.0, specs.UniformBase())
     state.append_atom(0.4, 1.0)
-    mix = reinforced_predictive(state)
-    assert np.allclose(mix.component_probabilities(), [0.5, 0.5])
-    assert mix.mean() == pytest.approx(0.5 * 0.5 + 0.5 * 0.4)
+    assert np.allclose(state.component_probabilities(), [0.5, 0.5])
+    assert state.predictive_mean() == pytest.approx(0.5 * 0.5 + 0.5 * 0.4)
 
 
 def test_polya_predictive_is_uniform_atom_average():
@@ -49,10 +45,9 @@ def test_polya_predictive_is_uniform_atom_average():
     xs = [0.3, 0.9, 0.1]
     for x in xs:
         state.append_atom(x, 1.0)
-    mix = reinforced_predictive(state)
     n = len(xs)
-    assert np.allclose(mix.component_probabilities(), [1.0 / (1 + n)] * (1 + n))
-    assert mix.mean() == pytest.approx((0.5 + sum(xs)) / (1 + n))
+    assert np.allclose(state.component_probabilities(), [1.0 / (1 + n)] * (1 + n))
+    assert state.predictive_mean() == pytest.approx((0.5 + sum(xs)) / (1 + n))
 
 
 def test_mixture_normalization_invariant():
@@ -60,15 +55,24 @@ def test_mixture_normalization_invariant():
     state = ReinforcedCoordState(0.7, specs.NormalBase(0.0, 1.0))
     for _ in range(200):
         state.append_atom(rng.normal(), rng.gamma(2.0))
-        probs = reinforced_predictive(state).component_probabilities()
+        probs = state.component_probabilities()
         assert abs(probs.sum() - 1.0) < 1e-12
     assert abs(state.total_weight - state.recomputed_total()) <= 1e-12 * state.total_weight
 
 
 def test_mixture_drops_zero_weight_atoms():
-    mix = MixtureDistribution(specs.UniformBase(), 1.0, [0.5, 0.25], [0.0, 2.0])
-    assert mix.n_atoms == 1
-    assert mix.atom_values.tolist() == [0.25]
+    # a uniform-coupled batch records W = 0 where the scalar step appends nothing
+    spec = specs.PolyaSpec(1, (1.0,), (specs.UniformBase(),))
+    arrays = {"observations": np.array([[[0.5], [0.25]]]),
+              "weights": np.array([[[0.0], [2.0]]]),
+              "total_weight": np.array([[3.0]]),
+              "weighted_power_sums": np.array([[[0.5, 0.125]]])}
+    ens = Ensemble(spec, 1, 2, 0, frozenset({"observations", "weights"}), arrays)
+    mix = ens.terminal_mixture(0, 0)
+    assert mix.atom_values == [0.25]
+    assert mix.atom_weights == [2.0]
+    assert np.allclose(mix.component_probabilities(), [1.0 / 3.0, 2.0 / 3.0])
+    assert mix.predictive_mean() == ens.terminal_mean()[0, 0]
 
 
 def test_martingale_identity_exact_on_atom_representation():
@@ -94,6 +98,15 @@ def test_martingale_identity_exact_on_atom_representation():
         assert expected == q_n
 
 
+def _assert_terminal_mixtures_match(ens, paths):
+    mean, var = ens.terminal_mean(), ens.terminal_variance()
+    for p in paths:
+        for i in range(ens.n_coords):
+            mix = ens.terminal_mixture(p, i)
+            assert mix.predictive_mean() == mean[p, i]
+            assert mix.predictive_var() == var[p, i]
+
+
 # ---------------------------------------------------------------------------
 # Scalar steps: exact examples
 # ---------------------------------------------------------------------------
@@ -109,6 +122,7 @@ def test_common_degenerate_weight_reduces_to_polya(uniform_polya_spec):
     ens = run_ensemble(uniform_polya_spec, 1, 5, 5)
     got = np.array([st.atom_values for st in states]).T
     assert np.array_equal(got, ens.observations[0])
+    _assert_terminal_mixtures_match(ens, [0])
 
 
 def test_common_weight_is_shared():
@@ -153,8 +167,7 @@ def test_uniform_coupled_weight_inversion_formula():
     assert states[0].atom_weights[0] == pytest.approx(a0 / (1 - a0))
     assert states[1].atom_weights[0] == pytest.approx(a1 / (1 - a1))
     # and the resulting predictive equals A delta_x + (1-A) * previous
-    mix = reinforced_predictive(states[0])
-    assert mix.component_probabilities()[1] == pytest.approx(a0)
+    assert states[0].component_probabilities()[1] == pytest.approx(a0)
 
 
 def test_uniform_coupled_degenerate_fraction_raises():
@@ -176,6 +189,7 @@ def test_uniform_coupled_expected_atom_share():
     share = w / tot
     se = share.std() / np.sqrt(len(share))
     assert abs(share.mean() - 1.0 / (n_probe + 1)) < 4 * se
+    _assert_terminal_mixtures_match(ens, range(200))
 
 
 def test_gaussian_step_exact_update():
@@ -295,13 +309,18 @@ def test_sigma2_product_identity():
 # ---------------------------------------------------------------------------
 
 def _scalar_reinforced_path(spec, horizon, master_seed, path):
+    """Observations, final states and the (H+1, K) predictive mean and
+    variance series, prior first, of one path run through the scalar step."""
     rspec = specs.reinforced_view(spec)
     states = processes.init_reinforced_states(spec)
     streams = PathStreams(master_seed, path, rspec.n_coords)
     xs = []
+    moments = [[(st.predictive_mean(), st.predictive_var()) for st in states]]
     for n in range(1, horizon + 1):
         xs.append(reinforced_step(states, rspec.coupling, n, streams))
-    return np.asarray(xs), states
+        moments.append([(st.predictive_mean(), st.predictive_var()) for st in states])
+    moments = np.array(moments)
+    return np.asarray(xs), states, moments[..., 0], moments[..., 1]
 
 
 @pytest.mark.parametrize("coupling", [
@@ -322,14 +341,13 @@ def test_scalar_matches_vectorized_reinforced(coupling):
         spec = specs.BrokenFeedbackWeightSpec(2, 1.0, coupling.shift, coupling.scale)
     ens = run_ensemble(spec, 4, 40, 123)
     for p in range(4):
-        xs, states = _scalar_reinforced_path(spec, 40, 123, p)
+        xs, states, mus, sig = _scalar_reinforced_path(spec, 40, 123, p)
         assert np.array_equal(xs, ens.observations[p])
         ws = np.array([st.atom_weights for st in states]).T
         assert np.array_equal(ws, ens.weights[p])
-        mus = np.array([st.predictive_mean() for st in states])
-        assert np.array_equal(mus, ens.predictive_mean[p, -1])
-        sig = np.array([st.predictive_var() for st in states])
-        assert np.array_equal(sig, ens.predictive_var[p, -1])
+        assert np.array_equal(mus, ens.predictive_mean[p])
+        assert np.array_equal(sig, ens.predictive_var[p])
+    _assert_terminal_mixtures_match(ens, range(4))
 
 
 def test_scalar_matches_vectorized_normal_base():
@@ -337,7 +355,7 @@ def test_scalar_matches_vectorized_normal_base():
                                 specs.CommonWeight(specs.TwoPointWeight()))
     ens = run_ensemble(spec, 3, 30, 77)
     for p in range(3):
-        xs, _ = _scalar_reinforced_path(spec, 30, 77, p)
+        xs, _, _, _ = _scalar_reinforced_path(spec, 30, 77, p)
         assert np.array_equal(xs, ens.observations[p])
 
 

@@ -57,6 +57,25 @@ def test_malformed_spec_value_exits_2(tmp_path, capsys):
     assert "coupling.dist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc,key", [
+    ({"spec": {"kind": "polya"}, "n_paths": "abc", "horizon": 5}, "n_paths"),
+    ({"spec": {"kind": "polya"}, "n_paths": 10, "horizon": 5, "master_seed": "x"},
+     "master_seed"),
+    ([{"spec": {"kind": "polya"}}], "JSON object"),
+    ({"spec": {"kind": "polya"}, "n_paths": 10, "horizon": 5,
+      "tests": [{"name": "check_pcid", "params": 3}]}, "params"),
+    ({"spec": {"kind": "polya"}, "n_paths": 10, "horizon": 5,
+      "tests": [{"name": "check_pcid", "params": {"n_paths": "many"}}]}, "params.n_paths"),
+    ({"spec": {"kind": "polya"}, "n_paths": 10, "horizon": 5,
+      "tests": [{"name": "check_pcid", "params": {"horizon": [3]}}]}, "params.horizon"),
+])
+def test_malformed_config_value_exits_2(doc, key, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
 def test_unknown_test_name_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"spec": {"kind": "polya"}, "n_paths": 10, "horizon": 5,
