@@ -51,9 +51,8 @@ def mixture_moment(w0, base_moment, power_sum, total_weight):
     """Raw moment (w0 * nu_r + S_r) / total of the predictive mixture, where
     nu_r is the base measure's r-th raw moment and S_r = sum_k W_k x_k^r.
 
-    Scalars and arrays alike. This is the only place the formula is
-    written, so the scalar state, the batch kernel and
-    `Ensemble.terminal_moments` agree bit for bit."""
+    Scalars and arrays alike. The scalar state, the batch kernel and
+    `Ensemble.terminal_moments` all call it, so they agree bit for bit."""
     return (w0 * base_moment + power_sum) / total_weight
 
 
