@@ -379,28 +379,15 @@ def run_ensemble(spec, n_paths: int, horizon: int, master_seed: int,
 
 def recompute_predictive_series(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """Recompute predictive mean/variance series of a reinforced ensemble from
-    the recorded observations and weights alone (no look-ahead check). Uses
-    the same running-sum arithmetic as the simulator, so the recomputation
-    must match the recorded series bit for bit."""
+    the recorded observations and weights alone (no look-ahead check). Sums
+    in step order, as the simulator does, so the recomputation must match
+    the recorded series bit for bit."""
     rspec = reinforced_view(ens.spec)
     if rspec is None:
         raise MissingSeriesError("recomputation applies to reinforced kinds")
     w0 = np.asarray(rspec.w0)
-    x = ens.observations
+    m1, m2 = processes.base_moments(rspec)
     w = ens.weights
-    n_paths, horizon, k = x.shape
-    m1 = np.array([b.raw_moment(1) for b in rspec.base])
-    m2 = np.array([b.raw_moment(2) for b in rspec.base])
-    # accumulate in the simulator's exact order: ((w0 + W_1) + W_2) + ...
-    w0_row = np.broadcast_to(w0, (n_paths, 1, k))
-    tot = np.cumsum(np.concatenate([w0_row, w], axis=1), axis=1)[:, 1:, :]
-    s1 = np.cumsum(w * x, axis=1)
-    s2 = np.cumsum(w * (x * x), axis=1)
-    mean = np.empty((n_paths, horizon + 1, k))
-    var = np.empty((n_paths, horizon + 1, k))
-    mean[:, 0, :] = m1
-    var[:, 0, :] = m2 - m1 ** 2
-    mean[:, 1:, :] = (w0 * m1 + s1) / tot
-    mm2 = (w0 * m2 + s2) / tot
-    var[:, 1:, :] = mm2 - mean[:, 1:, :] ** 2
+    _, _, mean, var = processes.predictive_series(w0, m1, m2, ens.observations, w,
+                                                  processes.total_weights(w0, w))
     return mean, var

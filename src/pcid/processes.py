@@ -9,15 +9,23 @@ Two layers live here.
   reinforced coordinate's predictive mixture: it gives the predictive
   mean, variance, CDF and component probabilities, and draws from it.
 
-* Batch kernels (`simulate_*_chunk`) that advance a whole chunk of paths
-  per step with numpy. They consume pre-generated random inputs and follow
-  the exact same draw layout as the scalar layer, so for matching streams
-  the two layers produce bit-identical paths (asserted in the test suite).
+* Batch kernels (`simulate_*_chunk`) that run a whole chunk of paths with
+  numpy. They consume pre-generated random inputs and follow the exact same
+  draw layout as the scalar layer, so for matching streams the two layers
+  produce bit-identical paths (asserted in the test suite).
 
 Sampling from an atomic-plus-base mixture uses a single uniform per draw:
 with s = u * total_weight, the draw is from the base measure when s < w0
 (mapped through the base inverse CDF of s / w0), otherwise it is the first
 atom whose cumulative weight exceeds s - w0.
+
+The reinforced kernel works in one of two orders. Under common and i.i.d.
+weights, which ignore the observations, it works in genealogy order: all
+weights first, then every step's source (a base draw, or the earlier atom
+it copies, found by one `np.searchsorted` per path row), then the values
+down each copy chain, then the power sums and predictive series as
+cumulative sums. Cross-fraction and feedback weights depend on each step's
+draws, so those couplings keep a loop over the steps.
 """
 
 from __future__ import annotations
@@ -56,6 +64,15 @@ def mixture_moment(w0, base_moment, power_sum, total_weight):
     return (w0 * base_moment + power_sum) / total_weight
 
 
+def mixture_mean_var(w0, base_m1, base_m2, s1, s2, total_weight):
+    """Mean and variance of the predictive mixture from the power sums
+    S_1, S_2 and the total weight; scalars and arrays alike."""
+    mean = mixture_moment(w0, base_m1, s1, total_weight)
+    # mean * mean, as numpy squares arrays; float ** 2 calls pow(), which
+    # is not always correctly rounded
+    return mean, mixture_moment(w0, base_m2, s2, total_weight) - mean * mean
+
+
 @dataclass
 class ReinforcedCoordState:
     """One reinforced coordinate and its predictive mixture
@@ -90,17 +107,20 @@ class ReinforcedCoordState:
         self.power_sums[0] += weight * value
         self.power_sums[1] += weight * (value * value)
 
+    def _mean_var(self) -> tuple[float, float]:
+        if not self.atom_values:
+            # the prior is the base measure; (w0 * m_r + 0) / w0 need not
+            # round back to m_r
+            m1 = self.base.raw_moment(1)
+            return m1, self.base.raw_moment(2) - m1 * m1
+        return mixture_mean_var(self.w0, self.base.raw_moment(1), self.base.raw_moment(2),
+                                *self.power_sums, self.total_weight)
+
     def predictive_mean(self) -> float:
-        return mixture_moment(self.w0, self.base.raw_moment(1), self.power_sums[0],
-                              self.total_weight)
+        return self._mean_var()[0]
 
     def predictive_var(self) -> float:
-        m2 = mixture_moment(self.w0, self.base.raw_moment(2), self.power_sums[1],
-                            self.total_weight)
-        mean = self.predictive_mean()
-        # mean * mean, as numpy squares arrays; float ** 2 calls pow(), which
-        # is not always correctly rounded
-        return m2 - mean * mean
+        return self._mean_var()[1]
 
     def component_probabilities(self) -> np.ndarray:
         """Probability of the base component followed by each atom."""
@@ -295,6 +315,125 @@ def reinforced_weight_shape(rspec, horizon: int) -> tuple | None:
     return None
 
 
+# Path-steps per row block of the genealogy-order kernel: each of its
+# working buffers holds at most 4 MiB, whatever the chunk size or horizon.
+GENEALOGY_BLOCK_STEPS = 1 << 19
+
+
+def base_moments(rspec) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([b.raw_moment(1) for b in rspec.base]),
+            np.array([b.raw_moment(2) for b in rspec.base]))
+
+
+def total_weights(w0, w: np.ndarray) -> np.ndarray:
+    """(P, H+1, ...) totals w0, w0 + W_1, (w0 + W_1) + W_2, ... of the
+    weights w (P, H, ...). np.cumsum adds left to right, in step order."""
+    return np.cumsum(np.concatenate([np.broadcast_to(w0, w[:, :1].shape), w], axis=1),
+                     axis=1)
+
+
+def predictive_series(w0, base_m1, base_m2, x: np.ndarray, w: np.ndarray,
+                      tot: np.ndarray, with_var: bool = True) -> tuple:
+    """Power sums S_1 = cumsum(W x) and S_2 = cumsum(W x^2), (P, H, ...), and
+    the predictive mean and (if `with_var`, else None) variance series,
+    (P, H+1, ...) prior first, of reinforced paths with observations x,
+    weights w and totals tot = total_weights(w0, w). The sums run in step
+    order, so each entry equals a running sum updated once per step, bit
+    for bit."""
+    s1 = np.cumsum(w * x, axis=1)
+    s2 = np.cumsum(w * (x * x), axis=1)
+    shape = (x.shape[0], x.shape[1] + 1) + x.shape[2:]
+    mean = np.empty(shape)
+    mean[:, 0] = base_m1
+    if not with_var:
+        mean[:, 1:] = mixture_moment(w0, base_m1, s1, tot[:, 1:])
+        return s1, s2, mean, None
+    var = np.empty(shape)
+    var[:, 0] = base_m2 - base_m1 * base_m1
+    mean[:, 1:], var[:, 1:] = mixture_mean_var(w0, base_m1, base_m2, s1, s2, tot[:, 1:])
+    return s1, s2, mean, var
+
+
+def _forest_roots(parent: np.ndarray) -> np.ndarray:
+    """Root of every node of a forest given by parent indices (a root is its
+    own parent), by pointer doubling."""
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return parent
+        parent = grand
+
+
+def _genealogy_values(base, w0: float, u: np.ndarray, w: np.ndarray,
+                      tot: np.ndarray) -> np.ndarray:
+    """Observations (b, H) of one coordinate of a row block, from its
+    uniforms u and weights w (b, H) and totals tot = total_weights(w0, w)."""
+    b, horizon = u.shape
+    s = u * tot[:, :-1]
+    from_base = s < w0
+    from_base[:, 0] = True
+    base_vals = base.ppf(np.where(from_base, s / w0, 0.5))
+    cumw = np.cumsum(w, axis=1)
+    q = s - w0
+    atom = np.empty((b, horizon), dtype=np.int64)
+    for r in range(b):
+        atom[r] = np.searchsorted(cumw[r], q[r], side="right")
+    steps = np.arange(horizon)
+    # parents as flat indices into the block's (b, H) arrays
+    parent = (np.where(from_base, steps, np.minimum(atom, steps - 1))
+              + horizon * np.arange(b)[:, None])
+    return base_vals.ravel()[_forest_roots(parent.ravel())].reshape(b, horizon)
+
+
+def _genealogy_chunk(rspec, horizon: int, coord_u: np.ndarray, weight_u,
+                     record: frozenset) -> dict:
+    """`simulate_reinforced_chunk` for weights drawn independently of the
+    observations (common and i.i.d. weights), in row blocks.
+
+    The weights come first, so the total weight before every step is known
+    before any draw. With s = u * total, step n is a base draw when s < w0
+    (always at n = 1), else a copy of the first atom whose cumulative weight
+    exceeds s - w0. Every copy chain ends at a base draw, and each step on
+    it takes that draw's value: the urn scheme of Blackwell and MacQueen
+    (1973). Same draws, same arithmetic and the same bits as the step loop.
+    """
+    k = rspec.n_coords
+    n_paths = coord_u.shape[0]
+    w0 = np.asarray(rspec.w0, dtype=float)
+    m1, m2 = base_moments(rspec)
+    dist = rspec.coupling.dist
+    per_path = (horizon,) if isinstance(rspec.coupling, CommonWeight) else (horizon, k)
+    lengths = {"observations": horizon, "weights": horizon,
+               "predictive_mean": horizon + 1, "predictive_var": horizon + 1}
+    out = {"total_weight": np.empty((n_paths, k)),
+           "weighted_power_sums": np.empty((n_paths, k, 2))}
+    out.update({name: np.empty((n_paths, length, k))
+                for name, length in lengths.items() if name in record})
+
+    block = max(1, GENEALOGY_BLOCK_STEPS // (horizon + 1))
+    for lo in range(0, n_paths, block):
+        blk = slice(lo, min(lo + block, n_paths))
+        b = blk.stop - lo
+        w = (dist.from_uniform(weight_u[blk]) if dist.consumes_uniform
+             else np.full((b,) + per_path, dist.value))
+        w = np.broadcast_to(w.reshape(b, horizon, -1), (b, horizon, k))
+        if "weights" in out:
+            out["weights"][blk] = w
+        for i in range(k):
+            tot = total_weights(w0[i], w[:, :, i])
+            x = _genealogy_values(rspec.base[i], w0[i], coord_u[blk, :, i], w[:, :, i], tot)
+            s1, s2, mean, var = predictive_series(w0[i], m1[i], m2[i], x, w[:, :, i], tot,
+                                                  with_var="predictive_var" in out)
+            out["total_weight"][blk, i] = tot[:, -1]
+            out["weighted_power_sums"][blk, i, 0] = s1[:, -1]
+            out["weighted_power_sums"][blk, i, 1] = s2[:, -1]
+            for name, values in (("observations", x), ("predictive_mean", mean),
+                                 ("predictive_var", var)):
+                if name in out:
+                    out[name][blk, :, i] = values
+    return out
+
+
 def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
                               weight_u, record: frozenset) -> dict:
     """Run a chunk of paths of any reinforced-family spec.
@@ -302,12 +441,19 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
     coord_u: (P, H, K) uniforms, one per observation (selection and base
     draw share the uniform via the composition scheme). weight_u: None,
     (P, H) for common weights, or (P, H, K) for i.i.d. weights.
+
+    Common and i.i.d. weights ignore the observations, so those couplings
+    run in genealogy order (`_genealogy_chunk`). Cross-fraction and
+    feedback weights depend on each step's draws, so they step: each step
+    finds its atoms by a batched binary search over the cumulative weights.
     """
     rspec = reinforced_view(spec)
+    coupling = rspec.coupling
+    if isinstance(coupling, (CommonWeight, IidWeights)):
+        return _genealogy_chunk(rspec, horizon, coord_u, weight_u, record)
     k = rspec.n_coords
     w0 = np.asarray(rspec.w0, dtype=float)
     bases = rspec.base
-    coupling = rspec.coupling
     n_paths = coord_u.shape[0]
     rows = np.arange(n_paths)
 
@@ -315,8 +461,7 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
     cumw = np.zeros((n_paths, horizon, k))
     tot = np.broadcast_to(w0, (n_paths, k)).copy()
     psums = np.zeros((n_paths, k, 2))
-    base_m1 = np.array([b.raw_moment(1) for b in bases])
-    base_m2 = np.array([b.raw_moment(2) for b in bases])
+    base_m1, base_m2 = base_moments(rspec)
 
     want_weights = "weights" in record
     weights_out = np.zeros((n_paths, horizon, k)) if want_weights else None
@@ -341,22 +486,11 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
 
         if isinstance(coupling, FeedbackWeight):
             w_step = coupling.scale * x_step + coupling.shift
-        elif isinstance(coupling, CrossFraction):
+        else:
             a = coupling.beta.value(n) * x_step[:, ::-1]
             if np.any(a >= 1.0):
                 raise ProcessError("degenerate reinforcement: fraction A reached 1")
             w_step = tot * a / (1.0 - a)
-        elif isinstance(coupling, CommonWeight):
-            if coupling.dist.consumes_uniform:
-                w_common = coupling.dist.from_uniform(weight_u[:, n - 1])
-            else:
-                w_common = np.full(n_paths, coupling.dist.value)
-            w_step = np.broadcast_to(w_common[:, None], (n_paths, k))
-        else:
-            if coupling.dist.consumes_uniform:
-                w_step = coupling.dist.from_uniform(weight_u[:, n - 1, :])
-            else:
-                w_step = np.full((n_paths, k), coupling.dist.value)
 
         if want_weights:
             weights_out[:, n - 1, :] = w_step
@@ -366,12 +500,12 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
         psums[:, :, 0] += w_step * x_step
         psums[:, :, 1] += w_step * (x_step * x_step)
         if pred:
-            mu_n = mixture_moment(w0, base_m1, psums[:, :, 0], tot)
+            mu_n, var_n = mixture_mean_var(w0, base_m1, base_m2,
+                                           psums[:, :, 0], psums[:, :, 1], tot)
         if mean_out is not None:
             mean_out[:, n, :] = mu_n
         if var_out is not None:
-            m2 = mixture_moment(w0, base_m2, psums[:, :, 1], tot)
-            var_out[:, n, :] = m2 - mu_n ** 2
+            var_out[:, n, :] = var_n
 
     out = {"total_weight": tot, "weighted_power_sums": psums}
     if "observations" in record:

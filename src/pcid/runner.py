@@ -73,6 +73,13 @@ def _as_int(value, key: str, source: str) -> int:
         raise ConfigError(f"{source}: {key} must be an integer, got {value!r}") from exc
 
 
+def _as_seed(value, key: str, source: str) -> int:
+    seed = _as_int(value, key, source)
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"{source}: {key} must lie in [0, 2^64), got {seed}")
+    return seed
+
+
 def parse_config(doc: dict, source: str = "<config>") -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: the config must be a JSON object, "
@@ -112,7 +119,7 @@ def parse_config(doc: dict, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{source}: format must be 'csv' or 'json', got {series_format!r}")
     seed = doc.get("master_seed")
     return ExperimentConfig(doc.get("name", "experiment"), spec, n_paths, horizon,
-                            None if seed is None else _as_int(seed, "master_seed", source),
+                            None if seed is None else _as_seed(seed, "master_seed", source),
                             tests, list(record), series_format, doc)
 
 
@@ -128,15 +135,12 @@ def load_config(path_or_name: str) -> ExperimentConfig:
 def resolve_seed(cli_seed: int | None, config_seed: int | None) -> int:
     """Seed priority: --seed flag, then the config, then PCID_SEED, then 0."""
     if cli_seed is not None:
-        return cli_seed
+        return _as_seed(cli_seed, "--seed", "command line")
     if config_seed is not None:
         return config_seed
     env = os.environ.get("PCID_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"PCID_SEED must be an integer, got {env!r}") from exc
+        return _as_seed(env, "PCID_SEED", "environment")
     return 0
 
 

@@ -323,25 +323,33 @@ def _scalar_reinforced_path(spec, horizon, master_seed, path):
     return np.asarray(xs), states, moments[..., 0], moments[..., 1]
 
 
-@pytest.mark.parametrize("coupling", [
-    specs.CommonWeight(specs.DegenerateWeight(1.0)),
-    specs.CommonWeight(specs.TwoPointWeight(1.0, 3.0, 0.5)),
-    specs.CommonWeight(specs.GammaWeight(2.5, 1.0, 0.1)),
-    specs.IidWeights(specs.UniformWeight(0.5, 1.5)),
-    specs.CrossFraction(specs.BetaSchedule("harmonic")),
-    specs.FeedbackWeight(scale=4.0, shift=0.1),
+_TWO_POINT = specs.CommonWeight(specs.TwoPointWeight(1.0, 3.0, 0.5))
+
+
+@pytest.mark.parametrize("coupling,w0,horizon", [
+    pytest.param(specs.CommonWeight(specs.DegenerateWeight(1.0)), (1.0, 2.0), 40,
+                 id="coupling0"),
+    pytest.param(_TWO_POINT, (1.0, 2.0), 40, id="coupling1"),
+    pytest.param(specs.CommonWeight(specs.GammaWeight(2.5, 1.0, 0.1)), (1.0, 2.0), 40,
+                 id="coupling2"),
+    pytest.param(specs.IidWeights(specs.UniformWeight(0.5, 1.5)), (1.0, 2.0), 40,
+                 id="coupling3"),
+    pytest.param(specs.CrossFraction(specs.BetaSchedule("harmonic")), (1.0, 1.0), 40,
+                 id="coupling4"),
+    pytest.param(specs.FeedbackWeight(scale=4.0, shift=0.1), (1.0, 1.0), 40, id="coupling5"),
+    # w0 = 25: the prior of a fresh state must be the base moments; at
+    # horizon 300 copy chains run many generations deep
+    pytest.param(_TWO_POINT, (25.0, 25.0), 300, id="two_point_w0_25_h300"),
+    pytest.param(_TWO_POINT, (25.0, 0.3), 1, id="two_point_h1"),
+    pytest.param(_TWO_POINT, (25.0, 0.3), 2, id="two_point_h2"),
 ])
-def test_scalar_matches_vectorized_reinforced(coupling):
-    spec = specs.ReinforcedSpec(2, (1.0, 2.0), (specs.UniformBase(), specs.UniformBase()),
-                                coupling)
-    if isinstance(coupling, specs.CrossFraction):
-        spec = specs.ReinforcedSpec(2, (1.0, 1.0),
-                                    (specs.UniformBase(), specs.UniformBase()), coupling)
+def test_scalar_matches_vectorized_reinforced(coupling, w0, horizon):
+    spec = specs.ReinforcedSpec(2, w0, (specs.UniformBase(), specs.UniformBase()), coupling)
     if isinstance(coupling, specs.FeedbackWeight):
-        spec = specs.BrokenFeedbackWeightSpec(2, 1.0, coupling.shift, coupling.scale)
-    ens = run_ensemble(spec, 4, 40, 123)
+        spec = specs.BrokenFeedbackWeightSpec(2, w0[0], coupling.shift, coupling.scale)
+    ens = run_ensemble(spec, 4, horizon, 123)
     for p in range(4):
-        xs, states, mus, sig = _scalar_reinforced_path(spec, 40, 123, p)
+        xs, states, mus, sig = _scalar_reinforced_path(spec, horizon, 123, p)
         assert np.array_equal(xs, ens.observations[p])
         ws = np.array([st.atom_weights for st in states]).T
         assert np.array_equal(ws, ens.weights[p])

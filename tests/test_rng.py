@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcid import specs
+from pcid import processes, specs
 from pcid.engine import _StreamFiller, derive_stream, run_ensemble
 
 
@@ -61,9 +61,25 @@ def test_thread_count_does_not_change_ensemble():
             assert np.array_equal(base.arrays[key], other.arrays[key]), key
 
 
-def test_chunking_does_not_change_ensemble(rru_two_point_spec):
+def test_chunking_does_not_change_ensemble(rru_two_point_spec, uniform_polya_spec,
+                                           monkeypatch):
     base = run_ensemble(rru_two_point_spec, 50, 30, 5, chunk_paths=50)
     for chunk in (1, 7, 49):
         other = run_ensemble(rru_two_point_spec, 50, 30, 5, chunk_paths=chunk)
         for key in base.arrays:
             assert np.array_equal(base.arrays[key], other.arrays[key]), (key, chunk)
+    # the genealogy kernel works in row blocks, here of 10 paths: chunks on
+    # both sides of one, and a chunk of several blocks and a remainder
+    monkeypatch.setattr(processes, "GENEALOGY_BLOCK_STEPS", 10 * 31)
+    gamma = specs.GammaWeight(2.5, 1.0, 0.1)
+    normal = specs.NormalBase(0.5, 2.0)
+    for spec in (uniform_polya_spec,
+                 specs.ReinforcedSpec(2, (1.0, 2.0), (specs.UniformBase(),) * 2,
+                                      specs.CommonWeight(gamma)),
+                 specs.ReinforcedSpec(2, (1.5, 0.7), (normal, normal),
+                                      specs.IidWeights(gamma))):
+        base = run_ensemble(spec, 54, 30, 5, chunk_paths=1)
+        for chunk in (7, 9, 11, 54):
+            other = run_ensemble(spec, 54, 30, 5, chunk_paths=chunk)
+            for key in base.arrays:
+                assert np.array_equal(base.arrays[key], other.arrays[key]), (spec, key, chunk)

@@ -68,12 +68,25 @@ def test_malformed_spec_value_exits_2(tmp_path, capsys):
       "tests": [{"name": "check_pcid", "params": {"n_paths": "many"}}]}, "params.n_paths"),
     ({"spec": {"kind": "polya"}, "n_paths": 10, "horizon": 5,
       "tests": [{"name": "check_pcid", "params": {"horizon": [3]}}]}, "params.horizon"),
+    ({"spec": {"kind": "polya"}, "n_paths": 10, "horizon": 5, "master_seed": -1,
+      "record": ["observations"]}, "master_seed"),
+    ({"spec": {"kind": "polya"}, "n_paths": 10, "horizon": 5, "master_seed": 2 ** 64,
+      "record": ["observations"]}, "master_seed"),
 ])
 def test_malformed_config_value_exits_2(doc, key, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+def test_out_of_range_seed_flag_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": {"kind": "polya"}, "n_paths": 10, "horizon": 5,
+                               "record": ["observations"]}))
+    args = ["run", "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path / "o")]
+    assert main(args) == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_unknown_test_name_exits_2(tmp_path, capsys):
