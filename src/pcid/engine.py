@@ -6,6 +6,13 @@ a path's randomness is a pure function of its address. Ensembles are
 therefore identical for any chunking of the path range and any number of
 worker threads; workers write to disjoint slices of the output arrays.
 
+Chunk plan: `map_path_chunks` splits the paths into balanced contiguous
+ranges, a multiple of the worker count of them, each small enough that one
+chunk per worker fits in CHUNK_BUDGET_BYTES together. So the chunk data in
+flight (draws, recorded series and kernel buffers) stays near that one
+budget whatever `threads` is; a reducer that keeps every path's series,
+as `run_ensemble` does, holds the whole ensemble besides.
+
 Substream convention per path: substream 0 carries shared randomness
 (reinforcement weights, arrival times), substream 1 + i carries the draws
 of coordinate i.
@@ -33,7 +40,7 @@ _PATH_BITS = 48
 MAX_SUBSTREAMS = 1 << _SUB_BITS
 MAX_PATHS = 1 << _PATH_BITS
 
-DEFAULT_CHUNK_BYTES = 512 * 1024 * 1024
+CHUNK_BUDGET_BYTES = 128 * 1024 * 1024
 
 
 class MissingSeriesError(KeyError):
@@ -236,6 +243,8 @@ def default_record(spec) -> frozenset:
 
 
 def _series_bytes_per_path(spec, horizon: int, record: frozenset) -> int:
+    """Bytes one path holds while its chunk runs: draws, recorded series,
+    kernel buffers and terminal summaries (an upper estimate)."""
     k = spec.n_coords
     per = 0
     for name in record:
@@ -245,17 +254,27 @@ def _series_bytes_per_path(spec, horizon: int, record: frozenset) -> int:
             per += 8 * (horizon + 1) * k
         elif name in ("arrivals", "lambdas", "theta"):
             per += 8 * (horizon + 1)
-    # working buffers: random inputs + (for reinforced kinds) cumulative weights
-    per += 8 * horizon * k * 2
+    # working buffers: random inputs (the Gaussian kind draws H+1 arrival
+    # gaps besides H normals per coordinate) + (for reinforced kinds)
+    # cumulative weights
+    per += 8 * (horizon + 1) * k * 2
     if reinforced_view(spec) is not None:
         per += 8 * horizon * k * (2 if "observations" not in record else 1)
-    return max(per, 64)
+    # terminal summaries: at most three per coordinate and one per path
+    return per + 8 * (3 * k + 1)
 
 
-def _auto_chunk(spec, n_paths: int, horizon: int, record: frozenset,
-                chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> int:
+def _chunk_bounds(spec, n_paths: int, horizon: int, record: frozenset,
+                  n_workers: int) -> list[tuple[int, int]]:
+    """Balanced path ranges [lo, hi) covering [0, n_paths) in order: a
+    multiple of `n_workers` of them (one per path when there are fewer
+    paths), their sizes differing by at most one, and `n_workers` chunks
+    together within CHUNK_BUDGET_BYTES unless a chunk is a single path."""
     per = _series_bytes_per_path(spec, horizon, record)
-    return int(np.clip(chunk_bytes // per, 1, n_paths))
+    max_paths = max(1, CHUNK_BUDGET_BYTES // (n_workers * per))
+    n_chunks = -(-n_paths // max_paths)
+    n_chunks = min(-(-n_chunks // n_workers) * n_workers, n_paths)
+    return [(n_paths * j // n_chunks, n_paths * (j + 1) // n_chunks) for j in range(n_chunks)]
 
 
 def _chunk_draws(spec, horizon: int, master_seed: int, path_lo: int, n_paths: int) -> dict:
@@ -311,14 +330,18 @@ def _run_chunk(spec, horizon: int, master_seed: int, path_lo: int, n_paths: int,
 
 
 def _resolve_threads(threads: int | None) -> int:
+    """`threads`, or by default the cores this process may run on."""
     if threads is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     return threads
 
 
-def _validate_run_args(spec, n_paths: int, horizon: int, master_seed: int) -> None:
+def _validate_run_args(spec, n_paths: int, horizon: int, master_seed: int,
+                       chunk_paths: int | None = None) -> None:
     spec.validate()
     if n_paths < 1:
         raise SpecValidationError("n_paths", f"must be >= 1, got {n_paths}")
@@ -327,23 +350,30 @@ def _validate_run_args(spec, n_paths: int, horizon: int, master_seed: int) -> No
     _check_stream_address(master_seed, 0, 0)
     if n_paths > MAX_PATHS:
         raise SpecValidationError("n_paths", f"must be <= 2^{_PATH_BITS}")
+    if chunk_paths is not None and chunk_paths < 1:
+        raise ValueError(f"chunk_paths must be None or >= 1, got {chunk_paths}")
 
 
 def map_path_chunks(spec, n_paths: int, horizon: int, master_seed: int, reducer,
                     *, record: frozenset | None = None, threads: int | None = None,
                     chunk_paths: int | None = None) -> dict:
     """Run the ensemble chunk by chunk and apply `reducer` to each chunk's
-    Ensemble, concatenating the per-path result arrays in path order.
+    Ensemble, gathering the per-path result arrays in path order.
 
     The reducer must be a pure function mapping an Ensemble to a dict of
-    arrays whose first dimension indexes the chunk's paths. Memory stays
-    bounded by the chunk size regardless of n_paths.
+    arrays whose first dimension indexes the chunk's paths. Chunks follow
+    `_chunk_bounds`, so the chunk data in flight stays near
+    CHUNK_BUDGET_BYTES regardless of n_paths and `threads`; `chunk_paths`
+    sets a fixed chunk size instead.
     """
-    _validate_run_args(spec, n_paths, horizon, master_seed)
+    _validate_run_args(spec, n_paths, horizon, master_seed, chunk_paths)
     record = frozenset(record) if record is not None else default_record(spec)
-    chunk = chunk_paths or _auto_chunk(spec, n_paths, horizon, record)
-    bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-    n_workers = min(_resolve_threads(threads), len(bounds))
+    threads = _resolve_threads(threads)
+    if chunk_paths is None:
+        bounds = _chunk_bounds(spec, n_paths, horizon, record, threads)
+    else:
+        bounds = [(lo, min(lo + chunk_paths, n_paths)) for lo in range(0, n_paths, chunk_paths)]
+    n_workers = min(threads, len(bounds))
 
     def work(bound):
         lo, hi = bound
@@ -351,15 +381,28 @@ def map_path_chunks(spec, n_paths: int, horizon: int, master_seed: int, reducer,
         ens = Ensemble(spec, hi - lo, horizon, master_seed, record, arrays)
         return reducer(ens)
 
+    out: dict = {}
+
+    def store(bound, part):
+        # copy each chunk's rows into place as it arrives, so that at most
+        # one copy of the result is held besides the chunks in flight
+        lo, hi = bound
+        for key, val in part.items():
+            val = np.asarray(val)
+            if val.shape[:1] != (hi - lo,):
+                raise ValueError(f"reducer result {key!r} must have one row per path of "
+                                 f"the chunk ({hi - lo}), got shape {val.shape}")
+            if key not in out:
+                out[key] = np.empty((n_paths,) + val.shape[1:], val.dtype)
+            out[key][lo:hi] = val
+
     if n_workers <= 1:
-        parts = [work(b) for b in bounds]
+        for bound in bounds:
+            store(bound, work(bound))
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(work, bounds))
-    out: dict = {}
-    for key in parts[0]:
-        vals = [np.asarray(p[key]) for p in parts]
-        out[key] = np.concatenate(vals, axis=0) if vals[0].ndim else np.stack(vals)
+            for bound, part in zip(bounds, pool.map(work, bounds)):
+                store(bound, part)
     return out
 
 

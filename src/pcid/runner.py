@@ -214,6 +214,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str, *, seed: int,
                    threads: int | None = None, n_paths: int | None = None,
                    horizon: int | None = None, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
+    if threads is not None and threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
     paths = n_paths if n_paths is not None else config.n_paths
     steps = horizon if horizon is not None else config.horizon
     try:
@@ -301,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--paths", type=int, default=None, help="n_paths override")
     run_p.add_argument("--horizon", type=int, default=None, help="horizon override")
     run_p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: available cores); results "
-                            "are identical for every value")
+                       help="worker threads, at least 1 (default: the cores this "
+                            "process may run on); results are identical for every "
+                            "value, and chunk memory does not grow with it")
     run_p.add_argument("--out", default="pcid_out", help="output directory")
     sub.add_parser("list-specs", help="list process spec kinds")
     sub.add_parser("list-tests", help="list verifier checks")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcid import specs
+from pcid import engine, specs
 from pcid.engine import (
     MissingSeriesError,
     recompute_predictive_series,
@@ -17,6 +17,66 @@ def test_run_rejects_empty_ensemble(uniform_polya_spec):
     with pytest.raises(SpecValidationError) as err:
         run_ensemble(uniform_polya_spec, 5, 0, 1)
     assert err.value.field == "horizon"
+
+
+@pytest.mark.parametrize("chunk_paths", [-2, 0])
+def test_run_rejects_bad_chunk_paths(uniform_polya_spec, chunk_paths):
+    with pytest.raises(ValueError, match="chunk_paths"):
+        run_ensemble(uniform_polya_spec, 5, 5, 1, chunk_paths=chunk_paths)
+
+
+def test_reducer_needs_one_row_per_path(uniform_polya_spec):
+    # a per-chunk scalar would depend on the chunk plan, and so on threads
+    with pytest.raises(ValueError, match="one row per path"):
+        engine.map_path_chunks(uniform_polya_spec, 5, 3, 1,
+                               lambda e: {"mean": e.observations.mean()})
+    got = engine.map_path_chunks(uniform_polya_spec, 5, 3, 1,
+                                 lambda e: {"x": e.observations[:, 0, 0]}, chunk_paths=2)
+    assert np.array_equal(got["x"], run_ensemble(uniform_polya_spec, 5, 3, 1).observations[:, 0, 0])
+
+
+def test_default_threads_are_the_usable_cores(monkeypatch):
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+    assert engine._resolve_threads(None) == 3
+    assert engine._resolve_threads(2) == 2
+    monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
+    assert engine._resolve_threads(None) == 64
+
+
+def _kind_specs():
+    return [specs.spec_from_dict({"kind": kind}) for kind in specs.list_spec_kinds()]
+
+
+@pytest.mark.parametrize("spec", _kind_specs(), ids=specs.list_spec_kinds())
+@pytest.mark.parametrize("horizon", [1, 2, 5, 100])
+def test_path_bytes_estimate_covers_a_chunk(spec, horizon):
+    # the chunk plan's budget holds only if the estimate covers the draws
+    # and every array a chunk returns
+    n_paths = 3
+    for record in (engine.default_record(spec), frozenset()):
+        draws = engine._chunk_draws(spec, horizon, 1, 0, n_paths)
+        out = engine._run_chunk(spec, horizon, 1, 0, n_paths, record)
+        held = sum(a.nbytes for a in list(draws.values()) + list(out.values())
+                   if a is not None)
+        assert engine._series_bytes_per_path(spec, horizon, record) * n_paths >= held, record
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
+def test_chunk_bounds_balanced_within_budget(monkeypatch, rru_two_point_spec, n_workers):
+    spec, horizon, record = rru_two_point_spec, 30, frozenset({"observations"})
+    per = engine._series_bytes_per_path(spec, horizon, record)
+    for budget_paths in (0.5, 1, 2.5, 7, 10 ** 6):
+        monkeypatch.setattr(engine, "CHUNK_BUDGET_BYTES", int(budget_paths * per))
+        for n_paths in (1, 2, 3, 7, 40, 1001):
+            bounds = engine._chunk_bounds(spec, n_paths, horizon, record, n_workers)
+            assert bounds[0][0] == 0 and bounds[-1][1] == n_paths
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+            sizes = [hi - lo for lo, hi in bounds]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+            assert len(bounds) % n_workers == 0 or len(bounds) == n_paths
+            if max(sizes) > 1:
+                assert n_workers * max(sizes) * per <= engine.CHUNK_BUDGET_BYTES
 
 
 def test_run_rejects_invalid_spec():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcid import processes, specs
+from pcid import engine, processes, specs
 from pcid.engine import _StreamFiller, derive_stream, run_ensemble
 
 
@@ -52,13 +52,32 @@ def test_rekey_filler_matches_derive_stream():
         assert np.array_equal(got, want)
 
 
-def test_thread_count_does_not_change_ensemble():
+def test_thread_count_does_not_change_ensemble(uniform_polya_spec, monkeypatch):
     spec = specs.UniformCoupledSpec()
     base = run_ensemble(spec, 64, 20, 42, threads=1)
     for threads in (2, 8):
         other = run_ensemble(spec, 64, 20, 42, threads=threads, chunk_paths=9)
         for key in base.arrays:
             assert np.array_equal(base.arrays[key], other.arrays[key]), key
+    # the automatic chunk plan, with a budget of seven paths: one chunk of
+    # seven or fewer paths per worker, several rounds of chunks per run
+    gamma = specs.GammaWeight(2.5, 1.0, 0.1)
+    for spec in (spec, uniform_polya_spec,
+                 specs.ReinforcedSpec(2, (1.5, 0.7), (specs.NormalBase(0.5, 2.0),) * 2,
+                                      specs.IidWeights(gamma)),
+                 specs.GaussianLastTickSpec(n_coords=2, mu1=(0.0, 1.0), sigma2_1=(1.0, 2.0)),
+                 specs.GaussianLastTickSpec(t0=0.25),
+                 specs.StateSpaceCidSpec(),
+                 specs.Ar1DriftSpec()):
+        base = run_ensemble(spec, 40, 20, 42, threads=1, chunk_paths=40)
+        per = engine._series_bytes_per_path(spec, 20, engine.default_record(spec))
+        monkeypatch.setattr(engine, "CHUNK_BUDGET_BYTES", 7 * per)
+        for threads in (1, 2, 3):
+            assert len(engine._chunk_bounds(spec, 40, 20, engine.default_record(spec),
+                                            threads)) >= 2 * threads
+            other = run_ensemble(spec, 40, 20, 42, threads=threads)
+            for key in base.arrays:
+                assert np.array_equal(base.arrays[key], other.arrays[key]), (spec, key, threads)
 
 
 def test_chunking_does_not_change_ensemble(rru_two_point_spec, uniform_polya_spec,

@@ -89,6 +89,19 @@ def test_out_of_range_seed_flag_exits_2(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", ["record_only", "polya_baseline"])
+def test_threads_below_one_exits_2(config, tmp_path, capsys):
+    if config == "record_only":
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"spec": {"kind": "polya"}, "n_paths": 10,
+                                      "horizon": 5, "record": ["observations"]}))
+    out = tmp_path / "o"
+    args = ["run", "--config", str(config), "--threads", "0", "--out", str(out)]
+    assert main(args) == EXIT_CONFIG
+    assert "--threads" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_unknown_test_name_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"spec": {"kind": "polya"}, "n_paths": 10, "horizon": 5,
