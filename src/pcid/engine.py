@@ -97,19 +97,18 @@ class _StreamFiller:
 
     def __init__(self, master_seed: int):
         _check_stream_address(master_seed, 0, 0)
-        self._master = master_seed
         self._bg = np.random.Philox(key=0)
         self.generator = np.random.Generator(self._bg)
+        # the state of a fresh stream, built once: the state setter copies
+        # the values out, so each re-key writes only the key word it changes
+        self._state = self._bg.state
+        self._state["state"]["key"] = self._key = np.array([0, master_seed], dtype=np.uint64)
+        self._state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+        self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)
 
     def rekey(self, path_index: int, substream_index: int) -> np.random.Generator:
-        st = self._bg.state
-        st["state"]["key"] = np.array(
-            [(path_index << _SUB_BITS) | substream_index, self._master], dtype=np.uint64)
-        st["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
+        self._key[0] = (path_index << _SUB_BITS) | substream_index
+        self._bg.state = self._state
         return self.generator
 
 
@@ -254,12 +253,18 @@ def _series_bytes_per_path(spec, horizon: int, record: frozenset) -> int:
             per += 8 * (horizon + 1) * k
         elif name in ("arrivals", "lambdas", "theta"):
             per += 8 * (horizon + 1)
-    # working buffers: random inputs (the Gaussian kind draws H+1 arrival
-    # gaps besides H normals per coordinate) + (for reinforced kinds)
-    # cumulative weights
-    per += 8 * (horizon + 1) * k * 2
-    if reinforced_view(spec) is not None:
-        per += 8 * horizon * k * (2 if "observations" not in record else 1)
+    if isinstance(spec, GaussianLastTickSpec):
+        # draws: H+1 arrival gaps and H normals per coordinate; the kernel's
+        # gaps (overwritten by the lambdas) and arrivals, unless recorded;
+        # its step buffers and terminal copies, 2K + 2 besides the summaries
+        per += 8 * ((horizon + 1) * (3 - len(record & {"arrivals", "lambdas"}))
+                    + horizon * k + 2 * k + 2)
+    else:
+        # working buffers: random inputs + (for reinforced kinds)
+        # cumulative weights
+        per += 8 * (horizon + 1) * k * 2
+        if reinforced_view(spec) is not None:
+            per += 8 * horizon * k * (2 if "observations" not in record else 1)
     # terminal summaries: at most three per coordinate and one per path
     return per + 8 * (3 * k + 1)
 
@@ -295,13 +300,15 @@ def _chunk_draws(spec, horizon: int, master_seed: int, path_lo: int, n_paths: in
                 weight_u[p] = filler.rekey(path_lo + p, 0).random(wshape)
         return {"coord_u": coord_u, "weight_u": weight_u}
     if isinstance(spec, GaussianLastTickSpec):
+        # each stream fills its own contiguous row in place; the kernel gets
+        # z as a (P, H, K) view of the (P, K, H) rows
         exp_draws = np.empty((n_paths, horizon + 1))
-        z = np.empty((n_paths, horizon, k))
+        z = np.empty((n_paths, k, horizon))
         for p in range(n_paths):
-            exp_draws[p] = filler.rekey(path_lo + p, 0).standard_exponential(horizon + 1)
+            filler.rekey(path_lo + p, 0).standard_exponential(horizon + 1, out=exp_draws[p])
             for i in range(k):
-                z[p, :, i] = filler.rekey(path_lo + p, 1 + i).standard_normal(horizon)
-        return {"exp_draws": exp_draws, "z": z}
+                filler.rekey(path_lo + p, 1 + i).standard_normal(horizon, out=z[p, i])
+        return {"exp_draws": exp_draws, "z": z.transpose(0, 2, 1)}
     if isinstance(spec, StateSpaceCidSpec):
         z = np.empty((n_paths, horizon, 2))
         for p in range(n_paths):

@@ -26,6 +26,12 @@ it copies, found by one `np.searchsorted` per path row), then the values
 down each copy chain, then the power sums and predictive series as
 cumulative sums. Cross-fraction and feedback weights depend on each step's
 draws, so those couplings keep a loop over the steps.
+
+The Gaussian kernel steps with a coordinate-major state: mu and sigma^2 are
+(K, P), each coordinate's normals are one contiguous row per path, and
+every step updates the state in place with one loop over the paths per
+coordinate and operation. The operations and their order are the scalar
+step's, so the two layers still agree bit for bit.
 """
 
 from __future__ import annotations
@@ -522,47 +528,68 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
 
     exp_draws: (P, H+1) standard exponentials (inter-arrivals before rate
     scaling; the first is replaced when the spec fixes t0). z: (P, H, K)
-    standard normals.
+    standard normals; `_chunk_draws` passes a view of (P, K, H) rows, so
+    that each step reads its (K, P) normals as z[:, n - 1, :].T.
+
+    The fractions lambda_n = t_n / T_{n+1} of all steps are computed at
+    once, over the kernel's own gaps array, and the recorded lambdas are a
+    view of it; the arrivals are kept only if recorded.
+    `engine._series_bytes_per_path` counts these two (P, H+1) arrays.
+
+    The state is coordinate-major: mu and sigma^2 are (K, P), and each step
+    updates them in place, one loop over the paths per coordinate and
+    operation, in the scalar step's operation order, so with the scalar
+    step's bits.
     """
     n_paths = exp_draws.shape[0]
     k = spec.n_coords
     gaps = exp_draws / spec.rate
     if spec.t0 is not None:
-        gaps = gaps.copy()
         gaps[:, 0] = spec.t0
     arrivals = np.cumsum(gaps, axis=1)  # T_1 .. T_{H+1}
+    lambdas = np.divide(gaps, arrivals, out=gaps)[:, 1:]  # t_n / T_{n+1}, n = 1..H
+    if "arrivals" not in record:
+        arrivals = None
 
-    mu = np.tile(np.asarray(spec.mu1, dtype=float), (n_paths, 1))
-    s2 = np.tile(np.asarray(spec.sigma2_1, dtype=float), (n_paths, 1))
+    mu = np.repeat(np.asarray(spec.mu1, dtype=float)[:, None], n_paths, axis=1)
+    s2 = np.repeat(np.asarray(spec.sigma2_1, dtype=float)[:, None], n_paths, axis=1)
     gamma_hat = np.ones(n_paths)
+    x = np.empty((k, n_paths))
+    lam = np.empty(n_paths)
+    shrink = np.empty(n_paths)  # 1 - lambda, then 1 - lambda^2
 
     obs = np.zeros((n_paths, horizon, k)) if "observations" in record else None
-    lambdas = np.zeros((n_paths, horizon)) if "lambdas" in record else None
-    pred = _predictive_buffers(record, n_paths, horizon, k, mu, s2)
+    pred = _predictive_buffers(record, n_paths, horizon, k, spec.mu1, spec.sigma2_1)
     mean_out, var_out = pred.get("predictive_mean"), pred.get("predictive_var")
 
     for n in range(1, horizon + 1):
-        x = mu + np.sqrt(s2) * z[:, n - 1, :]
+        np.sqrt(s2, out=x)
+        np.multiply(x, z[:, n - 1, :].T, out=x)
+        np.add(mu, x, out=x)                   # x = mu + sqrt(s2) * z
         if obs is not None:
-            obs[:, n - 1, :] = x
-        lam = gaps[:, n] / arrivals[:, n]  # t_n / T_{n+1}
-        if lambdas is not None:
-            lambdas[:, n - 1] = lam
-        lam_col = lam[:, None]
-        mu = (1.0 - lam_col) * mu + lam_col * x
-        s2 = (1.0 - lam_col ** 2) * s2
-        gamma_hat = gamma_hat * (1.0 - lam ** 2)
+            obs[:, n - 1, :] = x.T
+        np.copyto(lam, lambdas[:, n - 1])
+        np.subtract(1.0, lam, out=shrink)
+        np.multiply(shrink, mu, out=mu)
+        np.multiply(lam, x, out=x)
+        np.add(mu, x, out=mu)                  # mu = (1 - lam) * mu + lam * x
+        np.square(lam, out=shrink)
+        np.subtract(1.0, shrink, out=shrink)
+        np.multiply(shrink, s2, out=s2)        # s2 = (1 - lam^2) * s2
+        np.multiply(gamma_hat, shrink, out=gamma_hat)
         if mean_out is not None:
-            mean_out[:, n, :] = mu
+            mean_out[:, n, :] = mu.T
         if var_out is not None:
-            var_out[:, n, :] = s2
+            var_out[:, n, :] = s2.T
 
-    out = {"gamma_hat": gamma_hat, "terminal_mu": mu, "terminal_sigma2": s2}
+    del x, lam, shrink  # free the step buffers before the terminal copies
+    out = {"gamma_hat": gamma_hat, "terminal_mu": np.ascontiguousarray(mu.T),
+           "terminal_sigma2": np.ascontiguousarray(s2.T)}
     if obs is not None:
         out["observations"] = obs
-    if "arrivals" in record:
+    if arrivals is not None:
         out["arrivals"] = arrivals
-    if lambdas is not None:
+    if "lambdas" in record:
         out["lambdas"] = lambdas
     out.update(pred)
     return out

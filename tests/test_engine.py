@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,23 @@ def test_path_bytes_estimate_covers_a_chunk(spec, horizon):
         held = sum(a.nbytes for a in list(draws.values()) + list(out.values())
                    if a is not None)
         assert engine._series_bytes_per_path(spec, horizon, record) * n_paths >= held, record
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("horizon", [5, 1000])
+def test_gaussian_chunk_peak_within_estimate(k, horizon):
+    # the traced peak, temporaries included: the kernel's own gaps and
+    # arrivals must be in the estimate, or chunks in flight overrun the budget
+    spec = specs.GaussianLastTickSpec(n_coords=k, mu1=(0.0,) * k, sigma2_1=(1.0,) * k)
+    n_paths = 512
+    for record in (engine.default_record(spec), frozenset()):
+        tracemalloc.start()
+        try:
+            engine._run_chunk(spec, horizon, 1, 0, n_paths, record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= engine._series_bytes_per_path(spec, horizon, record) * n_paths, record
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 3, 8])

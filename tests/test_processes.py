@@ -368,16 +368,39 @@ def test_scalar_matches_vectorized_normal_base():
 
 
 def test_scalar_matches_vectorized_gaussian():
-    spec = specs.GaussianLastTickSpec(n_coords=2, mu1=(0.0, 1.0), sigma2_1=(1.0, 2.0))
-    ens = run_ensemble(spec, 3, 25, 31)
-    for p in range(3):
-        streams = PathStreams(31, p, 2)
-        gaps = streams.weights.standard_exponential(26) / spec.rate
-        states = [GaussianCoordState(m, s, gaps[0], gaps[0])
-                  for m, s in zip(spec.mu1, spec.sigma2_1)]
-        xs = np.array([gaussian_last_tick_step(states, gaps[n], streams)
-                       for n in range(1, 26)])
-        assert np.array_equal(xs, ens.observations[p])
+    # every recorded series at every step, and the terminal summaries
+    horizon = 25
+    for k, t0, rate in [(1, None, 1.0), (1, 0.4, 2.5), (3, None, 0.6), (3, 0.4, 1.0)]:
+        spec = specs.GaussianLastTickSpec(n_coords=k, mu1=tuple(0.5 * i for i in range(k)),
+                                          sigma2_1=tuple(1.0 + i for i in range(k)),
+                                          rate=rate, t0=t0)
+        ens = run_ensemble(spec, 3, horizon, 31)
+        for p in range(3):
+            streams = PathStreams(31, p, k)
+            gaps = streams.weights.standard_exponential(horizon + 1) / spec.rate
+            if t0 is not None:
+                gaps[0] = t0
+            states = [GaussianCoordState(m, s, gaps[0], gaps[0])
+                      for m, s in zip(spec.mu1, spec.sigma2_1)]
+            xs, arrivals, lambdas = [], [states[0].T], []
+            mus, s2s = [[st.mu for st in states]], [[st.sigma2 for st in states]]
+            gamma = 1.0
+            for n in range(1, horizon + 1):
+                xs.append(gaussian_last_tick_step(states, gaps[n], streams))
+                lam = gaps[n] / states[0].T     # the step's t_n / T_{n+1}
+                gamma = gamma * (1.0 - lam * lam)
+                arrivals.append(states[0].T)
+                lambdas.append(lam)
+                mus.append([st.mu for st in states])
+                s2s.append([st.sigma2 for st in states])
+            assert np.array_equal(np.array(xs), ens.observations[p])
+            assert np.array_equal(np.array(mus), ens.predictive_mean[p])
+            assert np.array_equal(np.array(s2s), ens.predictive_var[p])
+            assert np.array_equal(np.array(arrivals), ens.arrivals[p])
+            assert np.array_equal(np.array(lambdas), ens.lambdas[p])
+            assert ens.gamma_hat[p] == gamma
+            assert np.array_equal(np.array(mus[-1]), ens.arrays["terminal_mu"][p])
+            assert np.array_equal(np.array(s2s[-1]), ens.arrays["terminal_sigma2"][p])
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,23 @@ def test_address_validation(bad):
         derive_stream(*bad)
 
 
+def _draw_32_then_64(gen):
+    return gen.integers(0, 2 ** 32, size=3, dtype=np.uint32), gen.random(9)
+
+
 def test_rekey_filler_matches_derive_stream():
     filler = _StreamFiller(97)
-    for path, sub in [(0, 0), (11, 1), (4096, 2), (2 ** 40 + 3, 0)]:
-        got = filler.rekey(path, sub).random(9)
-        want = derive_stream(97, path, sub).generator().random(9)
-        assert np.array_equal(got, want)
+    addresses = [(0, 0), (11, 1), (4096, 2)] + [(2 ** 40 + 3, sub) for sub in range(4)]
+    # what the previous stream leaves behind: nothing, the rest of a Philox
+    # block (buffer_pos), or the other half of a 64-bit word (has_uint32)
+    for leave in (lambda gen: None, lambda gen: gen.random(3),
+                  lambda gen: gen.integers(0, 2 ** 32, dtype=np.uint32)):
+        for path, sub in addresses:
+            leave(filler.rekey(path + 1, sub))
+            got = _draw_32_then_64(filler.rekey(path, sub))
+            want = _draw_32_then_64(derive_stream(97, path, sub).generator())
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (path, sub)
 
 
 def test_thread_count_does_not_change_ensemble(uniform_polya_spec, monkeypatch):
@@ -96,7 +107,12 @@ def test_chunking_does_not_change_ensemble(rru_two_point_spec, uniform_polya_spe
                  specs.ReinforcedSpec(2, (1.0, 2.0), (specs.UniformBase(),) * 2,
                                       specs.CommonWeight(gamma)),
                  specs.ReinforcedSpec(2, (1.5, 0.7), (normal, normal),
-                                      specs.IidWeights(gamma))):
+                                      specs.IidWeights(gamma)),
+                 # the Gaussian kernel reads its draws and lambdas through
+                 # views of per-path rows
+                 specs.GaussianLastTickSpec(),
+                 specs.GaussianLastTickSpec(n_coords=3, mu1=(0.0, 1.0, -1.0),
+                                            sigma2_1=(1.0, 2.0, 0.5), t0=0.25)):
         base = run_ensemble(spec, 54, 30, 5, chunk_paths=1)
         for chunk in (7, 9, 11, 54):
             other = run_ensemble(spec, 54, 30, 5, chunk_paths=chunk)
