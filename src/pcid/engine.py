@@ -29,7 +29,9 @@ import numpy as np
 from . import processes
 from .specs import (
     Ar1DriftSpec,
+    CommonWeight,
     GaussianLastTickSpec,
+    IidWeights,
     SpecValidationError,
     StateSpaceCidSpec,
     reinforced_view,
@@ -91,12 +93,103 @@ class PathStreams:
         return self._coords[i]
 
 
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC 2011), the bit generator behind np.random.Philox: the round
+# multipliers and the key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_U64 = np.uint64
+_LO32 = _U64(0xFFFFFFFF)
+
+# Rows of at most this many uniforms are filled by `_philox_uniforms`,
+# longer ones by re-keying one generator per stream: the crossover measured
+# in BENCH_short_rows.json.
+PHILOX_VECTOR_MAX_ROW = 96
+# Philox blocks (4 uniforms each) per pass of `_philox_uniforms`, whose
+# PHILOX_PASS_WORDS uint64 arrays of this length take 1.4 MiB whatever the
+# chunk size.
+PHILOX_PASS_BLOCKS = 1 << 14
+PHILOX_PASS_WORDS = 11
+
+
+def _mulhilo(a: np.ndarray, m: int, hi: np.ndarray, lo: np.ndarray,
+             t1: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> None:
+    """hi, lo = the high and low 64-bit words of a * m, for a uint64 array a
+    and a 64-bit constant m, from 32-bit halves; t1..t3 are scratch."""
+    m_lo, m_hi = _U64(m & 0xFFFFFFFF), _U64(m >> 32)
+    np.multiply(a, _U64(m), out=lo)
+    np.bitwise_and(a, _LO32, out=t1)            # a_lo
+    np.right_shift(a, _U64(32), out=t2)         # a_hi
+    np.multiply(t1, m_lo, out=t3)
+    np.right_shift(t3, _U64(32), out=t3)
+    np.multiply(t2, m_lo, out=hi)
+    np.add(hi, t3, out=hi)                      # u = a_hi m_lo + (a_lo m_lo >> 32)
+    np.multiply(t1, m_hi, out=t1)
+    np.bitwise_and(hi, _LO32, out=t3)
+    np.add(t1, t3, out=t1)                      # v = a_lo m_hi + (u & LO)
+    np.right_shift(hi, _U64(32), out=t3)
+    np.multiply(t2, m_hi, out=hi)
+    np.add(hi, t3, out=hi)
+    np.right_shift(t1, _U64(32), out=t1)
+    np.add(hi, t1, out=hi)                      # a_hi m_hi + (u >> 32) + (v >> 32)
+
+
+def _philox_uniforms(master_seed: int, path_lo: int, substream: int,
+                     out: np.ndarray) -> None:
+    """Fill `out` (P, n) with the first n uniforms of the streams
+    (master_seed, path_lo + p, substream), bit for bit as
+    `derive_stream(...).generator().random(n)` draws them.
+
+    Philox4x64-10 over (key, counter) arrays: a fresh np.random.Philox steps
+    its counter before its first block, so uniform j is lane j % 4 of the
+    block at counter j // 4 + 1, taken as (word >> 11) * 2^-53. The streams
+    go in passes of at most PHILOX_PASS_BLOCKS blocks."""
+    n_paths, n = out.shape
+    n_blocks = -(-n // 4)
+    rows = max(1, min(n_paths, PHILOX_PASS_BLOCKS // n_blocks))
+    size = 4 * rows * n_blocks
+    ctr, nxt = np.empty(size, _U64), np.empty(size, _U64)
+    t1, t2, t3 = (np.empty((rows, n_blocks), _U64) for _ in range(3))
+    for lo in range(0, n_paths, rows):
+        r = min(rows, n_paths - lo)
+        c = ctr.reshape(4, rows, n_blocks)[:, :r]
+        d = nxt.reshape(4, rows, n_blocks)[:, :r]
+        c[0] = np.arange(1, n_blocks + 1, dtype=_U64)
+        c[1:] = 0
+        key0 = np.arange(path_lo + lo, path_lo + lo + r, dtype=_U64)[:, None]
+        key0 <<= _U64(_SUB_BITS)
+        key0 |= _U64(substream)
+        key1 = master_seed
+        for rnd in range(10):
+            if rnd:
+                key0 += _U64(_PHILOX_W[0])
+                key1 = (key1 + _PHILOX_W[1]) & 0xFFFFFFFFFFFFFFFF
+            # (c0, c1, c2, c3) -> (hi(c2 M1) ^ c1 ^ k0, lo(c2 M1),
+            #                      hi(c0 M0) ^ c3 ^ k1, lo(c0 M0))
+            _mulhilo(c[0], _PHILOX_M[0], d[2], d[3], t1[:r], t2[:r], t3[:r])
+            _mulhilo(c[2], _PHILOX_M[1], d[0], d[1], t1[:r], t2[:r], t3[:r])
+            d[0] ^= c[1]
+            d[0] ^= key0
+            d[2] ^= c[3]
+            d[2] ^= _U64(key1)
+            c, d = d, c
+        # ten rounds swap the buffers back: c is a view of ctr again, and
+        # nxt takes the blocks' words in stream order
+        words = nxt[:4 * r * n_blocks].reshape(r, 4 * n_blocks)
+        np.copyto(words.reshape(r, n_blocks, 4), c.transpose(1, 2, 0))
+        words = words[:, :n]
+        words >>= _U64(11)
+        np.multiply(words, 1.0 / 9007199254740992.0, out=out[lo:lo + r])
+
+
 class _StreamFiller:
-    """Reuses one Philox generator, re-keyed per (path, substream), to fill
-    per-path random blocks without per-path object construction."""
+    """Fills per-path rows of uniforms: short rows by the vectorized
+    `_philox_uniforms`, long ones by one Philox generator re-keyed per
+    (path, substream), without per-path object construction."""
 
     def __init__(self, master_seed: int):
         _check_stream_address(master_seed, 0, 0)
+        self._master_seed = master_seed
         self._bg = np.random.Philox(key=0)
         self.generator = np.random.Generator(self._bg)
         # the state of a fresh stream, built once: the state setter copies
@@ -110,6 +203,16 @@ class _StreamFiller:
         self._key[0] = (path_index << _SUB_BITS) | substream_index
         self._bg.state = self._state
         return self.generator
+
+    def uniforms(self, path_lo: int, substream: int, out: np.ndarray) -> None:
+        """out (P, n): the first n uniforms of the streams
+        (master_seed, path_lo + p, substream)."""
+        n_paths, n = out.shape
+        if n <= PHILOX_VECTOR_MAX_ROW:
+            _philox_uniforms(self._master_seed, path_lo, substream, out)
+            return
+        for p in range(n_paths):
+            out[p] = self.rekey(path_lo + p, substream).random(n)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +364,26 @@ def _series_bytes_per_path(spec, horizon: int, record: frozenset) -> int:
                     + horizon * k + 2 * k + 2)
     else:
         # working buffers: random inputs + (for reinforced kinds)
-        # cumulative weights
-        per += 8 * (horizon + 1) * k * 2
+        # cumulative weights; each step's temporaries, at most 12 (P,)
+        # arrays per coordinate
+        per += 8 * (horizon + 1) * k * 2 + 8 * 12 * k
         if reinforced_view(spec) is not None:
             per += 8 * horizon * k * (2 if "observations" not in record else 1)
     # terminal summaries: at most three per coordinate and one per path
     return per + 8 * (3 * k + 1)
+
+
+def _worker_bytes(spec, horizon: int) -> int:
+    """Bytes a worker holds whatever its chunk's size: for reinforced kinds
+    the uniform filler's pass buffers and, under common and i.i.d. weights,
+    the genealogy kernel's row-block buffers."""
+    rspec = reinforced_view(spec)
+    if rspec is None:
+        return 0
+    fixed = 8 * PHILOX_PASS_WORDS * PHILOX_PASS_BLOCKS
+    if isinstance(rspec.coupling, (CommonWeight, IidWeights)):
+        fixed += processes.genealogy_block_bytes(rspec, horizon)
+    return fixed
 
 
 def _chunk_bounds(spec, n_paths: int, horizon: int, record: frozenset,
@@ -274,9 +391,11 @@ def _chunk_bounds(spec, n_paths: int, horizon: int, record: frozenset,
     """Balanced path ranges [lo, hi) covering [0, n_paths) in order: a
     multiple of `n_workers` of them (one per path when there are fewer
     paths), their sizes differing by at most one, and `n_workers` chunks
-    together within CHUNK_BUDGET_BYTES unless a chunk is a single path."""
+    together, with each worker's fixed buffers, within CHUNK_BUDGET_BYTES
+    unless a chunk is a single path."""
     per = _series_bytes_per_path(spec, horizon, record)
-    max_paths = max(1, CHUNK_BUDGET_BYTES // (n_workers * per))
+    spare = CHUNK_BUDGET_BYTES - n_workers * _worker_bytes(spec, horizon)
+    max_paths = max(1, spare // (n_workers * per))
     n_chunks = -(-n_paths // max_paths)
     n_chunks = min(-(-n_chunks // n_workers) * n_workers, n_paths)
     return [(n_paths * j // n_chunks, n_paths * (j + 1) // n_chunks) for j in range(n_chunks)]
@@ -289,15 +408,13 @@ def _chunk_draws(spec, horizon: int, master_seed: int, path_lo: int, n_paths: in
     rspec = reinforced_view(spec)
     if rspec is not None:
         coord_u = np.empty((n_paths, horizon, k))
-        for p in range(n_paths):
-            for i in range(k):
-                coord_u[p, :, i] = filler.rekey(path_lo + p, 1 + i).random(horizon)
+        for i in range(k):
+            filler.uniforms(path_lo, 1 + i, coord_u[:, :, i])
         wshape = processes.reinforced_weight_shape(rspec, horizon)
         weight_u = None
         if wshape is not None:
             weight_u = np.empty((n_paths,) + wshape)
-            for p in range(n_paths):
-                weight_u[p] = filler.rekey(path_lo + p, 0).random(wshape)
+            filler.uniforms(path_lo, 0, weight_u.reshape(n_paths, -1))
         return {"coord_u": coord_u, "weight_u": weight_u}
     if isinstance(spec, GaussianLastTickSpec):
         # each stream fills its own contiguous row in place; the kernel gets

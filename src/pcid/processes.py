@@ -22,8 +22,9 @@ atom whose cumulative weight exceeds s - w0.
 The reinforced kernel works in one of two orders. Under common and i.i.d.
 weights, which ignore the observations, it works in genealogy order: all
 weights first, then every step's source (a base draw, or the earlier atom
-it copies, found by one `np.searchsorted` per path row), then the values
-down each copy chain, then the power sums and predictive series as
+it copies, found by one bisection over all of a block's steps at short
+horizons, by one `np.searchsorted` per path row at long ones), then the
+values down each copy chain, then the power sums and predictive series as
 cumulative sums. Cross-fraction and feedback weights depend on each step's
 draws, so those couplings keep a loop over the steps.
 
@@ -290,7 +291,8 @@ def _row_first_greater(C: np.ndarray, n: int, q: np.ndarray, rows: np.ndarray) -
     active = lo < hi
     while active.any():
         mid = (lo + hi) >> 1
-        greater = C[rows, mid] > q
+        # a settled query can have mid = n, past the end of a row of n
+        greater = C[rows, np.minimum(mid, n - 1)] > q
         hi = np.where(active & greater, mid, hi)
         lo = np.where(active & ~greater, mid + 1, lo)
         active = lo < hi
@@ -322,8 +324,26 @@ def reinforced_weight_shape(rspec, horizon: int) -> tuple | None:
 
 
 # Path-steps per row block of the genealogy-order kernel: each of its
-# working buffers holds at most 4 MiB, whatever the chunk size or horizon.
-GENEALOGY_BLOCK_STEPS = 1 << 19
+# working buffers holds at most 1 MiB, whatever the chunk size (or one path
+# row, if that is longer).
+GENEALOGY_BLOCK_STEPS = 1 << 17
+# Below this horizon the kernel finds every step's atom by one flattened
+# bisection (`_row_first_greater`), at and above it by one `np.searchsorted`
+# per path row: the crossover measured in BENCH_short_rows.json.
+GENEALOGY_FLAT_SEARCH_BELOW = 32
+
+
+def genealogy_block_bytes(rspec, horizon: int) -> int:
+    """Upper estimate of the bytes `_genealogy_chunk` holds for one row
+    block, besides its inputs and outputs: a block of b paths peaks at under
+    20 (b, H+1) float arrays, plus under two (b, H, K) ones per coordinate
+    under i.i.d. weights (traced with tracemalloc for K up to 10). A fixed
+    cost per worker: blocks span at most GENEALOGY_BLOCK_STEPS path-steps
+    (or one path row)."""
+    n_buffers = 20
+    if isinstance(rspec.coupling, IidWeights):
+        n_buffers += 2 * rspec.n_coords
+    return 8 * n_buffers * max(1, GENEALOGY_BLOCK_STEPS // (horizon + 1)) * (horizon + 1)
 
 
 def base_moments(rspec) -> tuple[np.ndarray, np.ndarray]:
@@ -381,9 +401,14 @@ def _genealogy_values(base, w0: float, u: np.ndarray, w: np.ndarray,
     base_vals = base.ppf(np.where(from_base, s / w0, 0.5))
     cumw = np.cumsum(w, axis=1)
     q = s - w0
-    atom = np.empty((b, horizon), dtype=np.int64)
-    for r in range(b):
-        atom[r] = np.searchsorted(cumw[r], q[r], side="right")
+    if horizon < GENEALOGY_FLAT_SEARCH_BELOW:
+        # one bisection over every (row, step) query at once
+        atom = _row_first_greater(cumw, horizon, q.ravel(),
+                                  np.repeat(np.arange(b), horizon)).reshape(b, horizon)
+    else:
+        atom = np.empty((b, horizon), dtype=np.int64)
+        for r in range(b):
+            atom[r] = np.searchsorted(cumw[r], q[r], side="right")
     steps = np.arange(horizon)
     # parents as flat indices into the block's (b, H) arrays
     parent = (np.where(from_base, steps, np.minimum(atom, steps - 1))

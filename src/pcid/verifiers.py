@@ -115,6 +115,12 @@ def _verifier_rng(master_seed: int, label: str) -> np.random.Generator:
 # Two-sample energy-distance permutation test
 # ---------------------------------------------------------------------------
 
+# Bytes of one row block of the energy test's distance matrix. Blocks hold
+# at least two rows, so each block's product with the labels stays a matrix
+# product (one row would go to a matrix-vector routine with other rounding).
+ENERGY_BLOCK_BYTES = 8 << 20
+
+
 def energy_permutation_test(sample_a: np.ndarray, sample_b: np.ndarray,
                             rng: np.random.Generator,
                             n_permutations: int = 199) -> tuple[float, float]:
@@ -124,6 +130,11 @@ def energy_permutation_test(sample_a: np.ndarray, sample_b: np.ndarray,
     d(b,b')) with Euclidean distances; the null distribution comes from
     label permutations. Returns (statistic, p-value) with the standard
     (1 + #{perm >= obs}) / (1 + n_permutations) p-value.
+
+    The pooled N x N distance matrix is never formed: balanced row blocks
+    of at most ENERGY_BLOCK_BYTES (and at least two rows) give its row sums
+    and its product with the N x (n_permutations + 1) label matrix, one
+    GEMM per block, so memory grows with N times the block rows, not N^2.
     """
     a = np.atleast_2d(np.asarray(sample_a, float))
     b = np.atleast_2d(np.asarray(sample_b, float))
@@ -131,15 +142,21 @@ def energy_permutation_test(sample_a: np.ndarray, sample_b: np.ndarray,
         raise ValueError("samples must be 2-d with matching feature dimension")
     n, m = len(a), len(b)
     big = np.vstack([a, b])
-    dist = cdist(big, big)
     total_n = n + m
     labels = np.zeros((total_n, n_permutations + 1))
     labels[:n, 0] = 1.0
     for c in range(1, n_permutations + 1):
         perm = rng.permutation(total_n)
         labels[perm[:n], c] = 1.0
-    cross = dist @ labels                       # one GEMM for all permutations
-    row_sums = dist.sum(axis=1)
+    cross = np.empty((total_n, n_permutations + 1))  # dist @ labels
+    row_sums = np.empty(total_n)
+    block_rows = max(2, ENERGY_BLOCK_BYTES // (8 * total_n))
+    n_blocks = max(1, min(total_n // 2, -(-total_n // block_rows)))
+    for j in range(n_blocks):
+        blk = slice(total_n * j // n_blocks, total_n * (j + 1) // n_blocks)
+        dist = cdist(big[blk], big)
+        np.matmul(dist, labels, out=cross[blk])
+        dist.sum(axis=1, out=row_sums[blk])
     total_sum = float(row_sums.sum())
     s_aa = np.einsum("nc,nc->c", labels, cross)
     s_a_all = cross.sum(axis=0)
@@ -167,6 +184,11 @@ def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
     Compares (X_{1:n}, X_{n+1} without coord j, X_{n+1,j}) against
     (X_{1:n}, X_{n+1} without coord j, X_{n+2,j}) across two independent
     halves of the ensemble with a two-sample energy-distance test.
+
+    Each half holds at most `max_group` paths, so the test pools
+    N <= 2 * max_group points. Its memory is the N x (n_permutations + 1)
+    labels and their products with the distances, 32 MB at the defaults,
+    plus distance row blocks of ENERGY_BLOCK_BYTES; no N x N matrix.
     """
     k = spec.n_coords
     if k < 2:

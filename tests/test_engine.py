@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcid import engine, specs
+from pcid import engine, processes, specs
 from pcid.engine import (
     MissingSeriesError,
     recompute_predictive_series,
@@ -64,13 +64,10 @@ def test_path_bytes_estimate_covers_a_chunk(spec, horizon):
         assert engine._series_bytes_per_path(spec, horizon, record) * n_paths >= held, record
 
 
-@pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("horizon", [5, 1000])
-def test_gaussian_chunk_peak_within_estimate(k, horizon):
-    # the traced peak, temporaries included: the kernel's own gaps and
-    # arrivals must be in the estimate, or chunks in flight overrun the budget
-    spec = specs.GaussianLastTickSpec(n_coords=k, mu1=(0.0,) * k, sigma2_1=(1.0,) * k)
-    n_paths = 512
+def _assert_chunk_peak_within_estimate(spec, horizon, n_paths=512):
+    # the traced peak, temporaries included, must be within the per-path
+    # estimate and the worker's fixed buffers, or chunks in flight overrun
+    # the budget
     for record in (engine.default_record(spec), frozenset()):
         tracemalloc.start()
         try:
@@ -78,15 +75,53 @@ def test_gaussian_chunk_peak_within_estimate(k, horizon):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= engine._series_bytes_per_path(spec, horizon, record) * n_paths, record
+        allowed = (engine._series_bytes_per_path(spec, horizon, record) * n_paths
+                   + engine._worker_bytes(spec, horizon))
+        assert peak <= allowed, (record, peak, allowed)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("horizon", [5, 1000])
+def test_gaussian_chunk_peak_within_estimate(k, horizon):
+    # the kernel's own gaps and arrivals must be in the estimate
+    spec = specs.GaussianLastTickSpec(n_coords=k, mu1=(0.0,) * k, sigma2_1=(1.0,) * k)
+    _assert_chunk_peak_within_estimate(spec, horizon)
+
+
+_PEAK_CASES = ([(kind, horizon, "default") for horizon in (5, 1000)
+                for kind in ("polya", "reinforced", "uniform_coupled",
+                             "broken_feedback_weight", "state_space_cid")]
+               + [(kind, 5, "small") for kind in ("polya", "reinforced", "uniform_coupled")]
+               + [(kind, 1000, "small") for kind in ("polya", "reinforced")])
+
+
+@pytest.mark.parametrize("kind,horizon,blocks", _PEAK_CASES)
+def test_chunk_peak_within_estimate(monkeypatch, kind, horizon, blocks):
+    # "small" shrinks the genealogy row blocks to 64 paths and the filler's
+    # passes to 64 Philox blocks, so that the chunk spans several of each
+    # and the fixed term is small: the per-path estimate must then cover
+    # the rest. For `reinforced` it takes i.i.d. weights over three
+    # coordinates, whose block buffers grow with K.
+    spec = specs.spec_from_dict({"kind": kind})
+    n_paths = 256
+    if blocks == "small":
+        monkeypatch.setattr(processes, "GENEALOGY_BLOCK_STEPS", 64 * (horizon + 1))
+        monkeypatch.setattr(engine, "PHILOX_PASS_BLOCKS", 64)
+        if kind == "reinforced":
+            spec = specs.ReinforcedSpec(3, (1.0, 2.0, 0.5), (specs.UniformBase(),) * 3,
+                                        specs.IidWeights(specs.GammaWeight(2.5, 1.0, 0.1)))
+    _assert_chunk_peak_within_estimate(spec, horizon, n_paths)
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
 def test_chunk_bounds_balanced_within_budget(monkeypatch, rru_two_point_spec, n_workers):
     spec, horizon, record = rru_two_point_spec, 30, frozenset({"observations"})
     per = engine._series_bytes_per_path(spec, horizon, record)
+    fixed = engine._worker_bytes(spec, horizon)
     for budget_paths in (0.5, 1, 2.5, 7, 10 ** 6):
-        monkeypatch.setattr(engine, "CHUNK_BUDGET_BYTES", int(budget_paths * per))
+        # a budget of `budget_paths` paths per worker besides its fixed buffers
+        monkeypatch.setattr(engine, "CHUNK_BUDGET_BYTES",
+                            int(budget_paths * per) + n_workers * fixed)
         for n_paths in (1, 2, 3, 7, 40, 1001):
             bounds = engine._chunk_bounds(spec, n_paths, horizon, record, n_workers)
             assert bounds[0][0] == 0 and bounds[-1][1] == n_paths
@@ -95,7 +130,7 @@ def test_chunk_bounds_balanced_within_budget(monkeypatch, rru_two_point_spec, n_
             assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
             assert len(bounds) % n_workers == 0 or len(bounds) == n_paths
             if max(sizes) > 1:
-                assert n_workers * max(sizes) * per <= engine.CHUNK_BUDGET_BYTES
+                assert n_workers * (max(sizes) * per + fixed) <= engine.CHUNK_BUDGET_BYTES
 
 
 def test_run_rejects_invalid_spec():

@@ -342,6 +342,9 @@ _TWO_POINT = specs.CommonWeight(specs.TwoPointWeight(1.0, 3.0, 0.5))
     pytest.param(_TWO_POINT, (25.0, 25.0), 300, id="two_point_w0_25_h300"),
     pytest.param(_TWO_POINT, (25.0, 0.3), 1, id="two_point_h1"),
     pytest.param(_TWO_POINT, (25.0, 0.3), 2, id="two_point_h2"),
+    # Polya weights below the flat-search switch
+    pytest.param(specs.CommonWeight(specs.DegenerateWeight(1.0)), (1.0, 2.0), 12,
+                 id="polya_h12"),
 ])
 def test_scalar_matches_vectorized_reinforced(coupling, w0, horizon):
     spec = specs.ReinforcedSpec(2, w0, (specs.UniformBase(), specs.UniformBase()), coupling)
@@ -401,6 +404,44 @@ def test_scalar_matches_vectorized_gaussian():
             assert ens.gamma_hat[p] == gamma
             assert np.array_equal(np.array(mus[-1]), ens.arrays["terminal_mu"][p])
             assert np.array_equal(np.array(s2s[-1]), ens.arrays["terminal_sigma2"][p])
+
+
+# ---------------------------------------------------------------------------
+# Atom search: flattened bisection == per-row searchsorted
+# ---------------------------------------------------------------------------
+
+def test_flat_search_matches_searchsorted():
+    # zero weights make ties in the cumulative weights; queries sit below
+    # the first entry, on entries, between them and above the last
+    rng = np.random.default_rng(11)
+    b, horizon = 40, 9
+    w = rng.choice([0.0, 0.5, 1.0, 2.0], size=(b, horizon))
+    w[0] = 0.0
+    cumw = np.cumsum(w, axis=1)
+    q = np.concatenate([cumw[:, :3], cumw[:, :2] + 0.25, cumw[:, -1:] + 1.0,
+                        np.full((b, 1), -1.0), np.zeros((b, 1)), -cumw[:, -1:]],
+                       axis=1)
+    want = np.array([np.searchsorted(cumw[r], q[r], side="right") for r in range(b)])
+    got = processes._row_first_greater(cumw, horizon, q.ravel(),
+                                       np.repeat(np.arange(b), q.shape[1]))
+    assert np.array_equal(got.reshape(q.shape), want)
+
+
+def test_genealogy_values_search_switch(monkeypatch):
+    # both sides of GENEALOGY_FLAT_SEARCH_BELOW give the same observations,
+    # with zero weights and uniforms at 0 and just below 1
+    rng = np.random.default_rng(5)
+    b, horizon, w0 = 30, 12, 0.7
+    w = rng.choice([0.0, 1.0, 3.0], size=(b, horizon))
+    u = rng.random((b, horizon))
+    u[:, ::4] = 0.0
+    u[:, 1::5] = np.nextafter(1.0, 0.0)
+    tot = processes.total_weights(w0, w)
+    got = {}
+    for below in (0, horizon + 1):
+        monkeypatch.setattr(processes, "GENEALOGY_FLAT_SEARCH_BELOW", below)
+        got[below] = processes._genealogy_values(specs.UniformBase(), w0, u, w, tot)
+    assert np.array_equal(got[0], got[horizon + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def _draw_32_then_64(gen):
     return gen.integers(0, 2 ** 32, size=3, dtype=np.uint32), gen.random(9)
 
 
-def test_rekey_filler_matches_derive_stream():
+def test_rekey_filler_matches_derive_stream(monkeypatch):
     filler = _StreamFiller(97)
     addresses = [(0, 0), (11, 1), (4096, 2)] + [(2 ** 40 + 3, sub) for sub in range(4)]
     # what the previous stream leaves behind: nothing, the rest of a Philox
@@ -61,6 +61,40 @@ def test_rekey_filler_matches_derive_stream():
             want = _draw_32_then_64(derive_stream(97, path, sub).generator())
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), (path, sub)
+
+    # row fills, vectorized Philox up to the switch and re-keyed past it:
+    # partial Philox blocks, the extreme master seeds, a path past 2^32, the
+    # weight substream 0 and the last coordinate's K, and passes of two
+    # blocks, so that a fill spans several passes and a remainder
+    k = 3
+    switch = engine.PHILOX_VECTOR_MAX_ROW
+    for pass_blocks in (engine.PHILOX_PASS_BLOCKS, 2):
+        monkeypatch.setattr(engine, "PHILOX_PASS_BLOCKS", pass_blocks)
+        for seed in (0, 2 ** 64 - 1):
+            filler = _StreamFiller(seed)
+            for n in (1, 3, 4, 5, switch - 1, switch, switch + 1):
+                for sub in (0, k):
+                    out = np.empty((5, n))
+                    filler.uniforms(2 ** 40, sub, out)
+                    for p in range(5):
+                        want = derive_stream(seed, 2 ** 40 + p, sub).generator().random(n)
+                        assert np.array_equal(out[p], want), (seed, n, sub, p)
+    # the chunk draws of both weight shapes, (H,) and (H, K), with rows on
+    # both sides of the switch: H uniforms per coordinate, H * K for i.i.d.
+    # weights
+    gamma = specs.GammaWeight(2.5, 1.0, 0.1)
+    bases = (specs.UniformBase(),) * k
+    for coupling in (specs.CommonWeight(gamma), specs.IidWeights(gamma)):
+        spec = specs.ReinforcedSpec(k, (1.0,) * k, bases, coupling)
+        for horizon in (5, switch // k + 1, switch + 1):
+            draws = engine._chunk_draws(spec, horizon, 2 ** 64 - 1, 2 ** 40, 3)
+            wshape = processes.reinforced_weight_shape(spec, horizon)
+            for p in range(3):
+                want = derive_stream(2 ** 64 - 1, 2 ** 40 + p, 0).generator().random(wshape)
+                assert np.array_equal(draws["weight_u"][p], want), (coupling, horizon)
+                for i in range(k):
+                    want = derive_stream(2 ** 64 - 1, 2 ** 40 + p, 1 + i).generator().random(horizon)
+                    assert np.array_equal(draws["coord_u"][p, :, i], want), (coupling, horizon, i)
 
 
 def test_thread_count_does_not_change_ensemble(uniform_polya_spec, monkeypatch):
@@ -82,8 +116,9 @@ def test_thread_count_does_not_change_ensemble(uniform_polya_spec, monkeypatch):
                  specs.Ar1DriftSpec()):
         base = run_ensemble(spec, 40, 20, 42, threads=1, chunk_paths=40)
         per = engine._series_bytes_per_path(spec, 20, engine.default_record(spec))
-        monkeypatch.setattr(engine, "CHUNK_BUDGET_BYTES", 7 * per)
         for threads in (1, 2, 3):
+            monkeypatch.setattr(engine, "CHUNK_BUDGET_BYTES",
+                                7 * per + threads * engine._worker_bytes(spec, 20))
             assert len(engine._chunk_bounds(spec, 40, 20, engine.default_record(spec),
                                             threads)) >= 2 * threads
             other = run_ensemble(spec, 40, 20, 42, threads=threads)
@@ -99,8 +134,10 @@ def test_chunking_does_not_change_ensemble(rru_two_point_spec, uniform_polya_spe
         for key in base.arrays:
             assert np.array_equal(base.arrays[key], other.arrays[key]), (key, chunk)
     # the genealogy kernel works in row blocks, here of 10 paths: chunks on
-    # both sides of one, and a chunk of several blocks and a remainder
-    monkeypatch.setattr(processes, "GENEALOGY_BLOCK_STEPS", 10 * 31)
+    # both sides of one, and a chunk of several blocks and a remainder. Its
+    # horizons lie on both sides of the flat-search switch; the uniform
+    # filler runs in passes of three Philox blocks
+    monkeypatch.setattr(engine, "PHILOX_PASS_BLOCKS", 3)
     gamma = specs.GammaWeight(2.5, 1.0, 0.1)
     normal = specs.NormalBase(0.5, 2.0)
     for spec in (uniform_polya_spec,
@@ -113,8 +150,11 @@ def test_chunking_does_not_change_ensemble(rru_two_point_spec, uniform_polya_spe
                  specs.GaussianLastTickSpec(),
                  specs.GaussianLastTickSpec(n_coords=3, mu1=(0.0, 1.0, -1.0),
                                             sigma2_1=(1.0, 2.0, 0.5), t0=0.25)):
-        base = run_ensemble(spec, 54, 30, 5, chunk_paths=1)
-        for chunk in (7, 9, 11, 54):
-            other = run_ensemble(spec, 54, 30, 5, chunk_paths=chunk)
-            for key in base.arrays:
-                assert np.array_equal(base.arrays[key], other.arrays[key]), (spec, key, chunk)
+        for horizon in (3, 30, processes.GENEALOGY_FLAT_SEARCH_BELOW + 8):
+            monkeypatch.setattr(processes, "GENEALOGY_BLOCK_STEPS", 10 * (horizon + 1))
+            base = run_ensemble(spec, 54, horizon, 5, chunk_paths=1)
+            for chunk in (7, 9, 11, 54):
+                other = run_ensemble(spec, 54, horizon, 5, chunk_paths=chunk)
+                for key in base.arrays:
+                    assert np.array_equal(base.arrays[key], other.arrays[key]), (
+                        spec, key, chunk, horizon)

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from pcid import specs, verifiers
 from pcid.verifiers import (
@@ -21,6 +24,56 @@ def test_energy_test_level_and_power():
     c = rng.normal(loc=0.4, size=(400, 3))
     _, p_alt = energy_permutation_test(a, c, np.random.default_rng(1))
     assert p_alt == pytest.approx(1.0 / 200.0)
+
+
+def _dense_energy_test(a, b, rng, n_permutations):
+    """The energy permutation test from its definition: the full distance
+    matrix, and each labelling's statistic from the means of its blocks."""
+    n, m = len(a), len(b)
+    big = np.vstack([a, b])
+    dist = cdist(big, big)
+    labellings = [np.arange(n + m) < n]
+    for _ in range(n_permutations):
+        in_a = np.zeros(n + m, dtype=bool)
+        in_a[rng.permutation(n + m)[:n]] = True
+        labellings.append(in_a)
+    stats = np.array([n * m / (n + m) * (2.0 * dist[x][:, ~x].mean() - dist[x][:, x].mean()
+                                         - dist[~x][:, ~x].mean()) for x in labellings])
+    return stats[0], (1 + np.sum(stats[1:] >= stats[0])) / (1 + n_permutations)
+
+
+@pytest.mark.parametrize("n,m,d", [(23, 38, 1), (40, 40, 3), (31, 17, 2)])
+def test_energy_test_matches_dense_definition(monkeypatch, n, m, d):
+    # row blocks of 7 rows, whose count does not divide N, of the two-row
+    # minimum, and one block for the whole matrix
+    rng = np.random.default_rng(n + m + d)
+    a = rng.normal(size=(n, d))
+    b = rng.normal(loc=0.3, scale=1.2, size=(m, d))
+    want = _dense_energy_test(a, b, np.random.default_rng(9), 99)
+    for block_bytes in (7 * 8 * (n + m), 1, 1 << 30):
+        monkeypatch.setattr(verifiers, "ENERGY_BLOCK_BYTES", block_bytes)
+        stat, p = energy_permutation_test(a, b, np.random.default_rng(9), 99)
+        assert stat == pytest.approx(want[0], rel=1e-12)
+        assert p == want[1]
+
+
+def test_energy_test_memory_grows_with_block_not_n_squared(monkeypatch):
+    # the traced peak is the N x (B+1) labels and their products with the
+    # distances, plus a few row blocks; the N x N matrix would be 69 MiB
+    rng = np.random.default_rng(2)
+    n_perm, block = 199, 1 << 20
+    monkeypatch.setattr(verifiers, "ENERGY_BLOCK_BYTES", block)
+    for n in (1500, 3000):
+        a, b = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+        tracemalloc.start()
+        try:
+            energy_permutation_test(a, b, np.random.default_rng(1), n_perm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        label_bytes = 8 * 2 * n * (n_perm + 1)
+        assert peak <= 2 * label_bytes + 3 * block + 64 * 2 * n, n
+        assert peak < 8 * (2 * n) ** 2 / 4, n
 
 
 def test_energy_test_validates_shapes():
