@@ -20,6 +20,7 @@ of coordinate i.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -105,11 +106,13 @@ _LO32 = _U64(0xFFFFFFFF)
 # longer ones by re-keying one generator per stream: the crossover measured
 # in BENCH_short_rows.json.
 PHILOX_VECTOR_MAX_ROW = 96
-# Philox blocks (4 uniforms each) per pass of `_philox_uniforms`, whose
-# PHILOX_PASS_WORDS uint64 arrays of this length take 1.4 MiB whatever the
-# chunk size.
+# Philox blocks (4 uniforms each) per pass of `_philox_uniforms`: its
+# buffers take at most 1.4 MiB whatever the chunk size.
 PHILOX_PASS_BLOCKS = 1 << 14
-PHILOX_PASS_WORDS = 11
+# uint64 words `_philox_uniforms` holds per block of a pass: the counter
+# and the next round's words, four each, and `_mulhilo`'s three scratch
+# words
+PHILOX_PASS_WORDS = 4 + 4 + 3
 
 
 def _mulhilo(a: np.ndarray, m: int, hi: np.ndarray, lo: np.ndarray,
@@ -134,6 +137,16 @@ def _mulhilo(a: np.ndarray, m: int, hi: np.ndarray, lo: np.ndarray,
     np.add(hi, t1, out=hi)                      # a_hi m_hi + (u >> 32) + (v >> 32)
 
 
+def _philox_pass_rows(n_paths: int, n_blocks: int) -> int:
+    return max(1, min(n_paths, PHILOX_PASS_BLOCKS // n_blocks))
+
+
+def _philox_pass_bytes(n_paths: int, n: int) -> int:
+    """Bytes of `_philox_uniforms`'s buffers for P = n_paths rows of n."""
+    n_blocks = -(-n // 4)
+    return 8 * PHILOX_PASS_WORDS * _philox_pass_rows(n_paths, n_blocks) * n_blocks
+
+
 def _philox_uniforms(master_seed: int, path_lo: int, substream: int,
                      out: np.ndarray) -> None:
     """Fill `out` (P, n) with the first n uniforms of the streams
@@ -146,14 +159,12 @@ def _philox_uniforms(master_seed: int, path_lo: int, substream: int,
     go in passes of at most PHILOX_PASS_BLOCKS blocks."""
     n_paths, n = out.shape
     n_blocks = -(-n // 4)
-    rows = max(1, min(n_paths, PHILOX_PASS_BLOCKS // n_blocks))
-    size = 4 * rows * n_blocks
-    ctr, nxt = np.empty(size, _U64), np.empty(size, _U64)
-    t1, t2, t3 = (np.empty((rows, n_blocks), _U64) for _ in range(3))
+    rows = _philox_pass_rows(n_paths, n_blocks)
+    buf = np.empty((PHILOX_PASS_WORDS, rows, n_blocks), _U64)
+    ctr, nxt, (t1, t2, t3) = buf[:4], buf[4:8], buf[8:]
     for lo in range(0, n_paths, rows):
         r = min(rows, n_paths - lo)
-        c = ctr.reshape(4, rows, n_blocks)[:, :r]
-        d = nxt.reshape(4, rows, n_blocks)[:, :r]
+        c, d = ctr[:, :r], nxt[:, :r]
         c[0] = np.arange(1, n_blocks + 1, dtype=_U64)
         c[1:] = 0
         key0 = np.arange(path_lo + lo, path_lo + lo + r, dtype=_U64)[:, None]
@@ -175,7 +186,7 @@ def _philox_uniforms(master_seed: int, path_lo: int, substream: int,
             c, d = d, c
         # ten rounds swap the buffers back: c is a view of ctr again, and
         # nxt takes the blocks' words in stream order
-        words = nxt[:4 * r * n_blocks].reshape(r, 4 * n_blocks)
+        words = nxt.reshape(-1)[:4 * r * n_blocks].reshape(r, 4 * n_blocks)
         np.copyto(words.reshape(r, n_blocks, 4), c.transpose(1, 2, 0))
         words = words[:, :n]
         words >>= _U64(11)
@@ -373,17 +384,22 @@ def _series_bytes_per_path(spec, horizon: int, record: frozenset) -> int:
     return per + 8 * (3 * k + 1)
 
 
-def _worker_bytes(spec, horizon: int) -> int:
-    """Bytes a worker holds whatever its chunk's size: for reinforced kinds
-    the uniform filler's pass buffers and, under common and i.i.d. weights,
-    the genealogy kernel's row-block buffers."""
+def _worker_bytes(spec, horizon: int, n_paths: int) -> int:
+    """Bytes a worker's buffers take besides the per-path estimate, for a
+    chunk of n_paths paths: for reinforced kinds the uniform filler's pass
+    buffers and, under common and i.i.d. weights, the genealogy kernel's
+    row-block buffers. Both are bounded by their blocks, so they grow with
+    n_paths only up to a fixed size."""
     rspec = reinforced_view(spec)
     if rspec is None:
         return 0
-    fixed = 8 * PHILOX_PASS_WORDS * PHILOX_PASS_BLOCKS
+    wshape = processes.reinforced_weight_shape(rspec, horizon)
+    rows = [horizon] + ([math.prod(wshape)] if wshape else [])
+    held = max([_philox_pass_bytes(n_paths, n) for n in rows if n <= PHILOX_VECTOR_MAX_ROW],
+               default=0)
     if isinstance(rspec.coupling, (CommonWeight, IidWeights)):
-        fixed += processes.genealogy_block_bytes(rspec, horizon)
-    return fixed
+        held += processes.genealogy_block_bytes(rspec, horizon, n_paths)
+    return held
 
 
 def _chunk_bounds(spec, n_paths: int, horizon: int, record: frozenset,
@@ -391,11 +407,21 @@ def _chunk_bounds(spec, n_paths: int, horizon: int, record: frozenset,
     """Balanced path ranges [lo, hi) covering [0, n_paths) in order: a
     multiple of `n_workers` of them (one per path when there are fewer
     paths), their sizes differing by at most one, and `n_workers` chunks
-    together, with each worker's fixed buffers, within CHUNK_BUDGET_BYTES
-    unless a chunk is a single path."""
+    together, with each worker's buffers, within CHUNK_BUDGET_BYTES unless
+    a chunk is a single path."""
     per = _series_bytes_per_path(spec, horizon, record)
-    spare = CHUNK_BUDGET_BYTES - n_workers * _worker_bytes(spec, horizon)
-    max_paths = max(1, spare // (n_workers * per))
+
+    def fits(p: int) -> bool:
+        return n_workers * (p * per + _worker_bytes(spec, horizon, p)) <= CHUNK_BUDGET_BYTES
+
+    # the largest chunk that fits (the bytes grow with the chunk), or one path
+    max_paths, hi = 1, max(1, n_paths)
+    while max_paths < hi:
+        mid = (max_paths + hi + 1) // 2
+        if fits(mid):
+            max_paths = mid
+        else:
+            hi = mid - 1
     n_chunks = -(-n_paths // max_paths)
     n_chunks = min(-(-n_chunks // n_workers) * n_workers, n_paths)
     return [(n_paths * j // n_chunks, n_paths * (j + 1) // n_chunks) for j in range(n_chunks)]

@@ -285,14 +285,13 @@ def state_space_cid_step(state: StateSpaceCidState, n: int, spec: StateSpaceCidS
 
 def _row_first_greater(C: np.ndarray, n: int, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Per row r: smallest k < n with C[r, k] > q[r] (n if none). C rows must
-    be nondecreasing over their first n entries."""
+    be nondecreasing over their first n entries and have more than n."""
     lo = np.zeros(len(q), dtype=np.int64)
     hi = np.full(len(q), n, dtype=np.int64)
     active = lo < hi
     while active.any():
         mid = (lo + hi) >> 1
-        # a settled query can have mid = n, past the end of a row of n
-        greater = C[rows, np.minimum(mid, n - 1)] > q
+        greater = C[rows, mid] > q
         hi = np.where(active & greater, mid, hi)
         lo = np.where(active & ~greater, mid + 1, lo)
         active = lo < hi
@@ -331,19 +330,6 @@ GENEALOGY_BLOCK_STEPS = 1 << 17
 # bisection (`_row_first_greater`), at and above it by one `np.searchsorted`
 # per path row: the crossover measured in BENCH_short_rows.json.
 GENEALOGY_FLAT_SEARCH_BELOW = 32
-
-
-def genealogy_block_bytes(rspec, horizon: int) -> int:
-    """Upper estimate of the bytes `_genealogy_chunk` holds for one row
-    block, besides its inputs and outputs: a block of b paths peaks at under
-    20 (b, H+1) float arrays, plus under two (b, H, K) ones per coordinate
-    under i.i.d. weights (traced with tracemalloc for K up to 10). A fixed
-    cost per worker: blocks span at most GENEALOGY_BLOCK_STEPS path-steps
-    (or one path row)."""
-    n_buffers = 20
-    if isinstance(rspec.coupling, IidWeights):
-        n_buffers += 2 * rspec.n_coords
-    return 8 * n_buffers * max(1, GENEALOGY_BLOCK_STEPS // (horizon + 1)) * (horizon + 1)
 
 
 def base_moments(rspec) -> tuple[np.ndarray, np.ndarray]:
@@ -402,8 +388,10 @@ def _genealogy_values(base, w0: float, u: np.ndarray, w: np.ndarray,
     cumw = np.cumsum(w, axis=1)
     q = s - w0
     if horizon < GENEALOGY_FLAT_SEARCH_BELOW:
-        # one bisection over every (row, step) query at once
-        atom = _row_first_greater(cumw, horizon, q.ravel(),
+        # one bisection over every (row, step) query at once, over the
+        # first H - 1 cumulative weights: the cap below takes every atom
+        # to at most H - 2
+        atom = _row_first_greater(cumw, horizon - 1, q.ravel(),
                                   np.repeat(np.arange(b), horizon)).reshape(b, horizon)
     else:
         atom = np.empty((b, horizon), dtype=np.int64)
@@ -414,6 +402,23 @@ def _genealogy_values(base, w0: float, u: np.ndarray, w: np.ndarray,
     parent = (np.where(from_base, steps, np.minimum(atom, steps - 1))
               + horizon * np.arange(b)[:, None])
     return base_vals.ravel()[_forest_roots(parent.ravel())].reshape(b, horizon)
+
+
+def _genealogy_block_rows(horizon: int) -> int:
+    return max(1, GENEALOGY_BLOCK_STEPS // (horizon + 1))
+
+
+def genealogy_block_bytes(rspec, horizon: int, n_paths: int) -> int:
+    """Upper estimate of the bytes `_genealogy_chunk` holds for one row
+    block of a chunk of n_paths paths, besides its inputs and outputs. A
+    block of b rows peaks at under 20 (b, H+1) float arrays, plus under two
+    (b, H, K) ones per coordinate under i.i.d. weights (traced with
+    tracemalloc for K up to 10); b is at most n_paths and at most the
+    block's rows."""
+    n_buffers = 20
+    if isinstance(rspec.coupling, IidWeights):
+        n_buffers += 2 * rspec.n_coords
+    return 8 * n_buffers * min(n_paths, _genealogy_block_rows(horizon)) * (horizon + 1)
 
 
 def _genealogy_chunk(rspec, horizon: int, coord_u: np.ndarray, weight_u,
@@ -441,7 +446,7 @@ def _genealogy_chunk(rspec, horizon: int, coord_u: np.ndarray, weight_u,
     out.update({name: np.empty((n_paths, length, k))
                 for name, length in lengths.items() if name in record})
 
-    block = max(1, GENEALOGY_BLOCK_STEPS // (horizon + 1))
+    block = _genealogy_block_rows(horizon)
     for lo in range(0, n_paths, block):
         blk = slice(lo, min(lo + block, n_paths))
         b = blk.stop - lo

@@ -76,7 +76,7 @@ def _assert_chunk_peak_within_estimate(spec, horizon, n_paths=512):
         finally:
             tracemalloc.stop()
         allowed = (engine._series_bytes_per_path(spec, horizon, record) * n_paths
-                   + engine._worker_bytes(spec, horizon))
+                   + engine._worker_bytes(spec, horizon, n_paths))
         assert peak <= allowed, (record, peak, allowed)
 
 
@@ -115,13 +115,16 @@ def test_chunk_peak_within_estimate(monkeypatch, kind, horizon, blocks):
 
 @pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
 def test_chunk_bounds_balanced_within_budget(monkeypatch, rru_two_point_spec, n_workers):
+    # budgets from under one path to far over the workers' block buffers
     spec, horizon, record = rru_two_point_spec, 30, frozenset({"observations"})
     per = engine._series_bytes_per_path(spec, horizon, record)
-    fixed = engine._worker_bytes(spec, horizon)
-    for budget_paths in (0.5, 1, 2.5, 7, 10 ** 6):
-        # a budget of `budget_paths` paths per worker besides its fixed buffers
-        monkeypatch.setattr(engine, "CHUNK_BUDGET_BYTES",
-                            int(budget_paths * per) + n_workers * fixed)
+
+    def chunk_bytes(p):
+        return p * per + engine._worker_bytes(spec, horizon, p)
+
+    for budget in (per // 2, n_workers * chunk_bytes(1), n_workers * chunk_bytes(2) + per // 2,
+                   n_workers * chunk_bytes(7), engine.CHUNK_BUDGET_BYTES, 10 ** 12):
+        monkeypatch.setattr(engine, "CHUNK_BUDGET_BYTES", budget)
         for n_paths in (1, 2, 3, 7, 40, 1001):
             bounds = engine._chunk_bounds(spec, n_paths, horizon, record, n_workers)
             assert bounds[0][0] == 0 and bounds[-1][1] == n_paths
@@ -130,7 +133,22 @@ def test_chunk_bounds_balanced_within_budget(monkeypatch, rru_two_point_spec, n_
             assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
             assert len(bounds) % n_workers == 0 or len(bounds) == n_paths
             if max(sizes) > 1:
-                assert n_workers * (max(sizes) * per + fixed) <= engine.CHUNK_BUDGET_BYTES
+                assert n_workers * chunk_bytes(max(sizes)) <= budget
+
+
+@pytest.mark.parametrize("kind", ["polya", "reinforced", "iid_k10"])
+def test_chunk_bounds_many_workers_keep_many_paths(kind):
+    # the block buffers are charged only for the rows a chunk fills, so
+    # eight workers at the real budget still get chunks of many paths, also
+    # under i.i.d. weights over ten coordinates
+    if kind == "iid_k10":
+        spec = specs.ReinforcedSpec(10, (1.0,) * 10, (specs.UniformBase(),) * 10,
+                                    specs.IidWeights(specs.GammaWeight(2.5, 1.0, 0.1)))
+    else:
+        spec = specs.spec_from_dict({"kind": kind})
+    for horizon in (3, 20, 1000):
+        bounds = engine._chunk_bounds(spec, 10 ** 5, horizon, engine.default_record(spec), 8)
+        assert min(hi - lo for lo, hi in bounds) > 10, horizon
 
 
 def test_run_rejects_invalid_spec():

@@ -412,7 +412,9 @@ def test_scalar_matches_vectorized_gaussian():
 
 def test_flat_search_matches_searchsorted():
     # zero weights make ties in the cumulative weights; queries sit below
-    # the first entry, on entries, between them and above the last
+    # the first entry, on entries, between them and above the last. The
+    # search covers the first n entries of each row, as the genealogy kernel
+    # searches the first H - 1
     rng = np.random.default_rng(11)
     b, horizon = 40, 9
     w = rng.choice([0.0, 0.5, 1.0, 2.0], size=(b, horizon))
@@ -421,10 +423,11 @@ def test_flat_search_matches_searchsorted():
     q = np.concatenate([cumw[:, :3], cumw[:, :2] + 0.25, cumw[:, -1:] + 1.0,
                         np.full((b, 1), -1.0), np.zeros((b, 1)), -cumw[:, -1:]],
                        axis=1)
-    want = np.array([np.searchsorted(cumw[r], q[r], side="right") for r in range(b)])
-    got = processes._row_first_greater(cumw, horizon, q.ravel(),
-                                       np.repeat(np.arange(b), q.shape[1]))
-    assert np.array_equal(got.reshape(q.shape), want)
+    for n in (1, 4, horizon - 1):
+        want = np.array([np.searchsorted(cumw[r, :n], q[r], side="right") for r in range(b)])
+        got = processes._row_first_greater(cumw, n, q.ravel(),
+                                           np.repeat(np.arange(b), q.shape[1]))
+        assert np.array_equal(got.reshape(q.shape), want), n
 
 
 def test_genealogy_values_search_switch(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,26 @@ def test_rekey_filler_matches_derive_stream(monkeypatch):
                     assert np.array_equal(draws["coord_u"][p, :, i], want), (coupling, horizon, i)
 
 
+@pytest.mark.parametrize("n_paths,n", [(1, 1), (7, 5), (3000, 24), (5000, 96)])
+def test_philox_pass_bytes_are_the_filler_buffers(n_paths, n):
+    # the chunk plan charges `_philox_pass_bytes` for the filler's scratch:
+    # the traced peak besides the output is that buffer, a row of keys and
+    # numpy's casting buffer (8192 elements) for the uint64 -> float product
+    out = np.empty((n_paths, n))
+    tracemalloc.start()
+    try:
+        engine._philox_uniforms(3, 0, 1, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    charged = engine._philox_pass_bytes(n_paths, n)
+    assert charged <= peak <= charged + 8 * (n_paths + n + 8192) + 4096, (peak, charged)
+    # and a worker filling rows of n is charged for it: a kind whose kernel
+    # steps, and whose weights draw no uniforms, is charged for nothing else
+    spec = specs.spec_from_dict({"kind": "uniform_coupled"})
+    assert engine._worker_bytes(spec, n, n_paths) == charged
+
+
 def test_thread_count_does_not_change_ensemble(uniform_polya_spec, monkeypatch):
     spec = specs.UniformCoupledSpec()
     base = run_ensemble(spec, 64, 20, 42, threads=1)
@@ -118,7 +140,7 @@ def test_thread_count_does_not_change_ensemble(uniform_polya_spec, monkeypatch):
         per = engine._series_bytes_per_path(spec, 20, engine.default_record(spec))
         for threads in (1, 2, 3):
             monkeypatch.setattr(engine, "CHUNK_BUDGET_BYTES",
-                                7 * per + threads * engine._worker_bytes(spec, 20))
+                                7 * per + threads * engine._worker_bytes(spec, 20, 7))
             assert len(engine._chunk_bounds(spec, 40, 20, engine.default_record(spec),
                                             threads)) >= 2 * threads
             other = run_ensemble(spec, 40, 20, 42, threads=threads)
