@@ -13,9 +13,12 @@ flight (draws, recorded series and kernel buffers) stays near that one
 budget whatever `threads` is; a reducer that keeps every path's series,
 as `run_ensemble` does, holds the whole ensemble besides.
 
-Substream convention per path: substream 0 carries shared randomness
-(reinforcement weights, arrival times), substream 1 + i carries the draws
-of coordinate i.
+The kind table `_KINDS` holds, per kernel family, its kernel, its random
+inputs (substream, row shape and law), the series it records and the
+values it holds besides; the draws, the kernel call and the chunk's byte
+estimate all read it. Its substream convention per path: substream 0
+carries shared randomness (reinforcement weights, arrival times),
+substream 1 + i carries the draws of coordinate i.
 """
 
 from __future__ import annotations
@@ -28,15 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import processes
-from .specs import (
-    Ar1DriftSpec,
-    CommonWeight,
-    GaussianLastTickSpec,
-    IidWeights,
-    SpecValidationError,
-    StateSpaceCidSpec,
-    reinforced_view,
-)
+from .specs import SpecValidationError, reinforced_view
 
 _SUB_BITS = 16
 _PATH_BITS = 48
@@ -235,13 +230,8 @@ class Ensemble:
     """Recorded output of `run_ensemble`: per-path series plus cheap per-path
     terminal summaries (always present where the kind defines them).
 
-    Series shapes, with P paths, H steps and K coordinates:
-
-    * observations, weights: (P, H, K);
-    * predictive_mean, predictive_var: (P, H+1, K), the prior first;
-    * arrivals: (P, H+1) arrival times;
-    * lambdas: (P, H) interpolation fractions t_n / T_{n+1};
-    * theta: (P, H) latent level of the state-space model.
+    Each series of `processes.SERIES`, and gamma_hat, has an accessor of
+    that name; one that was not recorded raises MissingSeriesError.
     """
 
     spec: object
@@ -256,38 +246,6 @@ class Ensemble:
             raise MissingSeriesError(
                 f"series {name!r} was not recorded; recorded: {sorted(self.arrays)}")
         return self.arrays[name]
-
-    @property
-    def observations(self) -> np.ndarray:
-        return self._series("observations")
-
-    @property
-    def predictive_mean(self) -> np.ndarray:
-        return self._series("predictive_mean")
-
-    @property
-    def predictive_var(self) -> np.ndarray:
-        return self._series("predictive_var")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._series("weights")
-
-    @property
-    def arrivals(self) -> np.ndarray:
-        return self._series("arrivals")
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        return self._series("lambdas")
-
-    @property
-    def gamma_hat(self) -> np.ndarray:
-        return self._series("gamma_hat")
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self._series("theta")
 
     @property
     def n_coords(self) -> int:
@@ -344,61 +302,120 @@ class Ensemble:
             self.arrays["weighted_power_sums"][path, coord].tolist())
 
 
+for _name in (*processes.SERIES, "gamma_hat"):
+    setattr(Ensemble, _name, property(lambda self, name=_name: self._series(name)))
+
+
+# ---------------------------------------------------------------------------
+# The kind table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Kind:
+    """What the engine knows of one kernel family."""
+
+    kernel: str        # its `processes` chunk function, by name: looked up when called
+    # its random inputs in the kernel's argument order: (name, substream or
+    # None for one per coordinate, one stream's row shape for (spec, H) or
+    # None for no draws, the Generator method that draws the row)
+    inputs: tuple
+    series: frozenset  # what it can record, all by default
+    held: object       # (H, K) -> values per path held besides draws and series
+    views: frozenset = frozenset()  # recorded series that are buffers in `held`
+    blocks: object = None           # (spec, H, P) -> bytes of its row blocks, if any
+
+
+_PREDICTIVE = frozenset({"observations", "predictive_mean", "predictive_var"})
+
+_KINDS = {
+    # every kind that `reinforced_view` reads as a reinforced system
+    "reinforced": _Kind(
+        "simulate_reinforced_chunk",
+        (("coord_u", None, lambda spec, h: (h,), "random"),
+         ("weight_u", 0, lambda spec, h: processes.reinforced_weight_shape(
+             reinforced_view(spec), h), "random")),
+        _PREDICTIVE | {"weights"},
+        # the stepping kernel's observations and cumulative weights, and
+        # at most 20 (P,) arrays per coordinate besides: its state, the
+        # terminal summaries and each step's temporaries (traced: under 16)
+        held=lambda h, k: 2 * h * k + 20 * k,
+        views=frozenset({"observations"}),
+        blocks=processes.genealogy_block_bytes),
+    "gaussian_last_tick": _Kind(
+        "simulate_gaussian_chunk",
+        (("exp_draws", 0, lambda spec, h: (h + 1,), "standard_exponential"),
+         ("z", None, lambda spec, h: (h,), "standard_normal")),
+        _PREDICTIVE | {"arrivals", "lambdas"},
+        # the gaps (the lambdas are a view of them) and the arrivals, H + 1
+        # each; mu, sigma^2 and the step's draws, K each; two step buffers;
+        # gamma_hat and the terminal copies of mu and sigma^2
+        held=lambda h, k: 2 * (h + 1) + 5 * k + 3,
+        views=frozenset({"arrivals", "lambdas"})),
+    "state_space_cid": _Kind(
+        "simulate_state_space_chunk",
+        (("z", 1, lambda spec, h: (h, 2), "standard_normal"),),
+        _PREDICTIVE | {"theta"},
+        # the level, the filter's mean and variance and each step's
+        # temporaries (traced: under 9)
+        held=lambda h, k: 12),
+    "ar1_drift": _Kind(
+        "simulate_ar1_chunk",
+        (("z", 1, lambda spec, h: (h,), "standard_normal"),),
+        _PREDICTIVE,
+        # the state and each step's temporaries (traced: under 5)
+        held=lambda h, k: 6),
+}
+
+
+def _kind(spec) -> _Kind:
+    kind = _KINDS.get("reinforced" if reinforced_view(spec) is not None else spec.kind)
+    if kind is None:
+        raise SpecValidationError("spec.kind", f"no simulator for spec kind {spec.kind!r}")
+    return kind
+
+
 def default_record(spec) -> frozenset:
-    if reinforced_view(spec) is not None:
-        return frozenset({"observations", "predictive_mean", "predictive_var", "weights"})
-    if isinstance(spec, GaussianLastTickSpec):
-        return frozenset({"observations", "predictive_mean", "predictive_var",
-                          "arrivals", "lambdas"})
-    if isinstance(spec, StateSpaceCidSpec):
-        return frozenset({"observations", "predictive_mean", "predictive_var", "theta"})
-    return frozenset({"observations", "predictive_mean", "predictive_var"})
+    return _kind(spec).series
+
+
+def check_record(spec, record) -> None:
+    """Raise SpecValidationError on field `record` unless every name in
+    `record` is a series the spec's kind records."""
+    series = _kind(spec).series
+    bad = [name for name in record if not isinstance(name, str) or name not in series]
+    if bad:
+        raise SpecValidationError("record", f"spec kind {spec.kind!r} records no {bad}; "
+                                            f"it records {sorted(series)}")
 
 
 def _series_bytes_per_path(spec, horizon: int, record: frozenset) -> int:
-    """Bytes one path holds while its chunk runs: draws, recorded series,
-    kernel buffers and terminal summaries (an upper estimate)."""
-    k = spec.n_coords
-    per = 0
-    for name in record:
-        if name in ("observations", "weights"):
-            per += 8 * horizon * k
-        elif name in ("predictive_mean", "predictive_var"):
-            per += 8 * (horizon + 1) * k
-        elif name in ("arrivals", "lambdas", "theta"):
-            per += 8 * (horizon + 1)
-    if isinstance(spec, GaussianLastTickSpec):
-        # draws: H+1 arrival gaps and H normals per coordinate; the kernel's
-        # gaps (overwritten by the lambdas) and arrivals, unless recorded;
-        # its step buffers and terminal copies, 2K + 2 besides the summaries
-        per += 8 * ((horizon + 1) * (3 - len(record & {"arrivals", "lambdas"}))
-                    + horizon * k + 2 * k + 2)
-    else:
-        # working buffers: random inputs + (for reinforced kinds)
-        # cumulative weights; each step's temporaries, at most 12 (P,)
-        # arrays per coordinate
-        per += 8 * (horizon + 1) * k * 2 + 8 * 12 * k
-        if reinforced_view(spec) is not None:
-            per += 8 * horizon * k * (2 if "observations" not in record else 1)
-    # terminal summaries: at most three per coordinate and one per path
-    return per + 8 * (3 * k + 1)
+    """Bytes one path holds while its chunk runs (an upper estimate): its
+    draws, its recorded series and what its kernel holds besides, all by
+    the kind table."""
+    kind, k = _kind(spec), spec.n_coords
+    values = kind.held(horizon, k)
+    for _, sub, row, _ in kind.inputs:
+        shape = row(spec, horizon)
+        if shape is not None:
+            values += math.prod(shape) * (k if sub is None else 1)
+    for name in record - kind.views:
+        values += math.prod(processes.series_shape(name, 1, horizon, k))
+    return 8 * values
 
 
 def _worker_bytes(spec, horizon: int, n_paths: int) -> int:
     """Bytes a worker's buffers take besides the per-path estimate, for a
-    chunk of n_paths paths: for reinforced kinds the uniform filler's pass
-    buffers and, under common and i.i.d. weights, the genealogy kernel's
-    row-block buffers. Both are bounded by their blocks, so they grow with
-    n_paths only up to a fixed size."""
-    rspec = reinforced_view(spec)
-    if rspec is None:
-        return 0
-    wshape = processes.reinforced_weight_shape(rspec, horizon)
-    rows = [horizon] + ([math.prod(wshape)] if wshape else [])
+    chunk of n_paths paths: the uniform filler's pass buffers for the
+    longest vectorized row, and the kernel's row blocks, if it has any.
+    Both are bounded by their blocks, so they grow with n_paths only up to
+    a fixed size."""
+    kind = _kind(spec)
+    rows = [math.prod(shape) for _, _, row, law in kind.inputs
+            if law == "random" and (shape := row(spec, horizon)) is not None]
     held = max([_philox_pass_bytes(n_paths, n) for n in rows if n <= PHILOX_VECTOR_MAX_ROW],
                default=0)
-    if isinstance(rspec.coupling, (CommonWeight, IidWeights)):
-        held += processes.genealogy_block_bytes(rspec, horizon, n_paths)
+    if kind.blocks is not None:
+        held += kind.blocks(spec, horizon, n_paths)
     return held
 
 
@@ -428,55 +445,32 @@ def _chunk_bounds(spec, n_paths: int, horizon: int, record: frozenset,
 
 
 def _chunk_draws(spec, horizon: int, master_seed: int, path_lo: int, n_paths: int) -> dict:
-    """Pre-generate the chunk's random inputs from per-path substreams."""
+    """The chunk's random inputs, laid out by the kind table: row p of an
+    input comes from the stream (master_seed, path_lo + p, substream)."""
     filler = _StreamFiller(master_seed)
-    k = spec.n_coords
-    rspec = reinforced_view(spec)
-    if rspec is not None:
-        coord_u = np.empty((n_paths, horizon, k))
-        for i in range(k):
-            filler.uniforms(path_lo, 1 + i, coord_u[:, :, i])
-        wshape = processes.reinforced_weight_shape(rspec, horizon)
-        weight_u = None
-        if wshape is not None:
-            weight_u = np.empty((n_paths,) + wshape)
-            filler.uniforms(path_lo, 0, weight_u.reshape(n_paths, -1))
-        return {"coord_u": coord_u, "weight_u": weight_u}
-    if isinstance(spec, GaussianLastTickSpec):
-        # each stream fills its own contiguous row in place; the kernel gets
-        # z as a (P, H, K) view of the (P, K, H) rows
-        exp_draws = np.empty((n_paths, horizon + 1))
-        z = np.empty((n_paths, k, horizon))
-        for p in range(n_paths):
-            filler.rekey(path_lo + p, 0).standard_exponential(horizon + 1, out=exp_draws[p])
-            for i in range(k):
-                filler.rekey(path_lo + p, 1 + i).standard_normal(horizon, out=z[p, i])
-        return {"exp_draws": exp_draws, "z": z.transpose(0, 2, 1)}
-    if isinstance(spec, StateSpaceCidSpec):
-        z = np.empty((n_paths, horizon, 2))
-        for p in range(n_paths):
-            z[p] = filler.rekey(path_lo + p, 1).standard_normal((horizon, 2))
-        return {"z": z}
-    if isinstance(spec, Ar1DriftSpec):
-        z = np.empty((n_paths, horizon))
-        for p in range(n_paths):
-            z[p] = filler.rekey(path_lo + p, 1).standard_normal(horizon)
-        return {"z": z}
-    raise SpecValidationError("spec.kind", f"no simulator for spec kind {spec.kind!r}")
+    draws = {}
+    for name, sub, row, law in _kind(spec).inputs:
+        shape = row(spec, horizon)
+        if shape is None:
+            draws[name] = None
+            continue
+        subs = range(1, spec.n_coords + 1) if sub is None else (sub,)
+        buf = np.empty((n_paths, len(subs)) + shape)
+        for j, stream in enumerate(subs):
+            if law == "random":
+                filler.uniforms(path_lo, stream, buf[:, j].reshape(n_paths, -1))
+            else:
+                for p in range(n_paths):
+                    getattr(filler.rekey(path_lo + p, stream), law)(out=buf[p, j])
+        draws[name] = buf[:, 0] if sub is not None else np.moveaxis(buf, 1, -1)
+    return draws
 
 
 def _run_chunk(spec, horizon: int, master_seed: int, path_lo: int, n_paths: int,
                record: frozenset) -> dict:
     draws = _chunk_draws(spec, horizon, master_seed, path_lo, n_paths)
-    if reinforced_view(spec) is not None:
-        return processes.simulate_reinforced_chunk(
-            spec, horizon, draws["coord_u"], draws["weight_u"], record)
-    if isinstance(spec, GaussianLastTickSpec):
-        return processes.simulate_gaussian_chunk(
-            spec, horizon, draws["exp_draws"], draws["z"], record)
-    if isinstance(spec, StateSpaceCidSpec):
-        return processes.simulate_state_space_chunk(spec, horizon, draws["z"], record)
-    return processes.simulate_ar1_chunk(spec, horizon, draws["z"], record)
+    kernel = getattr(processes, _kind(spec).kernel)
+    return kernel(spec, horizon, *draws.values(), record)
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -491,8 +485,10 @@ def _resolve_threads(threads: int | None) -> int:
 
 
 def _validate_run_args(spec, n_paths: int, horizon: int, master_seed: int,
-                       chunk_paths: int | None = None) -> None:
+                       record=None, chunk_paths: int | None = None) -> None:
     spec.validate()
+    if record is not None:
+        check_record(spec, record)
     if n_paths < 1:
         raise SpecValidationError("n_paths", f"must be >= 1, got {n_paths}")
     if horizon < 1:
@@ -516,7 +512,7 @@ def map_path_chunks(spec, n_paths: int, horizon: int, master_seed: int, reducer,
     CHUNK_BUDGET_BYTES regardless of n_paths and `threads`; `chunk_paths`
     sets a fixed chunk size instead.
     """
-    _validate_run_args(spec, n_paths, horizon, master_seed, chunk_paths)
+    _validate_run_args(spec, n_paths, horizon, master_seed, record, chunk_paths)
     record = frozenset(record) if record is not None else default_record(spec)
     threads = _resolve_threads(threads)
     if chunk_paths is None:

@@ -298,16 +298,33 @@ def _row_first_greater(C: np.ndarray, n: int, q: np.ndarray, rows: np.ndarray) -
     return lo
 
 
-def _predictive_buffers(record, n_paths: int, horizon: int, k: int,
-                        prior_mean, prior_var) -> dict:
-    """Zeroed (P, H+1, K) arrays for whichever of predictive_mean and
-    predictive_var `record` asks for, each with its prior at step 0."""
-    bufs = {}
-    for name, prior in (("predictive_mean", prior_mean), ("predictive_var", prior_var)):
-        if name in record:
-            bufs[name] = np.zeros((n_paths, horizon + 1, k))
-            bufs[name][:, 0, :] = prior
-    return bufs
+# The series a kernel can record: name -> (first step, last step - H,
+# whether it has a coordinate axis). One value per path and step (and
+# coordinate); the predictive series start with the prior at step 0.
+SERIES = {
+    "observations": (1, 0, True),
+    "weights": (1, 0, True),            # reinforcement weights W_n
+    "predictive_mean": (0, 0, True),
+    "predictive_var": (0, 0, True),
+    "arrivals": (1, 1, False),          # arrival times T_1 .. T_{H+1}
+    "lambdas": (1, 0, False),           # fractions t_n / T_{n+1}
+    "theta": (1, 0, False),             # the state-space model's latent level
+}
+
+
+def series_shape(name: str, n_paths: int, horizon: int, k: int) -> tuple:
+    first, past, per_coord = SERIES[name]
+    return (n_paths, horizon + past - first + 1) + ((k,) if per_coord else ())
+
+
+def series_buffers(names, n_paths: int, horizon: int, k: int, **priors) -> dict:
+    """Empty arrays for the series `names`, shaped by SERIES, each prior
+    given as a keyword written at step 0; the kernel fills the rest."""
+    out = {name: np.empty(series_shape(name, n_paths, horizon, k)) for name in names}
+    for name, prior in priors.items():
+        if name in out:
+            out[name][:, 0] = prior
+    return out
 
 
 def reinforced_weight_shape(rspec, horizon: int) -> tuple | None:
@@ -408,13 +425,16 @@ def _genealogy_block_rows(horizon: int) -> int:
     return max(1, GENEALOGY_BLOCK_STEPS // (horizon + 1))
 
 
-def genealogy_block_bytes(rspec, horizon: int, n_paths: int) -> int:
+def genealogy_block_bytes(spec, horizon: int, n_paths: int) -> int:
     """Upper estimate of the bytes `_genealogy_chunk` holds for one row
-    block of a chunk of n_paths paths, besides its inputs and outputs. A
-    block of b rows peaks at under 20 (b, H+1) float arrays, plus under two
-    (b, H, K) ones per coordinate under i.i.d. weights (traced with
-    tracemalloc for K up to 10); b is at most n_paths and at most the
-    block's rows."""
+    block of a chunk of n_paths paths of a reinforced kind, besides its
+    inputs and outputs; 0 for couplings that step. A block of b rows peaks
+    at under 20 (b, H+1) float arrays, plus under two (b, H, K) ones per
+    coordinate under i.i.d. weights (traced with tracemalloc for K up to
+    10); b is at most n_paths and at most the block's rows."""
+    rspec = reinforced_view(spec)
+    if not isinstance(rspec.coupling, (CommonWeight, IidWeights)):
+        return 0
     n_buffers = 20
     if isinstance(rspec.coupling, IidWeights):
         n_buffers += 2 * rspec.n_coords
@@ -438,20 +458,16 @@ def _genealogy_chunk(rspec, horizon: int, coord_u: np.ndarray, weight_u,
     w0 = np.asarray(rspec.w0, dtype=float)
     m1, m2 = base_moments(rspec)
     dist = rspec.coupling.dist
-    per_path = (horizon,) if isinstance(rspec.coupling, CommonWeight) else (horizon, k)
-    lengths = {"observations": horizon, "weights": horizon,
-               "predictive_mean": horizon + 1, "predictive_var": horizon + 1}
-    out = {"total_weight": np.empty((n_paths, k)),
-           "weighted_power_sums": np.empty((n_paths, k, 2))}
-    out.update({name: np.empty((n_paths, length, k))
-                for name, length in lengths.items() if name in record})
+    out = series_buffers(record, n_paths, horizon, k)
+    out.update(total_weight=np.empty((n_paths, k)),
+               weighted_power_sums=np.empty((n_paths, k, 2)))
 
     block = _genealogy_block_rows(horizon)
     for lo in range(0, n_paths, block):
         blk = slice(lo, min(lo + block, n_paths))
         b = blk.stop - lo
         w = (dist.from_uniform(weight_u[blk]) if dist.consumes_uniform
-             else np.full((b,) + per_path, dist.value))
+             else np.full((b, horizon), dist.value))
         w = np.broadcast_to(w.reshape(b, horizon, -1), (b, horizon, k))
         if "weights" in out:
             out["weights"][blk] = w
@@ -493,16 +509,16 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
     n_paths = coord_u.shape[0]
     rows = np.arange(n_paths)
 
-    obs = np.zeros((n_paths, horizon, k))
+    base_m1, base_m2 = base_moments(rspec)
+    # the observations are the kernel's own buffer, recorded or not
+    out = series_buffers(record | {"observations"}, n_paths, horizon, k,
+                         predictive_mean=base_m1, predictive_var=base_m2 - base_m1 ** 2)
+    obs = out["observations"]
+    weights_out = out.get("weights")
+    mean_out, var_out = out.get("predictive_mean"), out.get("predictive_var")
     cumw = np.zeros((n_paths, horizon, k))
     tot = np.broadcast_to(w0, (n_paths, k)).copy()
     psums = np.zeros((n_paths, k, 2))
-    base_m1, base_m2 = base_moments(rspec)
-
-    want_weights = "weights" in record
-    weights_out = np.zeros((n_paths, horizon, k)) if want_weights else None
-    pred = _predictive_buffers(record, n_paths, horizon, k, base_m1, base_m2 - base_m1 ** 2)
-    mean_out, var_out = pred.get("predictive_mean"), pred.get("predictive_var")
 
     x_step = np.empty((n_paths, k))
     for n in range(1, horizon + 1):
@@ -528,14 +544,14 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
                 raise ProcessError("degenerate reinforcement: fraction A reached 1")
             w_step = tot * a / (1.0 - a)
 
-        if want_weights:
+        if weights_out is not None:
             weights_out[:, n - 1, :] = w_step
         prev = cumw[:, n - 2, :] if n >= 2 else 0.0
         cumw[:, n - 1, :] = prev + w_step
         tot = tot + w_step
         psums[:, :, 0] += w_step * x_step
         psums[:, :, 1] += w_step * (x_step * x_step)
-        if pred:
+        if mean_out is not None or var_out is not None:
             mu_n, var_n = mixture_mean_var(w0, base_m1, base_m2,
                                            psums[:, :, 0], psums[:, :, 1], tot)
         if mean_out is not None:
@@ -543,12 +559,9 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
         if var_out is not None:
             var_out[:, n, :] = var_n
 
-    out = {"total_weight": tot, "weighted_power_sums": psums}
-    if "observations" in record:
-        out["observations"] = obs
-    if want_weights:
-        out["weights"] = weights_out
-    out.update(pred)
+    if "observations" not in record:
+        del out["observations"]
+    out.update(total_weight=tot, weighted_power_sums=psums)
     return out
 
 
@@ -563,8 +576,9 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
 
     The fractions lambda_n = t_n / T_{n+1} of all steps are computed at
     once, over the kernel's own gaps array, and the recorded lambdas are a
-    view of it; the arrivals are kept only if recorded.
-    `engine._series_bytes_per_path` counts these two (P, H+1) arrays.
+    view of it; the arrivals are kept only if recorded. The engine's kind
+    table counts these two (P, H+1) arrays among the values the kernel
+    holds, and the recorded arrivals and lambdas as views of them.
 
     The state is coordinate-major: mu and sigma^2 are (K, P), and each step
     updates them in place, one loop over the paths per coordinate and
@@ -578,8 +592,10 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
         gaps[:, 0] = spec.t0
     arrivals = np.cumsum(gaps, axis=1)  # T_1 .. T_{H+1}
     lambdas = np.divide(gaps, arrivals, out=gaps)[:, 1:]  # t_n / T_{n+1}, n = 1..H
-    if "arrivals" not in record:
-        arrivals = None
+    # recorded, these two are series; the other series fill step by step
+    out = {name: a for name, a in (("arrivals", arrivals), ("lambdas", lambdas))
+           if name in record}
+    del arrivals
 
     mu = np.repeat(np.asarray(spec.mu1, dtype=float)[:, None], n_paths, axis=1)
     s2 = np.repeat(np.asarray(spec.sigma2_1, dtype=float)[:, None], n_paths, axis=1)
@@ -588,9 +604,10 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
     lam = np.empty(n_paths)
     shrink = np.empty(n_paths)  # 1 - lambda, then 1 - lambda^2
 
-    obs = np.zeros((n_paths, horizon, k)) if "observations" in record else None
-    pred = _predictive_buffers(record, n_paths, horizon, k, spec.mu1, spec.sigma2_1)
-    mean_out, var_out = pred.get("predictive_mean"), pred.get("predictive_var")
+    out.update(series_buffers(record - {"arrivals", "lambdas"}, n_paths, horizon, k,
+                              predictive_mean=spec.mu1, predictive_var=spec.sigma2_1))
+    obs = out.get("observations")
+    mean_out, var_out = out.get("predictive_mean"), out.get("predictive_var")
 
     for n in range(1, horizon + 1):
         np.sqrt(s2, out=x)
@@ -613,15 +630,8 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
             var_out[:, n, :] = s2.T
 
     del x, lam, shrink  # free the step buffers before the terminal copies
-    out = {"gamma_hat": gamma_hat, "terminal_mu": np.ascontiguousarray(mu.T),
-           "terminal_sigma2": np.ascontiguousarray(s2.T)}
-    if obs is not None:
-        out["observations"] = obs
-    if arrivals is not None:
-        out["arrivals"] = arrivals
-    if "lambdas" in record:
-        out["lambdas"] = lambdas
-    out.update(pred)
+    out.update(gamma_hat=gamma_hat, terminal_mu=np.ascontiguousarray(mu.T),
+               terminal_sigma2=np.ascontiguousarray(s2.T))
     return out
 
 
@@ -634,10 +644,10 @@ def simulate_state_space_chunk(spec: StateSpaceCidSpec, horizon: int,
     theta = np.full(n_paths, spec.theta0)
     m = np.full(n_paths, spec.theta0)     # posterior mean of theta_n given X_{1:n}
     p_var = np.zeros(n_paths)             # posterior variance
-    obs = np.zeros((n_paths, horizon, 1)) if "observations" in record else None
-    theta_out = np.zeros((n_paths, horizon)) if "theta" in record else None
-    pred = _predictive_buffers(record, n_paths, horizon, 1, spec.theta0, spec.c)
-    mean_out, var_out = pred.get("predictive_mean"), pred.get("predictive_var")
+    out = series_buffers(record, n_paths, horizon, 1,
+                         predictive_mean=spec.theta0, predictive_var=spec.c)
+    obs, theta_out = out.get("observations"), out.get("theta")
+    mean_out, var_out = out.get("predictive_mean"), out.get("predictive_var")
 
     for n in range(1, horizon + 1):
         b_prev, b_n = spec.b(n - 1), spec.b(n)
@@ -659,12 +669,7 @@ def simulate_state_space_chunk(spec: StateSpaceCidSpec, horizon: int,
             # predictive Var(X_{n+1} | X_{1:n}) = P_n + (b_{n+1}-b_n) + (c-b_{n+1})
             var_out[:, n, 0] = p_var + (spec.c - b_n)
 
-    out = {"terminal_theta": theta}
-    if obs is not None:
-        out["observations"] = obs
-    if theta_out is not None:
-        out["theta"] = theta_out
-    out.update(pred)
+    out["terminal_theta"] = theta
     return out
 
 
@@ -672,9 +677,10 @@ def simulate_ar1_chunk(spec: Ar1DriftSpec, horizon: int, z: np.ndarray,
                        record: frozenset) -> dict:
     """Run a chunk of the AR(1)-with-drift control. z: (P, H) normals."""
     n_paths = z.shape[0]
-    obs = np.zeros((n_paths, horizon, 1)) if "observations" in record else None
-    pred = _predictive_buffers(record, n_paths, horizon, 1, spec.init_mean, spec.init_var)
-    mean_out, var_out = pred.get("predictive_mean"), pred.get("predictive_var")
+    out = series_buffers(record, n_paths, horizon, 1,
+                         predictive_mean=spec.init_mean, predictive_var=spec.init_var)
+    obs = out.get("observations")
+    mean_out, var_out = out.get("predictive_mean"), out.get("predictive_var")
     x = spec.init_mean + math.sqrt(spec.init_var) * z[:, 0]
     for n in range(1, horizon + 1):
         if n > 1:
@@ -685,7 +691,4 @@ def simulate_ar1_chunk(spec: Ar1DriftSpec, horizon: int, z: np.ndarray,
             mean_out[:, n, 0] = spec.drift + spec.phi * x
         if var_out is not None:
             var_out[:, n, 0] = spec.noise_var
-    out = dict(pred)
-    if obs is not None:
-        out["observations"] = obs
     return out

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from . import __version__
-from .engine import run_ensemble
+from .engine import check_record, run_ensemble
+from .processes import SERIES
 from .specs import SpecValidationError, list_spec_kinds, spec_from_dict, SPEC_KINDS
 from .verifiers import VERIFIERS, list_verifier_names
 
@@ -114,6 +115,10 @@ def parse_config(doc: dict, source: str = "<config>") -> ExperimentConfig:
     record = doc.get("record", [])
     if not isinstance(record, list):
         raise ConfigError(f"{source}: record must be a list, got {record!r}")
+    try:
+        check_record(spec, record)
+    except SpecValidationError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
     series_format = doc.get("format", "csv")
     if series_format not in ("csv", "json"):
         raise ConfigError(f"{source}: format must be 'csv' or 'json', got {series_format!r}")
@@ -149,32 +154,22 @@ def resolve_seed(cli_seed: int | None, config_seed: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 def _series_rows(name: str, array):
-    """Yield (path, step, coordinate, value) rows; coordinate -1 marks
-    series without a coordinate axis, predictive series start at step 0
-    (the prior)."""
-    import numpy as np
-    arr = np.asarray(array)
-    per_coord = arr.ndim == 3
-    step0 = 0 if name in ("predictive_mean", "predictive_var") else 1
-    if arr.ndim == 1:
-        for p in range(arr.shape[0]):
-            yield p, 0, -1, arr[p]
-        return
-    for p in range(arr.shape[0]):
-        for s in range(arr.shape[1]):
+    """Yield (path, step, coordinate, value) rows, steps numbered from the
+    series' first step in `SERIES` (0, the prior, for predictive series);
+    coordinate -1 marks series without a coordinate axis."""
+    first, _, per_coord = SERIES[name]
+    for p in range(array.shape[0]):
+        for s in range(array.shape[1]):
             if per_coord:
-                for c in range(arr.shape[2]):
-                    yield p, s + step0, c, arr[p, s, c]
+                for c in range(array.shape[2]):
+                    yield p, s + first, c, array[p, s, c]
             else:
-                yield p, s + step0, -1, arr[p, s]
+                yield p, s + first, -1, array[p, s]
 
 
 def write_series(ens, record: list[str], out_dir: str, series_format: str) -> list[str]:
     written = []
     for name in record:
-        if name not in ens.arrays:
-            raise ConfigError(f"series {name!r} is not produced by spec kind "
-                              f"{ens.spec.kind!r}; available: {sorted(ens.arrays)}")
         rows = _series_rows(name, ens.arrays[name])
         if series_format == "csv":
             path = os.path.join(out_dir, f"series_{name}.csv")

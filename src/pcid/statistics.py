@@ -47,7 +47,7 @@ def scaled_sums(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     S~_{n,i} = sqrt(n) * (Xbar_{n,i} - E[X_{n+1,i} | history to n]).
 
     Verifies the telescoping identity S~ = cumsum(V) / sqrt(n) to relative
-    tolerance 1e-9 and raises StatisticsError on violation.
+    tolerance TELESCOPE_RTOL and raises StatisticsError on violation.
     """
     u = forecast_errors(ens)
     v = martingale_residuals(ens)
@@ -158,9 +158,9 @@ def clt_path_summaries(ens: Ensemble) -> dict:
     s_tilde = (ens.observations.mean(axis=1) - ens.predictive_mean[:, -1, :]) * sqrt_h
     via_v = v.sum(axis=1) / sqrt_h
     err = np.max(np.abs(s_tilde - via_v) / (1.0 + np.abs(s_tilde)))
-    if not err <= 1e-8:
-        raise StatisticsError(
-            f"telescoping identity violated at terminal step: {err:.3e}")
+    if not err <= TELESCOPE_RTOL:   # also catches NaN from corrupt inputs
+        raise StatisticsError(f"telescoping identity violated at the terminal step: "
+                              f"max relative error {err:.3e} > {TELESCOPE_RTOL}")
     out = {"S": s, "S_tilde": s_tilde, "sigma2_alpha": ens.terminal_variance(),
            "mu_alpha": ens.terminal_mean()}
     if "weighted_power_sums" in ens.arrays:

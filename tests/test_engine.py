@@ -54,9 +54,11 @@ def _kind_specs():
 @pytest.mark.parametrize("horizon", [1, 2, 5, 100])
 def test_path_bytes_estimate_covers_a_chunk(spec, horizon):
     # the chunk plan's budget holds only if the estimate covers the draws
-    # and every array a chunk returns
+    # and every array a chunk returns, for every record: the default, none
+    # and each series alone
     n_paths = 3
-    for record in (engine.default_record(spec), frozenset()):
+    singles = [frozenset({name}) for name in sorted(engine.default_record(spec))]
+    for record in [engine.default_record(spec), frozenset()] + singles:
         draws = engine._chunk_draws(spec, horizon, 1, 0, n_paths)
         out = engine._run_chunk(spec, horizon, 1, 0, n_paths, record)
         held = sum(a.nbytes for a in list(draws.values()) + list(out.values())
@@ -149,6 +151,16 @@ def test_chunk_bounds_many_workers_keep_many_paths(kind):
     for horizon in (3, 20, 1000):
         bounds = engine._chunk_bounds(spec, 10 ** 5, horizon, engine.default_record(spec), 8)
         assert min(hi - lo for lo, hi in bounds) > 10, horizon
+
+
+def test_run_rejects_unrecordable_series(uniform_polya_spec):
+    for record in ({"theta"}, {"observations", "total_weight"}, {"nothing"}):
+        with pytest.raises(SpecValidationError) as err:
+            run_ensemble(uniform_polya_spec, 5, 5, 1, record=frozenset(record))
+        assert err.value.field == "record"
+    with pytest.raises(SpecValidationError, match="record"):
+        engine.map_path_chunks(specs.Ar1DriftSpec(), 5, 5, 1, lambda e: {},
+                               record=frozenset({"weights"}))
 
 
 def test_run_rejects_invalid_spec():

@@ -81,22 +81,40 @@ def test_rekey_filler_matches_derive_stream(monkeypatch):
                     for p in range(5):
                         want = derive_stream(seed, 2 ** 40 + p, sub).generator().random(n)
                         assert np.array_equal(out[p], want), (seed, n, sub, p)
-    # the chunk draws of both weight shapes, (H,) and (H, K), with rows on
-    # both sides of the switch: H uniforms per coordinate, H * K for i.i.d.
-    # weights
+    # the chunk draws of every kind, in its kernel's argument order:
+    # (substream, or None for one per coordinate, the Generator method, one
+    # stream's draws). The horizons put the uniform rows of coordinates (H)
+    # and of i.i.d. weights (H * K) on both sides of the switch.
+    seed, path_lo, n_paths = 2 ** 64 - 1, 2 ** 40, 3
     gamma = specs.GammaWeight(2.5, 1.0, 0.1)
     bases = (specs.UniformBase(),) * k
-    for coupling in (specs.CommonWeight(gamma), specs.IidWeights(gamma)):
-        spec = specs.ReinforcedSpec(k, (1.0,) * k, bases, coupling)
-        for horizon in (5, switch // k + 1, switch + 1):
-            draws = engine._chunk_draws(spec, horizon, 2 ** 64 - 1, 2 ** 40, 3)
-            wshape = processes.reinforced_weight_shape(spec, horizon)
-            for p in range(3):
-                want = derive_stream(2 ** 64 - 1, 2 ** 40 + p, 0).generator().random(wshape)
-                assert np.array_equal(draws["weight_u"][p], want), (coupling, horizon)
-                for i in range(k):
-                    want = derive_stream(2 ** 64 - 1, 2 ** 40 + p, 1 + i).generator().random(horizon)
-                    assert np.array_equal(draws["coord_u"][p, :, i], want), (coupling, horizon, i)
+    for horizon in (5, switch // k + 1, switch, switch + 1):
+        coords = ("coord_u", None, "random", horizon)
+        cases = [
+            (specs.ReinforcedSpec(k, (1.0,) * k, bases, specs.CommonWeight(gamma)),
+             [coords, ("weight_u", 0, "random", horizon)]),
+            (specs.ReinforcedSpec(k, (1.0,) * k, bases, specs.IidWeights(gamma)),
+             [coords, ("weight_u", 0, "random", (horizon, k))]),
+            (specs.spec_from_dict({"kind": "polya"}), [coords, ("weight_u", 0, None, None)]),
+            (specs.GaussianLastTickSpec(n_coords=2, mu1=(0.0, 1.0), sigma2_1=(1.0, 2.0)),
+             [("exp_draws", 0, "standard_exponential", horizon + 1),
+              ("z", None, "standard_normal", horizon)]),
+            (specs.StateSpaceCidSpec(), [("z", 1, "standard_normal", (horizon, 2))]),
+            (specs.Ar1DriftSpec(), [("z", 1, "standard_normal", horizon)]),
+        ]
+        for spec, inputs in cases:
+            draws = engine._chunk_draws(spec, horizon, seed, path_lo, n_paths)
+            assert list(draws) == [name for name, *_ in inputs], spec.kind
+            for name, sub, law, size in inputs:
+                if law is None:
+                    assert draws[name] is None
+                    continue
+                for p in range(n_paths):
+                    for i in range(spec.n_coords) if sub is None else [None]:
+                        stream = derive_stream(seed, path_lo + p, 1 + i if sub is None else sub)
+                        want = getattr(stream.generator(), law)(size)
+                        got = draws[name][p] if sub is not None else draws[name][p, ..., i]
+                        assert np.array_equal(got, want), (spec.kind, horizon, name, p, i)
 
 
 @pytest.mark.parametrize("n_paths,n", [(1, 1), (7, 5), (3000, 24), (5000, 96)])

@@ -176,15 +176,34 @@ def test_series_csv_schema(tmp_path):
     pred = read(out / "series_predictive_mean.csv").strip().splitlines()
     assert len(pred) == 1 + 3 * 5 * 2          # prior row at step 0
     assert pred[1].split(",")[1] == "0"
+    # series without a coordinate axis: arrivals T_1..T_{H+1}, lambdas and
+    # the latent level over steps 1..H
+    for kind, name, steps in (("gaussian_last_tick", "arrivals", range(1, 6)),
+                              ("gaussian_last_tick", "lambdas", range(1, 5)),
+                              ("state_space_cid", "theta", range(1, 5))):
+        cfg.write_text(json.dumps({"spec": {"kind": kind}, "n_paths": 3, "horizon": 4,
+                                   "master_seed": 11, "record": [name]}))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        rows = [r.split(",") for r in read(out / f"series_{name}.csv").strip().splitlines()[1:]]
+        assert [(int(r[0]), int(r[1])) for r in rows] == [(p, s) for p in range(3) for s in steps]
+        assert all(r[2] == "-1" and r[3] == name for r in rows)
 
 
 def test_series_reject_unavailable(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "spec": {"kind": "polya", "n_coords": 1},
-        "n_paths": 2, "horizon": 2, "record": ["arrivals"],
-    }))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    # a series of another kind, a terminal summary (not a series) and an
+    # unknown name all exit 2 before the check runs, so nothing is written
+    for i, name in enumerate(("arrivals", "total_weight", "no_such_series")):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({
+            "spec": {"kind": "polya", "n_coords": 1},
+            "n_paths": 20, "horizon": 2, "record": ["observations", name],
+            "tests": [{"name": "check_stopping_time",
+                       "params": {"tau": {"kind": "constant", "n": 1}}}],
+        }))
+        out = tmp_path / f"o{i}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert f"record: spec kind 'polya' records no ['{name}']" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_overrides_sizes(tmp_path):

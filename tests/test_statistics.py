@@ -95,9 +95,10 @@ def test_scaled_sums_reject_corrupt_series(rru_two_point_spec):
     ens = run_ensemble(rru_two_point_spec, 5, 20, 10)
     ens.arrays["observations"] = ens.observations.copy()
     ens.arrays["observations"][2, 7, 0] = np.inf
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(StatisticsError, match="telescoping"):
-            scaled_sums(ens)
+    for check in (scaled_sums, statistics.clt_path_summaries):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(StatisticsError, match="telescoping"):
+                check(ens)
 
 
 def test_iid_sequence_scaled_sum_variance():
