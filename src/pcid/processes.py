@@ -23,10 +23,11 @@ The reinforced kernel works in one of two orders. Under common and i.i.d.
 weights, which ignore the observations, it works in genealogy order: all
 weights first, then every step's source (a base draw, or the earlier atom
 it copies, found by one bisection over all of a block's steps at short
-horizons, by one `np.searchsorted` per path row at long ones), then the
-values down each copy chain, then the power sums and predictive series as
-cumulative sums. Cross-fraction and feedback weights depend on each step's
-draws, so those couplings keep a loop over the steps.
+horizons, at long ones by one `np.searchsorted` per path row over the
+row's queries in sorted order), then the values down each copy chain, then
+the power sums and predictive series as cumulative sums. Cross-fraction and
+feedback weights depend on each step's draws, so those couplings keep a
+loop over the steps.
 
 The Gaussian kernel steps with a coordinate-major state: mu and sigma^2 are
 (K, P), each coordinate's normals are one contiguous row per path, and
@@ -341,11 +342,13 @@ def reinforced_weight_shape(rspec, horizon: int) -> tuple | None:
 
 # Path-steps per row block of the genealogy-order kernel: each of its
 # working buffers holds at most 1 MiB, whatever the chunk size (or one path
-# row, if that is longer).
+# row, if that is longer). `statistics.clt_path_summaries` blocks its rows
+# by the same count of values.
 GENEALOGY_BLOCK_STEPS = 1 << 17
 # Below this horizon the kernel finds every step's atom by one flattened
 # bisection (`_row_first_greater`), at and above it by one `np.searchsorted`
-# per path row: the crossover measured in BENCH_short_rows.json.
+# per path row over that row's queries sorted by `np.argsort`: the crossover
+# measured in BENCH_short_rows.json and again in BENCH_long_rows.json.
 GENEALOGY_FLAT_SEARCH_BELOW = 32
 
 
@@ -411,9 +414,13 @@ def _genealogy_values(base, w0: float, u: np.ndarray, w: np.ndarray,
         atom = _row_first_greater(cumw, horizon - 1, q.ravel(),
                                   np.repeat(np.arange(b), horizon)).reshape(b, horizon)
     else:
+        # one search per row over its queries in ascending order: the index
+        # found for a query does not depend on the order of the keys, and
+        # numpy's search keeps the previous key's bracket when keys ascend
         atom = np.empty((b, horizon), dtype=np.int64)
         for r in range(b):
-            atom[r] = np.searchsorted(cumw[r], q[r], side="right")
+            order = np.argsort(q[r])
+            atom[r, order] = np.searchsorted(cumw[r], q[r, order], side="right")
     steps = np.arange(horizon)
     # parents as flat indices into the block's (b, H) arrays
     parent = (np.where(from_base, steps, np.minimum(atom, steps - 1))

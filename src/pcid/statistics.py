@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import processes
 from .engine import Ensemble
 
 TELESCOPE_RTOL = 1e-9
@@ -50,10 +51,10 @@ def scaled_sums(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     tolerance TELESCOPE_RTOL and raises StatisticsError on violation.
     """
     u = forecast_errors(ens)
-    v = martingale_residuals(ens)
-    sqrt_n = np.sqrt(np.arange(1, ens.horizon + 1, dtype=float))[None, :, None]
-    s = np.cumsum(u, axis=1) / sqrt_n
     n = np.arange(1, ens.horizon + 1, dtype=float)[None, :, None]
+    v = u - n * prediction_increments(ens)      # martingale_residuals, from this u
+    sqrt_n = np.sqrt(n)
+    s = np.cumsum(u, axis=1) / sqrt_n
     xbar = np.cumsum(ens.observations, axis=1) / n
     s_tilde = (xbar - ens.predictive_mean[:, 1:, :]) * sqrt_n
     via_v = np.cumsum(v, axis=1) / sqrt_n
@@ -149,15 +150,35 @@ def clt_path_summaries(ens: Ensemble) -> dict:
     Returns S and S~ at n = horizon, the terminal predictive variance
     (the plug-in for the directing-measure variance), and the terminal raw
     moments where the kind provides them.
+
+    Runs over row blocks of about `processes.GENEALOGY_BLOCK_STEPS`
+    path-steps: each block's forecast errors are formed once, summed into
+    S, then turned into the residuals V = U - n dE in place and summed for
+    the telescoping check. So its temporaries are two block-sized arrays
+    (at most 1 MiB each, or one path row if that is longer) whatever the
+    chunk size. Each block sums its rows in the order the whole chunk
+    would, so the results do not depend on the blocks, bit for bit.
     """
     h = ens.horizon
-    u = forecast_errors(ens)
-    v = martingale_residuals(ens)
+    x, mu = ens.observations, ens.predictive_mean
+    n_paths, _, k = x.shape
+    n = np.arange(1, h + 1, dtype=float)[None, :, None]
     sqrt_h = float(np.sqrt(h))
-    s = u.sum(axis=1) / sqrt_h
-    s_tilde = (ens.observations.mean(axis=1) - ens.predictive_mean[:, -1, :]) * sqrt_h
-    via_v = v.sum(axis=1) / sqrt_h
-    err = np.max(np.abs(s_tilde - via_v) / (1.0 + np.abs(s_tilde)))
+    s, s_tilde = np.empty((n_paths, k)), np.empty((n_paths, k))
+    err = 0.0
+    rows = max(1, processes.GENEALOGY_BLOCK_STEPS // ((h + 1) * k))
+    for lo in range(0, n_paths, rows):
+        blk = slice(lo, lo + rows)
+        v = x[blk] - mu[blk, :-1]
+        s[blk] = v.sum(axis=1) / sqrt_h
+        s_tilde[blk] = (x[blk].mean(axis=1) - mu[blk, -1]) * sqrt_h
+        de = np.subtract(mu[blk, 1:], mu[blk, :-1])
+        de *= n
+        v -= de
+        via_v = v.sum(axis=1) / sqrt_h
+        # np.maximum keeps a NaN from any block
+        err = np.maximum(err, np.max(np.abs(s_tilde[blk] - via_v)
+                                     / (1.0 + np.abs(s_tilde[blk]))))
     if not err <= TELESCOPE_RTOL:   # also catches NaN from corrupt inputs
         raise StatisticsError(f"telescoping identity violated at the terminal step: "
                               f"max relative error {err:.3e} > {TELESCOPE_RTOL}")

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcid import engine, processes, specs
+from pcid import engine, processes, specs, statistics, verifiers
 from pcid.engine import (
     MissingSeriesError,
     recompute_predictive_series,
@@ -113,6 +113,35 @@ def test_chunk_peak_within_estimate(monkeypatch, kind, horizon, blocks):
             spec = specs.ReinforcedSpec(3, (1.0, 2.0, 0.5), (specs.UniformBase(),) * 3,
                                         specs.IidWeights(specs.GammaWeight(2.5, 1.0, 0.1)))
     _assert_chunk_peak_within_estimate(spec, horizon, n_paths)
+
+
+_CLT_SPECS = {
+    "state_space_cid": specs.StateSpaceCidSpec(),
+    "gaussian_last_tick_2": specs.GaussianLastTickSpec(n_coords=2, mu1=(0.0, 0.0),
+                                                       sigma2_1=(1.0, 1.0)),
+    # the README's common-weight CLT example
+    "clt_long": specs.ReinforcedSpec(2, (25.0, 25.0), (specs.UniformBase(),) * 2,
+                                     specs.CommonWeight(specs.TwoPointWeight(1.0, 3.0, 0.5))),
+}
+
+
+@pytest.mark.parametrize("spec", _CLT_SPECS.values(), ids=_CLT_SPECS.keys())
+def test_clt_reducer_peak_within_estimate(spec):
+    # a chunk's outputs stay alive while the CLT reducer runs on them, so
+    # the kernel and then the reducer must both fit the chunk's budget
+    n_paths, horizon = 250, 2000
+    record = verifiers._clt_record(spec)
+    tracemalloc.start()
+    try:
+        arrays = engine._run_chunk(spec, horizon, 1, 0, n_paths, record)
+        statistics.clt_path_summaries(
+            engine.Ensemble(spec, n_paths, horizon, 1, record, arrays))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    allowed = (engine._series_bytes_per_path(spec, horizon, record) * n_paths
+               + engine._worker_bytes(spec, horizon, n_paths))
+    assert peak <= allowed, (peak, allowed)
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 3, 8])

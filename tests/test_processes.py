@@ -430,6 +430,33 @@ def test_flat_search_matches_searchsorted():
         assert np.array_equal(got.reshape(q.shape), want), n
 
 
+def _unsorted_search_values(base, w0, u, w, tot):
+    """Observations of a row block by one np.searchsorted per row over the
+    queries in step order, each step then copying its source's value."""
+    b, horizon = u.shape
+    s = u * tot[:, :-1]
+    cumw = np.cumsum(w, axis=1)
+    x = np.empty((b, horizon))
+    for r in range(b):
+        base_vals = base.ppf(s[r] / w0)
+        atom = np.searchsorted(cumw[r], s[r] - w0, side="right")
+        for n in range(horizon):
+            x[r, n] = base_vals[n] if n == 0 or s[r, n] < w0 else x[r, min(atom[n], n - 1)]
+    return x
+
+
+def _assert_search_switch(monkeypatch, w0, u, w):
+    # the flat bisection below GENEALOGY_FLAT_SEARCH_BELOW and the sorted
+    # per-row search at and above it give the reference observations
+    horizon = u.shape[1]
+    tot = processes.total_weights(w0, w)
+    want = _unsorted_search_values(specs.UniformBase(), w0, u, w, tot)
+    for below in (0, horizon + 1):
+        monkeypatch.setattr(processes, "GENEALOGY_FLAT_SEARCH_BELOW", below)
+        got = processes._genealogy_values(specs.UniformBase(), w0, u, w, tot)
+        assert np.array_equal(got, want), below
+
+
 def test_genealogy_values_search_switch(monkeypatch):
     # both sides of GENEALOGY_FLAT_SEARCH_BELOW give the same observations,
     # with zero weights and uniforms at 0 and just below 1
@@ -439,12 +466,27 @@ def test_genealogy_values_search_switch(monkeypatch):
     u = rng.random((b, horizon))
     u[:, ::4] = 0.0
     u[:, 1::5] = np.nextafter(1.0, 0.0)
+    _assert_search_switch(monkeypatch, w0, u, w)
+
+    # a long horizon, whose rows the sorted search takes: with w0 = 1 and
+    # weights 0, 1 and 3 the totals and cumulative weights are integers, so
+    # queries s - w0 land exactly on cumulative weights (ties with the
+    # searched keys, and with each other where steps share a target), on
+    # runs of equal cumulative weights (zero weights), and below 0
+    b, horizon, w0 = 30, 48, 1.0
+    w = rng.choice([0.0, 1.0, 3.0], size=(b, horizon))
+    w[:, 3:6] = 0.0
     tot = processes.total_weights(w0, w)
-    got = {}
-    for below in (0, horizon + 1):
-        monkeypatch.setattr(processes, "GENEALOGY_FLAT_SEARCH_BELOW", below)
-        got[below] = processes._genealogy_values(specs.UniformBase(), w0, u, w, tot)
-    assert np.array_equal(got[0], got[horizon + 1])
+    cumw = np.cumsum(w, axis=1)
+    target = cumw[:, rng.integers(0, 8, size=horizon)]
+    u = np.minimum((target + w0) / tot[:, :-1], np.nextafter(1.0, 0.0))
+    u[:, 30:34] = (cumw[:, 4:5] + w0) / tot[:, 30:34]     # on the zero-weight run
+    u[:, ::7] = rng.random((b, len(range(0, horizon, 7)))) * 0.5 / tot[:, :-1:7]
+    q = u * tot[:, :-1] - w0
+    on_key = np.array([np.isin(q[r, 8:], cumw[r, :7]) for r in range(b)])
+    assert on_key.sum() > b * horizon // 2 and (q < 0).sum() > b
+    assert all(len(np.unique(q[r])) < horizon // 2 for r in range(b))
+    _assert_search_switch(monkeypatch, w0, u, w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcid import specs, statistics
+from pcid import processes, specs, statistics
 from pcid.engine import run_ensemble
 from pcid.statistics import (
     StatisticsError,
@@ -99,6 +99,41 @@ def test_scaled_sums_reject_corrupt_series(rru_two_point_spec):
         with np.errstate(invalid="ignore"):
             with pytest.raises(StatisticsError, match="telescoping"):
                 check(ens)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("path", [0, 8])
+def test_clt_summaries_reject_corrupt_value_in_any_block(monkeypatch, rru_two_point_spec,
+                                                         bad, path):
+    # blocks of two paths over nine: the corrupt value sits in the first
+    # block or in the last (one-path) one, and the clean blocks before or
+    # after it must not drop it from the running maximum of the error
+    ens = run_ensemble(rru_two_point_spec, 9, 20, 10)
+    monkeypatch.setattr(processes, "GENEALOGY_BLOCK_STEPS", 2 * 21 * 2)
+    ens.arrays["observations"] = ens.observations.copy()
+    ens.arrays["observations"][path, 7, 0] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(StatisticsError, match="telescoping"):
+            statistics.clt_path_summaries(ens)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_clt_path_summaries_do_not_depend_on_blocks(monkeypatch, k):
+    # blocks of one path, of three (not dividing the ten paths) and of all
+    # of them give the whole-chunk sums bit for bit: K = 1 sums each row
+    # pairwise, K >= 2 sequentially, and a block keeps that order
+    spec = specs.ReinforcedSpec(k, (1.0,) * k, (specs.UniformBase(),) * k,
+                                specs.CommonWeight(specs.TwoPointWeight(1.0, 3.0, 0.5)))
+    h = 300
+    ens = run_ensemble(spec, 10, h, 19)
+    x, mu = ens.observations, ens.predictive_mean
+    want = {"S": (x - mu[:, :-1]).sum(axis=1) / np.sqrt(h),
+            "S_tilde": (x.mean(axis=1) - mu[:, -1]) * np.sqrt(h)}
+    for rows in (1, 3, 10):
+        monkeypatch.setattr(processes, "GENEALOGY_BLOCK_STEPS", rows * (h + 1) * k)
+        summ = statistics.clt_path_summaries(ens)
+        for key, value in want.items():
+            assert np.array_equal(summ[key], value), (rows, key)
 
 
 def test_iid_sequence_scaled_sum_variance():
