@@ -211,14 +211,15 @@ class _StreamFiller:
         return self.generator
 
     def uniforms(self, path_lo: int, substream: int, out: np.ndarray) -> None:
-        """out (P, n): the first n uniforms of the streams
-        (master_seed, path_lo + p, substream)."""
+        """out (P, n), rows contiguous: the first n uniforms of the streams
+        (master_seed, path_lo + p, substream). Long rows are drawn straight
+        into their row of out."""
         n_paths, n = out.shape
         if n <= PHILOX_VECTOR_MAX_ROW:
             _philox_uniforms(self._master_seed, path_lo, substream, out)
             return
         for p in range(n_paths):
-            out[p] = self.rekey(path_lo + p, substream).random(n)
+            self.rekey(path_lo + p, substream).random(out=out[p])
 
 
 # ---------------------------------------------------------------------------

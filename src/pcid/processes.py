@@ -396,16 +396,16 @@ def _forest_roots(parent: np.ndarray) -> np.ndarray:
         parent = grand
 
 
-def _genealogy_values(base, w0: float, u: np.ndarray, w: np.ndarray,
+def _genealogy_values(base, w0: float, u: np.ndarray, cumw: np.ndarray,
                       tot: np.ndarray) -> np.ndarray:
     """Observations (b, H) of one coordinate of a row block, from its
-    uniforms u and weights w (b, H) and totals tot = total_weights(w0, w)."""
+    uniforms u (b, H), the cumulative weights cumw = np.cumsum(w, axis=1)
+    of its weights w (b, H) and the totals tot = total_weights(w0, w)."""
     b, horizon = u.shape
     s = u * tot[:, :-1]
     from_base = s < w0
     from_base[:, 0] = True
     base_vals = base.ppf(np.where(from_base, s / w0, 0.5))
-    cumw = np.cumsum(w, axis=1)
     q = s - w0
     if horizon < GENEALOGY_FLAT_SEARCH_BELOW:
         # one bisection over every (row, step) query at once, over the
@@ -469,6 +469,12 @@ def _genealogy_chunk(rspec, horizon: int, coord_u: np.ndarray, weight_u,
     out.update(total_weight=np.empty((n_paths, k)),
                weighted_power_sums=np.empty((n_paths, k, 2)))
 
+    # weights without a coordinate axis (common or constant ones) are one
+    # row for every coordinate: the coordinates share its cumulative weights,
+    # and those with equal w0 its totals, each computed once per block
+    shared = weight_u is None or weight_u.ndim == 2
+    groups = ([[i for i in range(k) if w0[i] == v] for v in dict.fromkeys(w0.tolist())]
+              if shared else [[i] for i in range(k)])
     block = _genealogy_block_rows(horizon)
     for lo in range(0, n_paths, block):
         blk = slice(lo, min(lo + block, n_paths))
@@ -478,18 +484,22 @@ def _genealogy_chunk(rspec, horizon: int, coord_u: np.ndarray, weight_u,
         w = np.broadcast_to(w.reshape(b, horizon, -1), (b, horizon, k))
         if "weights" in out:
             out["weights"][blk] = w
-        for i in range(k):
-            tot = total_weights(w0[i], w[:, :, i])
-            x = _genealogy_values(rspec.base[i], w0[i], coord_u[blk, :, i], w[:, :, i], tot)
-            s1, s2, mean, var = predictive_series(w0[i], m1[i], m2[i], x, w[:, :, i], tot,
-                                                  with_var="predictive_var" in out)
-            out["total_weight"][blk, i] = tot[:, -1]
-            out["weighted_power_sums"][blk, i, 0] = s1[:, -1]
-            out["weighted_power_sums"][blk, i, 1] = s2[:, -1]
-            for name, values in (("observations", x), ("predictive_mean", mean),
-                                 ("predictive_var", var)):
-                if name in out:
-                    out[name][blk, :, i] = values
+        for j, group in enumerate(groups):
+            wi = w[:, :, group[0]]
+            if j == 0 or not shared:
+                cumw = np.cumsum(wi, axis=1)
+            tot = total_weights(w0[group[0]], wi)
+            for i in group:
+                x = _genealogy_values(rspec.base[i], w0[i], coord_u[blk, :, i], cumw, tot)
+                s1, s2, mean, var = predictive_series(w0[i], m1[i], m2[i], x, wi, tot,
+                                                      with_var="predictive_var" in out)
+                out["total_weight"][blk, i] = tot[:, -1]
+                out["weighted_power_sums"][blk, i, 0] = s1[:, -1]
+                out["weighted_power_sums"][blk, i, 1] = s2[:, -1]
+                for name, values in (("observations", x), ("predictive_mean", mean),
+                                     ("predictive_var", var)):
+                    if name in out:
+                        out[name][blk, :, i] = values
     return out
 
 

@@ -167,21 +167,33 @@ def _series_rows(name: str, array):
                 yield p, s + first, -1, array[p, s]
 
 
+def _write_csv_rows(fh, name: str, array) -> None:
+    """The rows of `_series_rows` as CSV lines "path,step,coordinate,name,
+    value", a path at a time: each value's repr joined to its precomputed
+    "step,coordinate,name," tail. tolist() yields the Python floats that
+    float(v) would, so the values read as f"{float(v)!r}" does."""
+    first, _, per_coord = SERIES[name]
+    coords = range(array.shape[2]) if per_coord else (-1,)
+    tails = [f"{s + first},{c},{name}," for s in range(array.shape[1]) for c in coords]
+    for p, row in enumerate(array.reshape(array.shape[0], -1).astype(float, copy=False)):
+        head = f"{p},"
+        fh.write(head + ("\n" + head).join(map(str.__add__, tails, map(repr, row.tolist())))
+                 + "\n")
+
+
 def write_series(ens, record: list[str], out_dir: str, series_format: str) -> list[str]:
     written = []
     for name in record:
-        rows = _series_rows(name, ens.arrays[name])
         if series_format == "csv":
             path = os.path.join(out_dir, f"series_{name}.csv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(CSV_HEADER + "\n")
-                for p, s, c, v in rows:
-                    fh.write(f"{p},{s},{c},{name},{float(v)!r}\n")
+                _write_csv_rows(fh, name, ens.arrays[name])
         else:
             path = os.path.join(out_dir, f"series_{name}.json")
             payload = [{"path": p, "step": s, "coordinate": c, "series": name,
                         "value": float(v)}
-                       for p, s, c, v in rows]
+                       for p, s, c, v in _series_rows(name, ens.arrays[name])]
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, indent=1, sort_keys=True)
                 fh.write("\n")

@@ -144,6 +144,17 @@ def empirical_predictive_distance(ens: Ensemble, n: int | None = None,
 # Chunk reducers for large ensembles
 # ---------------------------------------------------------------------------
 
+def _step_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the steps of a C-ordered (b, H, K) block, in the order
+    a.sum(axis=1) adds them, bit for bit: pairwise for K = 1, where the
+    steps are the inner loop; left to right for K >= 2, where numpy adds
+    step rows of K values one after another, which one accumulate over the
+    steps does without a K-long inner loop per path and step."""
+    if a.shape[2] == 1:
+        return a.sum(axis=1)
+    return np.cumsum(a, axis=1)[:, -1]
+
+
 def clt_path_summaries(ens: Ensemble) -> dict:
     """Terminal scaled sums and plug-in moments per path, for CLT verdicts.
 
@@ -156,8 +167,10 @@ def clt_path_summaries(ens: Ensemble) -> dict:
     S, then turned into the residuals V = U - n dE in place and summed for
     the telescoping check. So its temporaries are two block-sized arrays
     (at most 1 MiB each, or one path row if that is longer) whatever the
-    chunk size. Each block sums its rows in the order the whole chunk
-    would, so the results do not depend on the blocks, bit for bit.
+    chunk size. Each block sums its steps in the order numpy's reduction
+    over the whole chunk would (`_step_sums`: pairwise for one coordinate,
+    left to right through one accumulate for several), so the results do
+    not depend on the blocks, bit for bit.
     """
     h = ens.horizon
     x, mu = ens.observations, ens.predictive_mean
@@ -170,12 +183,12 @@ def clt_path_summaries(ens: Ensemble) -> dict:
     for lo in range(0, n_paths, rows):
         blk = slice(lo, lo + rows)
         v = x[blk] - mu[blk, :-1]
-        s[blk] = v.sum(axis=1) / sqrt_h
-        s_tilde[blk] = (x[blk].mean(axis=1) - mu[blk, -1]) * sqrt_h
+        s[blk] = _step_sums(v) / sqrt_h
+        s_tilde[blk] = (_step_sums(x[blk]) / h - mu[blk, -1]) * sqrt_h
         de = np.subtract(mu[blk, 1:], mu[blk, :-1])
         de *= n
         v -= de
-        via_v = v.sum(axis=1) / sqrt_h
+        via_v = _step_sums(v) / sqrt_h
         # np.maximum keeps a NaN from any block
         err = np.maximum(err, np.max(np.abs(s_tilde[blk] - via_v)
                                      / (1.0 + np.abs(s_tilde[blk]))))

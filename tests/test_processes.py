@@ -345,9 +345,12 @@ _TWO_POINT = specs.CommonWeight(specs.TwoPointWeight(1.0, 3.0, 0.5))
     # Polya weights below the flat-search switch
     pytest.param(specs.CommonWeight(specs.DegenerateWeight(1.0)), (1.0, 2.0), 12,
                  id="polya_h12"),
+    # three coordinates under common weights: all share the cumulative
+    # weights, the two with w0 = 2 the totals
+    pytest.param(_TWO_POINT, (2.0, 2.0, 0.5), 40, id="two_point_shared_w0_k3"),
 ])
 def test_scalar_matches_vectorized_reinforced(coupling, w0, horizon):
-    spec = specs.ReinforcedSpec(2, w0, (specs.UniformBase(), specs.UniformBase()), coupling)
+    spec = specs.ReinforcedSpec(len(w0), w0, (specs.UniformBase(),) * len(w0), coupling)
     if isinstance(coupling, specs.FeedbackWeight):
         spec = specs.BrokenFeedbackWeightSpec(2, w0[0], coupling.shift, coupling.scale)
     ens = run_ensemble(spec, 4, horizon, 123)
@@ -453,7 +456,8 @@ def _assert_search_switch(monkeypatch, w0, u, w):
     want = _unsorted_search_values(specs.UniformBase(), w0, u, w, tot)
     for below in (0, horizon + 1):
         monkeypatch.setattr(processes, "GENEALOGY_FLAT_SEARCH_BELOW", below)
-        got = processes._genealogy_values(specs.UniformBase(), w0, u, w, tot)
+        got = processes._genealogy_values(specs.UniformBase(), w0, u,
+                                          np.cumsum(w, axis=1), tot)
         assert np.array_equal(got, want), below
 
 

@@ -1,9 +1,12 @@
 import json
 import os
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from pcid import runner
+from pcid.processes import SERIES
 from pcid.runner import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -187,6 +190,25 @@ def test_series_csv_schema(tmp_path):
         rows = [r.split(",") for r in read(out / f"series_{name}.csv").strip().splitlines()[1:]]
         assert [(int(r[0]), int(r[1])) for r in rows] == [(p, s) for p in range(3) for s in steps]
         assert all(r[2] == "-1" and r[3] == name for r in rows)
+
+
+def test_series_csv_values_format_as_float_repr(tmp_path):
+    # every line equals the per-value f-string form, for signed zero, the
+    # smallest subnormal, large and small magnitudes, an inexact sum, NaN
+    # and both infinities, with and without a coordinate axis
+    special = np.array([-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, np.nan, np.inf, -np.inf])
+    arrays = {"observations": np.resize(special, (3, 4, 2)),
+              "arrivals": np.resize(special[::-1], (3, 5))}
+    runner.write_series(SimpleNamespace(arrays=arrays), list(arrays), str(tmp_path), "csv")
+    for name, array in arrays.items():
+        first, _, per_coord = SERIES[name]
+        want = ["path,step,coordinate,series,value"]
+        for p in range(array.shape[0]):
+            for s in range(array.shape[1]):
+                for c in (range(array.shape[2]) if per_coord else (-1,)):
+                    v = array[p, s, c] if per_coord else array[p, s]
+                    want.append(f"{p},{s + first},{c},{name},{float(v)!r}")
+        assert read(tmp_path / f"series_{name}.csv") == "\n".join(want) + "\n"
 
 
 def test_series_reject_unavailable(tmp_path, capsys):

@@ -117,15 +117,29 @@ def test_clt_summaries_reject_corrupt_value_in_any_block(monkeypatch, rru_two_po
             statistics.clt_path_summaries(ens)
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_clt_path_summaries_do_not_depend_on_blocks(monkeypatch, k):
+_TWO_POINT = specs.CommonWeight(specs.TwoPointWeight(1.0, 3.0, 0.5))
+
+
+_IID = specs.IidWeights(specs.UniformWeight(0.5, 1.5))
+
+
+@pytest.mark.parametrize("k,coupling,n_paths", [
+    pytest.param(1, _TWO_POINT, 10, id="1"),
+    pytest.param(2, _TWO_POINT, 10, id="2"),
+    pytest.param(3, _TWO_POINT, 10, id="3"),
+    pytest.param(3, _IID, 10, id="3-iid"),
+    pytest.param(1, _TWO_POINT, 1, id="1-one_path"),
+    pytest.param(2, _TWO_POINT, 1, id="2-one_path"),
+    pytest.param(3, _IID, 1, id="3-iid-one_path"),
+])
+def test_clt_path_summaries_do_not_depend_on_blocks(monkeypatch, k, coupling, n_paths):
     # blocks of one path, of three (not dividing the ten paths) and of all
-    # of them give the whole-chunk sums bit for bit: K = 1 sums each row
-    # pairwise, K >= 2 sequentially, and a block keeps that order
-    spec = specs.ReinforcedSpec(k, (1.0,) * k, (specs.UniformBase(),) * k,
-                                specs.CommonWeight(specs.TwoPointWeight(1.0, 3.0, 0.5)))
+    # of them give the whole-chunk sums of .sum(axis=1) and .mean(axis=1)
+    # bit for bit: K = 1 sums each row pairwise, K >= 2 sequentially, and a
+    # block keeps that order
+    spec = specs.ReinforcedSpec(k, (1.0,) * k, (specs.UniformBase(),) * k, coupling)
     h = 300
-    ens = run_ensemble(spec, 10, h, 19)
+    ens = run_ensemble(spec, n_paths, h, 19)
     x, mu = ens.observations, ens.predictive_mean
     want = {"S": (x - mu[:, :-1]).sum(axis=1) / np.sqrt(h),
             "S_tilde": (x.mean(axis=1) - mu[:, -1]) * np.sqrt(h)}
