@@ -39,10 +39,6 @@ from .specs import (
 )
 from .statistics import (
     empirical_predictive_distance,
-    forecast_errors,
-    martingale_residuals,
-    prediction_increments,
-    scaled_sums,
     slln_running_average,
 )
 from .verifiers import (

@@ -153,48 +153,40 @@ def resolve_seed(cli_seed: int | None, config_seed: int | None) -> int:
 # Series persistence
 # ---------------------------------------------------------------------------
 
-def _series_rows(name: str, array):
-    """Yield (path, step, coordinate, value) rows, steps numbered from the
-    series' first step in `SERIES` (0, the prior, for predictive series);
-    coordinate -1 marks series without a coordinate axis."""
-    first, _, per_coord = SERIES[name]
-    for p in range(array.shape[0]):
-        for s in range(array.shape[1]):
-            if per_coord:
-                for c in range(array.shape[2]):
-                    yield p, s + first, c, array[p, s, c]
-            else:
-                yield p, s + first, -1, array[p, s]
-
-
-def _write_csv_rows(fh, name: str, array) -> None:
-    """The rows of `_series_rows` as CSV lines "path,step,coordinate,name,
-    value", a path at a time: each value's repr joined to its precomputed
-    "step,coordinate,name," tail. tolist() yields the Python floats that
-    float(v) would, so the values read as f"{float(v)!r}" does."""
+def _series_index(name: str, array) -> list[tuple[int, int]]:
+    """(step, coordinate) of each value in one path's row of `array`: steps
+    numbered from the series' first step in `SERIES` (0, the prior, for
+    predictive series), coordinate -1 for series without a coordinate axis."""
     first, _, per_coord = SERIES[name]
     coords = range(array.shape[2]) if per_coord else (-1,)
-    tails = [f"{s + first},{c},{name}," for s in range(array.shape[1]) for c in coords]
-    for p, row in enumerate(array.reshape(array.shape[0], -1).astype(float, copy=False)):
-        head = f"{p},"
-        fh.write(head + ("\n" + head).join(map(str.__add__, tails, map(repr, row.tolist())))
-                 + "\n")
+    return [(s + first, c) for s in range(array.shape[1]) for c in coords]
 
 
 def write_series(ens, record: list[str], out_dir: str, series_format: str) -> list[str]:
+    """One file per series: CSV lines "path,step,coordinate,name,value" (each
+    value's repr joined to its precomputed "step,coordinate,name," tail), or a
+    JSON list of the same rows."""
     written = []
     for name in record:
-        if series_format == "csv":
-            path = os.path.join(out_dir, f"series_{name}.csv")
-            with open(path, "w", encoding="utf-8") as fh:
+        array = ens.arrays[name]
+        index = _series_index(name, array)
+        # (path, values) a path row at a time; tolist() yields the Python
+        # floats that float(v) would
+        rows = enumerate(row.tolist() for row in
+                         array.reshape(len(array), -1).astype(float, copy=False))
+        path = os.path.join(out_dir, f"series_{name}.{series_format}")
+        with open(path, "w", encoding="utf-8") as fh:
+            if series_format == "csv":
                 fh.write(CSV_HEADER + "\n")
-                _write_csv_rows(fh, name, ens.arrays[name])
-        else:
-            path = os.path.join(out_dir, f"series_{name}.json")
-            payload = [{"path": p, "step": s, "coordinate": c, "series": name,
-                        "value": float(v)}
-                       for p, s, c, v in _series_rows(name, ens.arrays[name])]
-            with open(path, "w", encoding="utf-8") as fh:
+                tails = [f"{s},{c},{name}," for s, c in index]
+                for p, values in rows:
+                    head = f"{p},"
+                    fh.write(head + ("\n" + head).join(map(str.__add__, tails,
+                                                           map(repr, values))) + "\n")
+            else:
+                payload = [{"path": p, "step": s, "coordinate": c, "series": name,
+                            "value": v}
+                           for p, values in rows for (s, c), v in zip(index, values)]
                 json.dump(payload, fh, indent=1, sort_keys=True)
                 fh.write("\n")
         written.append(path)

@@ -1,4 +1,7 @@
-"""Derived series and scaled sums computed from recorded paths.
+"""Statistics of recorded paths: SLLN running averages, empirical vs
+predictive distances, and the chunk reducers behind the CLT and Gaussian
+verdicts (`clt_path_summaries` is the one place the scaled sums S_n and
+S~_n are formed).
 
 Everything here is a pure function of an Ensemble (or of one chunk of an
 ensemble), vectorized across paths. Step indices are 1-based in the math
@@ -18,51 +21,6 @@ TELESCOPE_RTOL = 1e-9
 
 class StatisticsError(ValueError):
     """Raised when a derived-series computation is invalid for the data."""
-
-
-def forecast_errors(ens: Ensemble) -> np.ndarray:
-    """U_{n,i} = X_{n,i} - E[X_{n,i} | history before n], shape (P, H, K)."""
-    return ens.observations - ens.predictive_mean[:, :-1, :]
-
-
-def prediction_increments(ens: Ensemble) -> np.ndarray:
-    """dE_{n,i} = E[X_{n+1,i} | history to n] - E[X_{n,i} | history to n-1]."""
-    mu = ens.predictive_mean
-    return mu[:, 1:, :] - mu[:, :-1, :]
-
-
-def martingale_residuals(ens: Ensemble) -> np.ndarray:
-    """V_{n,i} = U_{n,i} - n * dE_{n,i}; the martingale increments of the
-    scaled sample-mean deviation."""
-    u = forecast_errors(ens)
-    de = prediction_increments(ens)
-    n = np.arange(1, ens.horizon + 1, dtype=float)[None, :, None]
-    return u - n * de
-
-
-def scaled_sums(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled forecast-error sums S_{n,i} and sample-mean deviations
-    S~_{n,i}, both of shape (P, H, K).
-
-    S_{n,i} = sum_{k<=n} U_{k,i} / sqrt(n);
-    S~_{n,i} = sqrt(n) * (Xbar_{n,i} - E[X_{n+1,i} | history to n]).
-
-    Verifies the telescoping identity S~ = cumsum(V) / sqrt(n) to relative
-    tolerance TELESCOPE_RTOL and raises StatisticsError on violation.
-    """
-    u = forecast_errors(ens)
-    n = np.arange(1, ens.horizon + 1, dtype=float)[None, :, None]
-    v = u - n * prediction_increments(ens)      # martingale_residuals, from this u
-    sqrt_n = np.sqrt(n)
-    s = np.cumsum(u, axis=1) / sqrt_n
-    xbar = np.cumsum(ens.observations, axis=1) / n
-    s_tilde = (xbar - ens.predictive_mean[:, 1:, :]) * sqrt_n
-    via_v = np.cumsum(v, axis=1) / sqrt_n
-    err = np.max(np.abs(s_tilde - via_v) / (1.0 + np.abs(s_tilde)))
-    if not err <= TELESCOPE_RTOL:   # also catches NaN from corrupt inputs
-        raise StatisticsError(
-            f"telescoping identity violated: max relative error {err:.3e} > {TELESCOPE_RTOL}")
-    return s, s_tilde
 
 
 SLLN_FUNCTIONALS = ("product_of_coords", "log_sum_of_coords")

@@ -141,6 +141,8 @@ def energy_permutation_test(sample_a: np.ndarray, sample_b: np.ndarray,
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError("samples must be 2-d with matching feature dimension")
     n, m = len(a), len(b)
+    if n == 0 or m == 0:
+        raise ValueError(f"samples must not be empty, got {n} and {m} points")
     big = np.vstack([a, b])
     total_n = n + m
     labels = np.zeros((total_n, n_permutations + 1))
@@ -199,6 +201,8 @@ def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
         horizon = n + 2
     if n + 2 > horizon:
         raise ValueError(f"need horizon >= n + 2 = {n + 2}, got {horizon}")
+    if n_paths < 2:
+        raise ValueError(f"need n_paths >= 2 for two halves of paths, got {n_paths}")
     ens = run_ensemble(spec, n_paths, horizon, master_seed,
                        record=frozenset({"observations"}), threads=threads)
     obs = ens.observations
@@ -245,6 +249,8 @@ def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
         raise ValueError(f"unknown stopping rule kind {kind!r}")
     if not (0 <= bound <= horizon - 1):
         raise ValueError(f"stopping rule bound {bound} exceeds horizon - 1 = {horizon - 1}")
+    if n_paths < 2:
+        raise ValueError(f"need n_paths >= 2 for two halves of paths, got {n_paths}")
     ens = run_ensemble(spec, n_paths, horizon, master_seed,
                        record=frozenset({"observations"}), threads=threads)
     obs = ens.observations[:, :, coord]
@@ -276,9 +282,34 @@ def _clt_record(spec) -> frozenset:
     return frozenset({"observations", "predictive_mean", "predictive_var"})
 
 
+def _clt_summaries(spec, n_paths: int, horizon: int, master_seed: int,
+                   threads: int | None) -> dict:
+    return map_path_chunks(spec, n_paths, horizon, master_seed,
+                           statistics.clt_path_summaries,
+                           record=_clt_record(spec), threads=threads)
+
+
+def _normal_fit_and_variance(values: np.ndarray, ref_path: np.ndarray, alpha_adj: float,
+                             band: float) -> list[SubCheck]:
+    """normal_fit_coord{i} for every coordinate i, then variance_coord{i}:
+    a KS fit of values[:, i] / sqrt(ref_path[:, i]) to N(0, 1) at level
+    alpha_adj, and the ensemble variance of values[:, i] within the relative
+    `band` of the mean of ref_path[:, i]. ref_path holds one reference per
+    path, or a single row shared by every path."""
+    k = values.shape[1]
+    subchecks = []
+    for i in range(k):
+        ks = sp_stats.kstest(values[:, i] / np.sqrt(ref_path[:, i]), "norm")
+        subchecks.append(_p_value_check(f"normal_fit_coord{i}", float(ks.pvalue), alpha_adj))
+    for i in range(k):
+        ref = float(ref_path[:, i].mean())
+        subchecks.append(_tolerance_check(f"variance_coord{i}", float(values[:, i].var()),
+                                          ref, band * ref))
+    return subchecks
+
+
 def check_clt_forecast_errors(spec, n_paths: int, horizon: int, master_seed: int, *,
-                              alpha: float = 0.01, threads: int | None = None,
-                              summaries: dict | None = None) -> TestVerdict:
+                              alpha: float = 0.01, threads: int | None = None) -> TestVerdict:
     """Three sub-checks on S_n = (scaled) cumulative forecast errors at
     n = horizon: per-coordinate normal fit of S / plug-in sigma, ensemble
     variance against the mean plug-in variance (5%), and vanishing
@@ -286,25 +317,13 @@ def check_clt_forecast_errors(spec, n_paths: int, horizon: int, master_seed: int
     n = horizon
     if n < 1000:
         raise ValueError(f"asymptotic regime not reached: need horizon >= 1000, got {n}")
-    if summaries is None:
-        summaries = map_path_chunks(spec, n_paths, n, master_seed,
-                                    statistics.clt_path_summaries,
-                                    record=_clt_record(spec), threads=threads)
+    summaries = _clt_summaries(spec, n_paths, n, master_seed, threads)
     s = summaries["S"]
     sig2 = summaries["sigma2_alpha"]
     if np.any(sig2 <= 0):
         raise ValueError("plug-in predictive variances must be positive")
     k = s.shape[1]
-    subchecks = []
-    alpha_adj = alpha / k
-    for i in range(k):
-        normalized = s[:, i] / np.sqrt(sig2[:, i])
-        ks = sp_stats.kstest(normalized, "norm")
-        subchecks.append(_p_value_check(f"normal_fit_coord{i}", float(ks.pvalue), alpha_adj))
-    for i in range(k):
-        ref = float(sig2[:, i].mean())
-        subchecks.append(_tolerance_check(f"variance_coord{i}", float(s[:, i].var()),
-                                          ref, 0.05 * ref))
+    subchecks = _normal_fit_and_variance(s, sig2, alpha / k, 0.05)
     bound = 4.0 / math.sqrt(len(s))
     for i in range(k):
         for j in range(i + 1, k):
@@ -319,21 +338,15 @@ def check_clt_forecast_errors(spec, n_paths: int, horizon: int, master_seed: int
 # ---------------------------------------------------------------------------
 
 def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
-                          alpha: float = 0.01, threads: int | None = None,
-                          summaries: dict | None = None) -> TestVerdict:
+                          alpha: float = 0.01, threads: int | None = None) -> TestVerdict:
     """Checks S~_n = sqrt(n)(sample mean - predictive mean) against its
     closed-form limit covariance, available for common-weight reinforcement
     (sigma2_alpha * Var(W)/E[W]^2), the cross-reinforced uniform pair with
     the harmonic fraction schedule, and i.i.d. sequences."""
     n = horizon
-    if summaries is None:
-        summaries = map_path_chunks(spec, n_paths, n, master_seed,
-                                    statistics.clt_path_summaries,
-                                    record=_clt_record(spec), threads=threads)
+    summaries = _clt_summaries(spec, n_paths, n, master_seed, threads)
     s_tilde = summaries["S_tilde"]
-    sig2 = summaries["sigma2_alpha"]
     k = s_tilde.shape[1]
-    subchecks: list[SubCheck] = []
     params: dict = {}
 
     rspec = reinforced_view(spec)
@@ -342,21 +355,11 @@ def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
         ratio = moments.variance / moments.mean ** 2
         params["weight_variance_ratio"] = ratio
         if ratio == 0.0:
-            for i in range(k):
-                subchecks.append(_upper_bound_check(f"variance_coord{i}",
-                                                    float(s_tilde[:, i].var()), 0.01))
+            subchecks = [_upper_bound_check(f"variance_coord{i}", float(s_tilde[:, i].var()),
+                                            0.01) for i in range(k)]
         else:
-            ref_path = oracles.rru_clt_variance(moments, sig2)
-            alpha_adj = alpha / k
-            for i in range(k):
-                normalized = s_tilde[:, i] / np.sqrt(ref_path[:, i])
-                ks = sp_stats.kstest(normalized, "norm")
-                subchecks.append(_p_value_check(f"normal_fit_coord{i}",
-                                                float(ks.pvalue), alpha_adj))
-            for i in range(k):
-                ref = float(ref_path[:, i].mean())
-                subchecks.append(_tolerance_check(f"variance_coord{i}",
-                                                  float(s_tilde[:, i].var()), ref, 0.10 * ref))
+            ref_path = oracles.rru_clt_variance(moments, summaries["sigma2_alpha"])
+            subchecks = _normal_fit_and_variance(s_tilde, ref_path, alpha / k, 0.10)
     elif isinstance(spec, UniformCoupledSpec):
         if spec.beta.kind != "harmonic":
             raise ValueError("no reference form: the uniform-coupled limit covariance "
@@ -364,15 +367,7 @@ def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
         parts = oracles.tilde_sigma_components(summaries["terminal_moments"])
         diag = parts["diag_companion"]
         offdiag = parts["offdiag"]
-        alpha_adj = alpha / 2
-        for i in range(2):
-            normalized = s_tilde[:, i] / np.sqrt(diag[:, i])
-            ks = sp_stats.kstest(normalized, "norm")
-            subchecks.append(_p_value_check(f"normal_fit_coord{i}", float(ks.pvalue), alpha_adj))
-        for i in range(2):
-            ref = float(diag[:, i].mean())
-            subchecks.append(_tolerance_check(f"variance_coord{i}",
-                                              float(s_tilde[:, i].var()), ref, 0.10 * ref))
+        subchecks = _normal_fit_and_variance(s_tilde, diag, alpha / 2, 0.10)
         cov = float(np.cov(s_tilde[:, 0], s_tilde[:, 1])[0, 1])
         ref_cov = float(offdiag.mean())
         subchecks.append(_tolerance_check("cross_covariance", cov, ref_cov, 0.10 * ref_cov))
@@ -382,12 +377,10 @@ def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
                                           4.0 / math.sqrt(len(s_tilde))))
         params["reference_correlation"] = ref_corr
     elif isinstance(spec, Ar1DriftSpec) and spec.phi == 0.0 and spec.drift == 0.0:
-        ref = spec.noise_var
-        normalized = s_tilde[:, 0] / math.sqrt(ref)
-        ks = sp_stats.kstest(normalized, "norm")
-        subchecks.append(_p_value_check("normal_fit_coord0", float(ks.pvalue), alpha))
-        subchecks.append(_tolerance_check("variance_coord0", float(s_tilde[:, 0].var()),
-                                          ref, 0.10 * ref))
+        # one shared row: its mean is noise_var itself, which the mean of a
+        # column of n_paths copies need not be
+        subchecks = _normal_fit_and_variance(s_tilde, np.array([[spec.noise_var]]), alpha,
+                                             0.10)
     else:
         raise ValueError(f"no reference form for spec kind {spec.kind!r}")
     return _verdict("check_clt_sample_mean", subchecks, alpha, n_paths, n,

@@ -113,6 +113,15 @@ def test_unknown_test_name_exits_2(tmp_path, capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", ["polya_baseline", "broken_weight_coupling"])
+def test_one_path_run_exits_2(config, tmp_path, capsys):
+    # a two-sample check cannot split one path into two halves
+    out = tmp_path / "o"
+    assert main(["run", "--config", config, "--paths", "1", "--out", str(out)]) == EXIT_CONFIG
+    assert "n_paths >= 2" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_positive_control_config_passes(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", "polya_baseline", "--out", str(out)]) == EXIT_OK
@@ -209,6 +218,26 @@ def test_series_csv_values_format_as_float_repr(tmp_path):
                     v = array[p, s, c] if per_coord else array[p, s]
                     want.append(f"{p},{s + first},{c},{name},{float(v)!r}")
         assert read(tmp_path / f"series_{name}.csv") == "\n".join(want) + "\n"
+
+
+def test_series_json_rows_equal_csv_rows(tmp_path):
+    # the same run written in both formats gives the same rows in the same
+    # order, with and without a coordinate axis
+    for kind, record in (("uniform_coupled", ["observations", "predictive_mean", "weights"]),
+                         ("gaussian_last_tick", ["arrivals", "predictive_var"])):
+        outs = {}
+        for fmt in ("csv", "json"):
+            cfg = tmp_path / f"{kind}_{fmt}.json"
+            cfg.write_text(json.dumps({"spec": {"kind": kind}, "n_paths": 3, "horizon": 4,
+                                       "master_seed": 5, "record": record, "format": fmt}))
+            outs[fmt] = tmp_path / f"{kind}_{fmt}"
+            assert main(["run", "--config", str(cfg), "--out", str(outs[fmt])]) == EXIT_OK
+        for name in record:
+            csv_rows = read(outs["csv"] / f"series_{name}.csv").splitlines()[1:]
+            payload = json.loads(read(outs["json"] / f"series_{name}.json"))
+            assert [f"{r['path']},{r['step']},{r['coordinate']},{r['series']},{r['value']!r}"
+                    for r in payload] == csv_rows
+            assert all(type(r["value"]) is float for r in payload)
 
 
 def test_series_reject_unavailable(tmp_path, capsys):

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from pcid import processes, specs, statistics
-from pcid.engine import run_ensemble
+from pcid.engine import MissingSeriesError, run_ensemble
 from pcid.statistics import (
     StatisticsError,
     empirical_predictive_distance,
-    forecast_errors,
-    martingale_residuals,
-    prediction_increments,
-    scaled_sums,
     slln_running_average,
 )
+
+
+def errors_and_increments(ens):
+    """Forecast errors U_n = X_n - mu_{n-1} and prediction increments
+    dE_n = mu_n - mu_{n-1} of every path and step, shape (P, H, K)."""
+    mu = ens.predictive_mean
+    return ens.observations - mu[:, :-1], mu[:, 1:] - mu[:, :-1]
 
 
 def test_degenerate_process_series(degenerate_spec):
@@ -19,30 +22,31 @@ def test_degenerate_process_series(degenerate_spec):
     # the predictive-mean ratio (0.7 * (1 + k)) / (1 + k)
     ens = run_ensemble(degenerate_spec, 8, 12, 3)
     assert np.all(ens.observations == 0.7)
-    assert np.max(np.abs(forecast_errors(ens))) < 1e-14
-    assert np.max(np.abs(prediction_increments(ens))) < 1e-14
-    s, s_tilde = scaled_sums(ens)
-    assert np.max(np.abs(s)) < 1e-12 and np.max(np.abs(s_tilde)) < 1e-12
+    u, de = errors_and_increments(ens)
+    assert np.max(np.abs(u)) < 1e-14
+    assert np.max(np.abs(de)) < 1e-14
+    summ = statistics.clt_path_summaries(ens)
+    assert np.max(np.abs(summ["S"])) < 1e-12 and np.max(np.abs(summ["S_tilde"])) < 1e-12
     d = empirical_predictive_distance(ens)
     assert np.all(d["marginal"] == 0.0)
 
 
 def test_polya_first_forecast_error_is_centered_draw(uniform_polya_spec):
     ens = run_ensemble(uniform_polya_spec, 50, 5, 4)
-    u = forecast_errors(ens)
+    u, _ = errors_and_increments(ens)
     assert np.array_equal(u[:, 0, :], ens.observations[:, 0, :] - 0.5)
 
 
-def test_forecast_errors_require_predictive_means(uniform_polya_spec):
+def test_clt_summaries_require_predictive_means(uniform_polya_spec):
     ens = run_ensemble(uniform_polya_spec, 5, 5, 4, record=frozenset({"observations"}))
-    with pytest.raises(KeyError):
-        forecast_errors(ens)
+    with pytest.raises(MissingSeriesError):
+        statistics.clt_path_summaries(ens)
 
 
-def test_forecast_errors_and_increments_are_centered(uniform_polya_spec):
+def test_errors_and_increments_are_centered(uniform_polya_spec):
     # per-step ensemble means of U and dE vanish (martingale differences)
     ens = run_ensemble(uniform_polya_spec, 4000, 50, 5)
-    for series in (forecast_errors(ens), prediction_increments(ens)):
+    for series in errors_and_increments(ens):
         mean = series.mean(axis=0)
         se = series.std(axis=0) / np.sqrt(series.shape[0])
         assert np.all(np.abs(mean) <= 4 * np.maximum(se, 1e-12))
@@ -50,8 +54,7 @@ def test_forecast_errors_and_increments_are_centered(uniform_polya_spec):
 
 def test_polya_prediction_increment_formula(uniform_polya_spec):
     ens = run_ensemble(uniform_polya_spec, 30, 40, 6)
-    de = prediction_increments(ens)
-    u = forecast_errors(ens)
+    u, de = errors_and_increments(ens)
     n = np.arange(1, 41, dtype=float)[None, :, None]
     expected = u / (1.0 + n)     # (X_n - mu_n) / (w0 + n) with w0 = 1
     assert np.max(np.abs(de - expected)) < 1e-12
@@ -59,46 +62,42 @@ def test_polya_prediction_increment_formula(uniform_polya_spec):
 
 def test_common_weight_prediction_increment_formula(rru_two_point_spec):
     ens = run_ensemble(rru_two_point_spec, 30, 40, 7)
-    de = prediction_increments(ens)
-    u = forecast_errors(ens)
+    u, de = errors_and_increments(ens)
     w = ens.weights
     tot = 1.0 + np.cumsum(w, axis=1)
     expected = u * w / tot
     assert np.max(np.abs(de - expected)) < 1e-12
 
 
-def test_residual_identity_is_exact(rru_two_point_spec):
-    ens = run_ensemble(rru_two_point_spec, 20, 30, 8)
-    u = forecast_errors(ens)
-    de = prediction_increments(ens)
-    v = martingale_residuals(ens)
-    n = np.arange(1, 31, dtype=float)[None, :, None]
-    assert np.array_equal(v, u - n * de)
-
-
-def test_scaled_sums_first_step_and_telescoping(rru_two_point_spec):
-    ens = run_ensemble(rru_two_point_spec, 25, 60, 9)
-    s, s_tilde = scaled_sums(ens)
-    u = forecast_errors(ens)
-    assert np.array_equal(s[:, 0, :], u[:, 0, :])
+def test_first_step_sums_and_cumulative_identity(rru_two_point_spec):
+    # at n = 1 the reducer's S is the first forecast error and S~ the first
+    # draw less its updated predictive mean (a one-step run is the first
+    # step of a longer one with the same seed)
+    first = run_ensemble(rru_two_point_spec, 25, 1, 9)
+    summ = statistics.clt_path_summaries(first)
+    u, _ = errors_and_increments(first)
+    assert np.array_equal(summ["S"], u[:, 0, :])
+    assert np.array_equal(summ["S_tilde"],
+                          first.observations[:, 0, :] - first.predictive_mean[:, 1, :])
     # cumulative forecast errors match n * Xbar - sum of predictive means
+    ens = run_ensemble(rru_two_point_spec, 25, 60, 9)
+    u, _ = errors_and_increments(ens)
     mu = ens.predictive_mean[:, :-1, :]
     lhs = np.cumsum(u, axis=1)
     rhs = np.cumsum(ens.observations, axis=1) - np.cumsum(mu, axis=1)
     assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))) < 1e-9
 
 
-def test_scaled_sums_reject_corrupt_series(rru_two_point_spec):
+def test_clt_summaries_reject_corrupt_series(rru_two_point_spec):
     # the telescoping identity holds algebraically for any predictive-mean
     # array, so the consistency check guards numerical corruption (non-finite
     # values), not data tampering
     ens = run_ensemble(rru_two_point_spec, 5, 20, 10)
     ens.arrays["observations"] = ens.observations.copy()
     ens.arrays["observations"][2, 7, 0] = np.inf
-    for check in (scaled_sums, statistics.clt_path_summaries):
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(StatisticsError, match="telescoping"):
-                check(ens)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(StatisticsError, match="telescoping"):
+            statistics.clt_path_summaries(ens)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -155,8 +154,8 @@ def test_iid_sequence_scaled_sum_variance():
     spec = specs.Ar1DriftSpec(phi=0.0, drift=0.0, noise_var=1.7,
                               init_mean=0.0, init_var=1.7)
     ens = run_ensemble(spec, 5000, 200, 11)
-    s, _ = scaled_sums(ens)
-    var = s[:, -1, 0].var()
+    s = statistics.clt_path_summaries(ens)["S"]
+    var = s[:, 0].var()
     se = var * np.sqrt(2.0 / len(s))
     assert abs(var - 1.7) < 4 * se
 
@@ -216,7 +215,12 @@ def test_distances_shrink_with_horizon(uniform_polya_spec):
 def test_clt_path_summaries_match_full_series(rru_two_point_spec):
     ens = run_ensemble(rru_two_point_spec, 40, 1200, 18)
     summ = statistics.clt_path_summaries(ens)
-    s, s_tilde = scaled_sums(ens)
+    # whole-series reference: S_n = sum_{k<=n} U_k / sqrt(n) and
+    # S~_n = sqrt(n) (Xbar_n - mu_n) at every n
+    x, mu = ens.observations, ens.predictive_mean
+    n = np.arange(1, ens.horizon + 1, dtype=float)[None, :, None]
+    s = np.cumsum(x - mu[:, :-1], axis=1) / np.sqrt(n)
+    s_tilde = (np.cumsum(x, axis=1) / n - mu[:, 1:]) * np.sqrt(n)
     assert np.allclose(summ["S"], s[:, -1, :], rtol=1e-12, atol=1e-12)
     assert np.allclose(summ["S_tilde"], s_tilde[:, -1, :], rtol=1e-12, atol=1e-12)
     assert np.allclose(summ["sigma2_alpha"], ens.terminal_variance())

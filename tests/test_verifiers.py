@@ -82,6 +82,21 @@ def test_energy_test_validates_shapes():
                                 np.random.default_rng(0))
 
 
+def test_energy_test_rejects_empty_sample():
+    with pytest.raises(ValueError, match="empty"):
+        energy_permutation_test(np.zeros((0, 2)), np.zeros((5, 2)),
+                                np.random.default_rng(0))
+
+
+def test_two_sample_checks_require_two_paths():
+    # one path leaves one half of the ensemble empty
+    spec = specs.PolyaSpec(2, (1.0, 1.0), (specs.UniformBase(),) * 2)
+    with pytest.raises(ValueError, match="n_paths >= 2"):
+        check_pcid(spec, 1, None, 0)
+    with pytest.raises(ValueError, match="n_paths >= 2"):
+        check_stopping_time(spec, 1, 10, 0, tau={"kind": "constant", "n": 5})
+
+
 def test_pcid_requires_two_coordinates():
     spec = specs.PolyaSpec(1, (1.0,), (specs.UniformBase(),))
     with pytest.raises(ValueError, match="2 coordinates"):
@@ -183,6 +198,42 @@ def test_clt_sample_mean_no_reference_form():
     with pytest.raises(ValueError, match="no reference form"):
         check_clt_sample_mean(
             specs.UniformCoupledSpec(beta=specs.BetaSchedule("constant_one")), 100, 100, 0)
+
+
+def _layout(v):
+    return [(sub.name, sub.kind) for sub in v.subchecks], sorted(v.params)
+
+
+def test_clt_sample_mean_common_weight_layout(rru_two_point_spec):
+    # layout only: the 10% variance band's pass rate is not asserted here
+    v = check_clt_sample_mean(rru_two_point_spec, 300, 200, 3)
+    assert _layout(v) == ([("normal_fit_coord0", "p_value"), ("normal_fit_coord1", "p_value"),
+                           ("variance_coord0", "tolerance"), ("variance_coord1", "tolerance")],
+                          ["weight_variance_ratio"])
+    assert v.params["weight_variance_ratio"] > 0
+    assert v.subchecks[0].tolerance == 0.01 / 2
+
+
+def test_clt_sample_mean_uniform_coupled_layout():
+    v = check_clt_sample_mean(specs.UniformCoupledSpec(), 300, 200, 3)
+    assert _layout(v) == ([("normal_fit_coord0", "p_value"), ("normal_fit_coord1", "p_value"),
+                           ("variance_coord0", "tolerance"), ("variance_coord1", "tolerance"),
+                           ("cross_covariance", "tolerance"),
+                           ("cross_correlation", "tolerance")],
+                          ["reference_correlation"])
+    assert v.subchecks[0].tolerance == 0.01 / 2
+
+
+def test_clt_sample_mean_iid_reference_is_the_noise_variance():
+    # the reference is noise_var itself, not the mean of a column of copies
+    # (np.full(4000, 1.7).mean() is 1.6999999999999995)
+    spec = specs.Ar1DriftSpec(phi=0.0, drift=0.0, noise_var=1.7,
+                              init_mean=0.0, init_var=1.7)
+    v = check_clt_sample_mean(spec, 4000, 50, 8)
+    assert _layout(v) == ([("normal_fit_coord0", "p_value"),
+                           ("variance_coord0", "tolerance")], [])
+    assert v.subchecks[1].reference == 1.7
+    assert v.subchecks[1].tolerance == 0.10 * 1.7
 
 
 def test_gaussian_limit_requires_gaussian_kind():
