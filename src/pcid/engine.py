@@ -199,11 +199,13 @@ class _StreamFiller:
         self._bg = np.random.Philox(key=0)
         self.generator = np.random.Generator(self._bg)
         # the state of a fresh stream, built once: the state setter copies
-        # the values out, so each re-key writes only the key word it changes
-        self._state = self._bg.state
-        self._state["state"]["key"] = self._key = np.array([0, master_seed], dtype=np.uint64)
-        self._state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-        self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+        # the values out, so each re-key writes only the key word it changes.
+        # Lists of Python ints, not uint64 arrays: the setter reads every
+        # word by index, and a list gives it an int without a numpy scalar.
+        self._key = [0, master_seed]
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": [0] * 4, "key": self._key},
+                       "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def rekey(self, path_index: int, substream_index: int) -> np.random.Generator:
         self._key[0] = (path_index << _SUB_BITS) | substream_index
@@ -348,9 +350,11 @@ _KINDS = {
          ("z", None, lambda spec, h: (h,), "standard_normal")),
         _PREDICTIVE | {"arrivals", "lambdas"},
         # the gaps (the lambdas are a view of them) and the arrivals, H + 1
-        # each; mu, sigma^2 and the step's draws, K each; two step buffers;
-        # gamma_hat and the terminal copies of mu and sigma^2
-        held=lambda h, k: 2 * (h + 1) + 5 * k + 3,
+        # each; mu, sigma^2 and the step's draws, K each; a step buffer;
+        # gamma_hat and the terminal copies of mu and sigma^2; the tile's
+        # normals and lambdas, K + 1 per step of a tile
+        held=lambda h, k: (2 * (h + 1) + 5 * k + 2
+                           + (k + 1) * min(h, processes.GAUSSIAN_TILE_STEPS)),
         views=frozenset({"arrivals", "lambdas"})),
     "state_space_cid": _Kind(
         "simulate_state_space_chunk",

@@ -32,8 +32,10 @@ loop over the steps.
 The Gaussian kernel steps with a coordinate-major state: mu and sigma^2 are
 (K, P), each coordinate's normals are one contiguous row per path, and
 every step updates the state in place with one loop over the paths per
-coordinate and operation. The operations and their order are the scalar
-step's, so the two layers still agree bit for bit.
+coordinate and operation. It steps in tiles, each laid out step-major
+before its steps run, so that a step reads contiguous rows. The operations
+and their order are the scalar step's, so the two layers still agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -350,6 +352,16 @@ GENEALOGY_BLOCK_STEPS = 1 << 17
 # per path row over that row's queries sorted by `np.argsort`: the crossover
 # measured in BENCH_short_rows.json and again in BENCH_long_rows.json.
 GENEALOGY_FLAT_SEARCH_BELOW = 32
+# Steps per tile of the Gaussian kernel, and paths per block of the copy
+# that lays a tile out step-major. Per 2222-path chunk over 1000 steps,
+# reading each step's normals from per-path rows took 36 ms against 2-6 ms
+# from contiguous rows; one transposed copy of all the normals took 30-35
+# ms, and the copy in blocks of 64 steps x 512 paths 13-15 ms. Tiles of
+# 16-256 steps with blocks of 128-512 paths ran the kernel within 11% of
+# the fastest pair, blocks of 1024 paths or more 14-46% slower than it
+# (BENCH_gaussian_tiles.json).
+GAUSSIAN_TILE_STEPS = 64
+GAUSSIAN_TILE_PATHS = 512
 
 
 def base_moments(rspec) -> tuple[np.ndarray, np.ndarray]:
@@ -588,8 +600,7 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
 
     exp_draws: (P, H+1) standard exponentials (inter-arrivals before rate
     scaling; the first is replaced when the spec fixes t0). z: (P, H, K)
-    standard normals; `_chunk_draws` passes a view of (P, K, H) rows, so
-    that each step reads its (K, P) normals as z[:, n - 1, :].T.
+    standard normals; `_chunk_draws` passes a view of (P, K, H) rows.
 
     The fractions lambda_n = t_n / T_{n+1} of all steps are computed at
     once, over the kernel's own gaps array, and the recorded lambdas are a
@@ -601,6 +612,13 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
     updates them in place, one loop over the paths per coordinate and
     operation, in the scalar step's operation order, so with the scalar
     step's bits.
+
+    The steps run in tiles of GAUSSIAN_TILE_STEPS. Before each tile, its
+    normals and lambdas are copied step-major into (T, K, P) and (T, P)
+    buffers, in blocks of GAUSSIAN_TILE_PATHS paths, so that every step
+    reads contiguous rows rather than one value from each per-path row.
+    The kind table counts the two buffers, (K + 1) min(H, T) values per
+    path.
     """
     n_paths = exp_draws.shape[0]
     k = spec.n_coords
@@ -618,7 +636,6 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
     s2 = np.repeat(np.asarray(spec.sigma2_1, dtype=float)[:, None], n_paths, axis=1)
     gamma_hat = np.ones(n_paths)
     x = np.empty((k, n_paths))
-    lam = np.empty(n_paths)
     shrink = np.empty(n_paths)  # 1 - lambda, then 1 - lambda^2
 
     out.update(series_buffers(record - {"arrivals", "lambdas"}, n_paths, horizon, k,
@@ -626,27 +643,38 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
     obs = out.get("observations")
     mean_out, var_out = out.get("predictive_mean"), out.get("predictive_var")
 
-    for n in range(1, horizon + 1):
-        np.sqrt(s2, out=x)
-        np.multiply(x, z[:, n - 1, :].T, out=x)
-        np.add(mu, x, out=x)                   # x = mu + sqrt(s2) * z
-        if obs is not None:
-            obs[:, n - 1, :] = x.T
-        np.copyto(lam, lambdas[:, n - 1])
-        np.subtract(1.0, lam, out=shrink)
-        np.multiply(shrink, mu, out=mu)
-        np.multiply(lam, x, out=x)
-        np.add(mu, x, out=mu)                  # mu = (1 - lam) * mu + lam * x
-        np.square(lam, out=shrink)
-        np.subtract(1.0, shrink, out=shrink)
-        np.multiply(shrink, s2, out=s2)        # s2 = (1 - lam^2) * s2
-        np.multiply(gamma_hat, shrink, out=gamma_hat)
-        if mean_out is not None:
-            mean_out[:, n, :] = mu.T
-        if var_out is not None:
-            var_out[:, n, :] = s2.T
+    tile = min(horizon, GAUSSIAN_TILE_STEPS)
+    z_tile = np.empty((tile, k, n_paths))
+    lam_tile = np.empty((tile, n_paths))
+    for lo in range(0, horizon, tile):
+        t = min(tile, horizon - lo)
+        for p in range(0, n_paths, GAUSSIAN_TILE_PATHS):
+            q = min(p + GAUSSIAN_TILE_PATHS, n_paths)
+            np.copyto(z_tile[:t, :, p:q], z[p:q, lo:lo + t, :].transpose(1, 2, 0))
+            np.copyto(lam_tile[:t, p:q], lambdas[p:q, lo:lo + t].T)
+        for j in range(t):
+            n = lo + j + 1
+            lam = lam_tile[j]
+            np.sqrt(s2, out=x)
+            np.multiply(x, z_tile[j], out=x)
+            np.add(mu, x, out=x)                   # x = mu + sqrt(s2) * z
+            if obs is not None:
+                obs[:, n - 1, :] = x.T
+            np.subtract(1.0, lam, out=shrink)
+            np.multiply(shrink, mu, out=mu)
+            np.multiply(lam, x, out=x)
+            np.add(mu, x, out=mu)                  # mu = (1 - lam) * mu + lam * x
+            np.square(lam, out=shrink)
+            np.subtract(1.0, shrink, out=shrink)
+            np.multiply(shrink, s2, out=s2)        # s2 = (1 - lam^2) * s2
+            np.multiply(gamma_hat, shrink, out=gamma_hat)
+            if mean_out is not None:
+                mean_out[:, n, :] = mu.T
+            if var_out is not None:
+                var_out[:, n, :] = s2.T
 
-    del x, lam, shrink  # free the step buffers before the terminal copies
+    # free the step and tile buffers before the terminal copies
+    del x, shrink, lam, z_tile, lam_tile
     out.update(gamma_hat=gamma_hat, terminal_mu=np.ascontiguousarray(mu.T),
                terminal_sigma2=np.ascontiguousarray(s2.T))
     return out

@@ -173,7 +173,7 @@ def write_series(ens, record: list[str], out_dir: str, series_format: str) -> li
         # (path, values) a path row at a time; tolist() yields the Python
         # floats that float(v) would
         rows = enumerate(row.tolist() for row in
-                         array.reshape(len(array), -1).astype(float, copy=False))
+                         array.reshape(len(array), len(index)).astype(float, copy=False))
         path = os.path.join(out_dir, f"series_{name}.{series_format}")
         with open(path, "w", encoding="utf-8") as fh:
             if series_format == "csv":
@@ -184,11 +184,18 @@ def write_series(ens, record: list[str], out_dir: str, series_format: str) -> li
                     fh.write(head + ("\n" + head).join(map(str.__add__, tails,
                                                            map(repr, values))) + "\n")
             else:
-                payload = [{"path": p, "step": s, "coordinate": c, "series": name,
-                            "value": v}
-                           for p, values in rows for (s, c), v in zip(index, values)]
-                json.dump(payload, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+                # the bytes of json.dump(rows as dicts, indent=1, sort_keys=True),
+                # written a path row at a time: each value as json's encoder
+                # writes it (NaN, Infinity), taken from its one-line list form
+                fields = [(f' {{\n  "coordinate": {c},\n  "path": ',
+                           f',\n  "series": {json.dumps(name)},\n  "step": {s},\n  "value": ')
+                          for s, c in index]
+                fh.write("[")
+                for p, values in rows:
+                    texts = json.dumps(values)[1:-1].split(", ")
+                    fh.write(("," if p else "") + "\n" + ",\n".join(
+                        [f"{head}{p}{tail}{v}\n }}" for (head, tail), v in zip(fields, texts)]))
+                fh.write("\n]\n" if len(array) else "]\n")
         written.append(path)
     return written
 

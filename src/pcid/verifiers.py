@@ -344,13 +344,25 @@ def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
     (sigma2_alpha * Var(W)/E[W]^2), the cross-reinforced uniform pair with
     the harmonic fraction schedule, and i.i.d. sequences."""
     n = horizon
+    # the reference form, found before the ensemble is simulated
+    rspec = reinforced_view(spec)
+    if rspec is not None and isinstance(rspec.coupling, CommonWeight):
+        form = "common_weight"
+    elif isinstance(spec, UniformCoupledSpec):
+        if spec.beta.kind != "harmonic":
+            raise ValueError("no reference form: the uniform-coupled limit covariance "
+                             "is implemented for the harmonic fraction schedule")
+        form = "uniform_coupled"
+    elif isinstance(spec, Ar1DriftSpec) and spec.phi == 0.0 and spec.drift == 0.0:
+        form = "iid"
+    else:
+        raise ValueError(f"no reference form for spec kind {spec.kind!r}")
+
     summaries = _clt_summaries(spec, n_paths, n, master_seed, threads)
     s_tilde = summaries["S_tilde"]
     k = s_tilde.shape[1]
     params: dict = {}
-
-    rspec = reinforced_view(spec)
-    if rspec is not None and isinstance(rspec.coupling, CommonWeight):
+    if form == "common_weight":
         moments = oracles.weight_moments(rspec.coupling.dist)
         ratio = moments.variance / moments.mean ** 2
         params["weight_variance_ratio"] = ratio
@@ -360,10 +372,7 @@ def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
         else:
             ref_path = oracles.rru_clt_variance(moments, summaries["sigma2_alpha"])
             subchecks = _normal_fit_and_variance(s_tilde, ref_path, alpha / k, 0.10)
-    elif isinstance(spec, UniformCoupledSpec):
-        if spec.beta.kind != "harmonic":
-            raise ValueError("no reference form: the uniform-coupled limit covariance "
-                             "is implemented for the harmonic fraction schedule")
+    elif form == "uniform_coupled":
         parts = oracles.tilde_sigma_components(summaries["terminal_moments"])
         diag = parts["diag_companion"]
         offdiag = parts["offdiag"]
@@ -376,13 +385,11 @@ def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
         subchecks.append(_tolerance_check("cross_correlation", corr, ref_corr,
                                           4.0 / math.sqrt(len(s_tilde))))
         params["reference_correlation"] = ref_corr
-    elif isinstance(spec, Ar1DriftSpec) and spec.phi == 0.0 and spec.drift == 0.0:
-        # one shared row: its mean is noise_var itself, which the mean of a
-        # column of n_paths copies need not be
+    else:
+        # i.i.d.: one shared row, whose mean is noise_var itself, which the
+        # mean of a column of n_paths copies need not be
         subchecks = _normal_fit_and_variance(s_tilde, np.array([[spec.noise_var]]), alpha,
                                              0.10)
-    else:
-        raise ValueError(f"no reference form for spec kind {spec.kind!r}")
     return _verdict("check_clt_sample_mean", subchecks, alpha, n_paths, n,
                     master_seed, params)
 

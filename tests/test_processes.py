@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -373,14 +374,19 @@ def test_scalar_matches_vectorized_normal_base():
         assert np.array_equal(xs, ens.observations[p])
 
 
-def test_scalar_matches_vectorized_gaussian():
-    # every recorded series at every step, and the terminal summaries
-    horizon = 25
-    for k, t0, rate in [(1, None, 1.0), (1, 0.4, 2.5), (3, None, 0.6), (3, 0.4, 1.0)]:
+def test_scalar_matches_vectorized_gaussian(monkeypatch):
+    # every recorded series at every step, and the terminal summaries. The
+    # kernel steps in tiles of five steps, copied in blocks of two paths:
+    # horizons below one tile, of one tile and not a multiple of it, and
+    # one chunk of three paths, a block and a remainder
+    monkeypatch.setattr(processes, "GAUSSIAN_TILE_STEPS", 5)
+    monkeypatch.setattr(processes, "GAUSSIAN_TILE_PATHS", 2)
+    for horizon, (k, t0, rate) in itertools.product(
+            (3, 5, 12, 25), [(1, None, 1.0), (1, 0.4, 2.5), (3, None, 0.6), (3, 0.4, 1.0)]):
         spec = specs.GaussianLastTickSpec(n_coords=k, mu1=tuple(0.5 * i for i in range(k)),
                                           sigma2_1=tuple(1.0 + i for i in range(k)),
                                           rate=rate, t0=t0)
-        ens = run_ensemble(spec, 3, horizon, 31)
+        ens = run_ensemble(spec, 3, horizon, 31, chunk_paths=3)
         for p in range(3):
             streams = PathStreams(31, p, k)
             gaps = streams.weights.standard_exponential(horizon + 1) / spec.rate

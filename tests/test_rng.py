@@ -178,6 +178,7 @@ def test_chunking_does_not_change_ensemble(rru_two_point_spec, uniform_polya_spe
     # horizons lie on both sides of the flat-search switch; the uniform
     # filler runs in passes of three Philox blocks
     monkeypatch.setattr(engine, "PHILOX_PASS_BLOCKS", 3)
+    monkeypatch.setattr(processes, "GAUSSIAN_TILE_PATHS", 4)
     gamma = specs.GammaWeight(2.5, 1.0, 0.1)
     normal = specs.NormalBase(0.5, 2.0)
     for spec in (uniform_polya_spec,
@@ -186,11 +187,13 @@ def test_chunking_does_not_change_ensemble(rru_two_point_spec, uniform_polya_spe
                  specs.ReinforcedSpec(2, (1.5, 0.7), (normal, normal),
                                       specs.IidWeights(gamma)),
                  # the Gaussian kernel reads its draws and lambdas through
-                 # views of per-path rows
+                 # views of per-path rows, copied into tiles in blocks of
+                 # four paths; the longest horizon spans two tiles and a step
                  specs.GaussianLastTickSpec(),
                  specs.GaussianLastTickSpec(n_coords=3, mu1=(0.0, 1.0, -1.0),
                                             sigma2_1=(1.0, 2.0, 0.5), t0=0.25)):
-        for horizon in (3, 30, processes.GENEALOGY_FLAT_SEARCH_BELOW + 8):
+        for horizon in (3, 30, processes.GENEALOGY_FLAT_SEARCH_BELOW + 8,
+                        2 * processes.GAUSSIAN_TILE_STEPS + 1):
             monkeypatch.setattr(processes, "GENEALOGY_BLOCK_STEPS", 10 * (horizon + 1))
             base = run_ensemble(spec, 54, horizon, 5, chunk_paths=1)
             for chunk in (7, 9, 11, 54):

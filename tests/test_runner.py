@@ -1,4 +1,5 @@
 import json
+import io
 import os
 from types import SimpleNamespace
 
@@ -218,6 +219,27 @@ def test_series_csv_values_format_as_float_repr(tmp_path):
                     v = array[p, s, c] if per_coord else array[p, s]
                     want.append(f"{p},{s + first},{c},{name},{float(v)!r}")
         assert read(tmp_path / f"series_{name}.csv") == "\n".join(want) + "\n"
+
+
+def test_series_json_bytes_equal_json_dump(tmp_path):
+    # the file written a path row at a time is the json.dump of the whole
+    # payload as one dict per value, for the values of the CSV test, with
+    # and without a coordinate axis, and for a series of no paths
+    special = np.array([-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, np.nan, np.inf, -np.inf])
+    arrays = {"observations": np.resize(special, (3, 4, 2)),
+              "arrivals": np.resize(special[::-1], (3, 5)),
+              "lambdas": np.empty((0, 4))}
+    ens = SimpleNamespace(arrays=arrays)
+    assert runner.write_series(ens, [], str(tmp_path), "json") == []
+    runner.write_series(ens, list(arrays), str(tmp_path), "json")
+    for name, array in arrays.items():
+        index = runner._series_index(name, array)
+        payload = [{"path": p, "step": s, "coordinate": c, "series": name, "value": float(v)}
+                   for p, row in enumerate(array.reshape(len(array), len(index)))
+                   for (s, c), v in zip(index, row)]
+        want = io.StringIO()
+        json.dump(payload, want, indent=1, sort_keys=True)
+        assert read(tmp_path / f"series_{name}.json") == want.getvalue() + "\n", name
 
 
 def test_series_json_rows_equal_csv_rows(tmp_path):

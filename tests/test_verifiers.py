@@ -192,12 +192,20 @@ def test_clt_sample_mean_iid():
     assert v.passed
 
 
-def test_clt_sample_mean_no_reference_form():
-    with pytest.raises(ValueError, match="no reference form"):
-        check_clt_sample_mean(specs.StateSpaceCidSpec(), 100, 100, 0)
-    with pytest.raises(ValueError, match="no reference form"):
-        check_clt_sample_mean(
-            specs.UniformCoupledSpec(beta=specs.BetaSchedule("constant_one")), 100, 100, 0)
+def test_clt_sample_mean_no_reference_form(monkeypatch):
+    # the form is checked before anything is simulated
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a spec without a reference form")
+
+    monkeypatch.setattr(verifiers, "map_path_chunks", no_simulation)
+    gamma = specs.GammaWeight(2.5, 1.0, 0.1)
+    for spec in (specs.StateSpaceCidSpec(),
+                 specs.ReinforcedSpec(2, (1.0, 2.0), (specs.UniformBase(),) * 2,
+                                      specs.IidWeights(gamma)),
+                 specs.UniformCoupledSpec(beta=specs.BetaSchedule("constant_one")),
+                 specs.Ar1DriftSpec(phi=0.5, drift=0.3)):
+        with pytest.raises(ValueError, match="no reference form"):
+            check_clt_sample_mean(spec, 100, 100, 0)
 
 
 def _layout(v):
