@@ -68,6 +68,11 @@ def _load_config_text(path_or_name: str) -> str:
 
 
 def _as_int(value, key: str, source: str) -> int:
+    """An integer, an integral float such as 1e6, or a decimal string
+    (PCID_SEED); never a bool or a float with a fractional part, which int()
+    would silently turn into 0, 1 or a truncated count."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{source}: {key} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError) as exc:

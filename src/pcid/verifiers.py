@@ -15,14 +15,14 @@ substream derived from the master seed and the check's name.
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sp_stats
 from scipy.spatial.distance import cdist
 
-from . import oracles, statistics
+from . import kolmogorov, oracles, statistics
 from .engine import derive_stream, map_path_chunks, run_ensemble
 from .specs import (
     Ar1DriftSpec,
@@ -104,6 +104,23 @@ def _verdict(name: str, subchecks: list[SubCheck], alpha: float, n_paths: int,
     worst = max((s.margin for s in subchecks), default=math.inf)
     return TestVerdict(name, worst, 1.0, 1.0, alpha, worst <= 1.0,
                        n_paths, horizon, seed, subchecks, params)
+
+
+def _integer(value, name: str) -> int:
+    """`value` as an int: an integer, or an integral float such as 3.0;
+    never a bool, whose int() would be 0 or 1."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _coordinate(coord, k: int) -> int:
+    """`coord` as an index into k coordinates; -1 is no alias for k - 1."""
+    coord = _integer(coord, "coord")
+    if not 0 <= coord < k:
+        raise ValueError(f"coord must lie in [0, {k}) for {k} coordinates, got {coord}")
+    return coord
 
 
 def _verifier_rng(master_seed: int, label: str) -> np.random.Generator:
@@ -201,6 +218,7 @@ def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
         horizon = n + 2
     if n + 2 > horizon:
         raise ValueError(f"need horizon >= n + 2 = {n + 2}, got {horizon}")
+    coord = _coordinate(coord, k)
     if n_paths < 2:
         raise ValueError(f"need n_paths >= 2 for two halves of paths, got {n_paths}")
     ens = run_ensemble(spec, n_paths, horizon, master_seed,
@@ -229,6 +247,9 @@ def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
 # Stopping-time / marginal-identity check
 # ---------------------------------------------------------------------------
 
+STOPPING_RULE_KEYS = {"constant": ("n",), "first_exceed": ("threshold", "cap")}
+
+
 def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
                         tau: dict, coord: int = 0, alpha: float = 0.01,
                         threads: int | None = None) -> TestVerdict:
@@ -240,15 +261,25 @@ def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
     tau = {"kind": "first_exceed", "threshold": t, "cap": c} stops at the
     first step whose observation exceeds t, capped at c.
     """
+    if not isinstance(tau, dict):
+        raise ValueError(f"tau must be an object, got {tau!r}")
     kind = tau.get("kind")
-    if kind == "constant":
-        bound = int(tau["n"])
-    elif kind == "first_exceed":
-        bound = int(tau["cap"])
-    else:
+    keys = STOPPING_RULE_KEYS.get(kind)
+    if keys is None:
         raise ValueError(f"unknown stopping rule kind {kind!r}")
+    for key in keys:
+        if key not in tau:
+            raise ValueError(f"stopping rule {kind!r} needs tau.{key}")
+    if kind == "constant":
+        bound = _integer(tau["n"], "tau.n")
+    else:
+        bound = _integer(tau["cap"], "tau.cap")
+        thr = tau["threshold"]
+        if isinstance(thr, bool) or not isinstance(thr, numbers.Real):
+            raise ValueError(f"tau.threshold must be a number, got {thr!r}")
     if not (0 <= bound <= horizon - 1):
         raise ValueError(f"stopping rule bound {bound} exceeds horizon - 1 = {horizon - 1}")
+    coord = _coordinate(coord, spec.n_coords)
     if n_paths < 2:
         raise ValueError(f"need n_paths >= 2 for two halves of paths, got {n_paths}")
     ens = run_ensemble(spec, n_paths, horizon, master_seed,
@@ -260,16 +291,15 @@ def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
     if kind == "constant":
         tau_idx = np.full(len(block), bound)
     else:
-        thr = float(tau["threshold"])
-        exceeded = block > thr
+        exceeded = block > float(thr)
         any_hit = exceeded.any(axis=1)
         first_hit = exceeded.argmax(axis=1) + 1          # 1-based step of first exceedance
         tau_idx = np.where(any_hit, np.minimum(first_hit, bound), bound)
     stopped = block[np.arange(len(block)), tau_idx]      # X_{tau+1} at array index tau
-    ks = sp_stats.ks_2samp(first_obs, stopped, method="asymp")
-    sub = _p_value_check("ks_p", float(ks.pvalue), alpha)
+    ks_statistic, p = kolmogorov.ks_two_sample(first_obs, stopped)
+    sub = _p_value_check("ks_p", p, alpha)
     return _verdict("check_stopping_time", [sub], alpha, n_paths, horizon, master_seed,
-                    {"tau": tau, "coord": coord, "ks_statistic": float(ks.statistic)})
+                    {"tau": tau, "coord": coord, "ks_statistic": ks_statistic})
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +329,8 @@ def _normal_fit_and_variance(values: np.ndarray, ref_path: np.ndarray, alpha_adj
     k = values.shape[1]
     subchecks = []
     for i in range(k):
-        ks = sp_stats.kstest(values[:, i] / np.sqrt(ref_path[:, i]), "norm")
-        subchecks.append(_p_value_check(f"normal_fit_coord{i}", float(ks.pvalue), alpha_adj))
+        _, p = kolmogorov.ks_normal(values[:, i] / np.sqrt(ref_path[:, i]))
+        subchecks.append(_p_value_check(f"normal_fit_coord{i}", p, alpha_adj))
     for i in range(k):
         ref = float(ref_path[:, i].mean())
         subchecks.append(_tolerance_check(f"variance_coord{i}", float(values[:, i].var()),

@@ -1,6 +1,8 @@
 import json
 import io
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,10 +78,60 @@ def test_malformed_spec_value_exits_2(tmp_path, capsys):
       "record": ["observations"]}, "master_seed"),
     ({"spec": {"kind": "polya"}, "n_paths": 10, "horizon": 5, "master_seed": 2 ** 64,
       "record": ["observations"]}, "master_seed"),
+    # int() would truncate these or read a bool as 0 or 1
+    ({"spec": {"kind": "polya"}, "n_paths": 2.9, "horizon": 5}, "n_paths"),
+    ({"spec": {"kind": "polya"}, "n_paths": True, "horizon": 5}, "n_paths"),
+    ({"spec": {"kind": "polya"}, "n_paths": 10, "horizon": 24.7}, "horizon"),
+    ({"spec": {"kind": "polya"}, "n_paths": 10, "horizon": 5, "master_seed": 3.5},
+     "master_seed"),
+    ({"spec": {"kind": "polya"}, "n_paths": 10, "horizon": 5,
+      "tests": [{"name": "check_pcid", "params": {"n_paths": 2.5}}]}, "params.n_paths"),
 ])
 def test_malformed_config_value_exits_2(doc, key, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_integral_float_sizes_parse():
+    cfg = parse_config({"spec": {"kind": "polya"}, "n_paths": 1e6, "horizon": 24.0,
+                        "master_seed": 3.0})
+    assert (cfg.n_paths, cfg.horizon, cfg.master_seed) == (1_000_000, 24, 3)
+    assert all(type(v) is int for v in (cfg.n_paths, cfg.horizon, cfg.master_seed))
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("simulated an ensemble for a check that was misconfigured")
+
+
+@pytest.mark.parametrize("test,key", [
+    ({"name": "check_stopping_time", "params": {"tau": 5}}, "tau must be an object"),
+    ({"name": "check_stopping_time", "params": {"tau": {"kind": "constant"}}}, "tau.n"),
+    ({"name": "check_stopping_time",
+      "params": {"tau": {"kind": "first_exceed", "threshold": 0.8}}}, "tau.cap"),
+    ({"name": "check_stopping_time",
+      "params": {"tau": {"kind": "first_exceed", "cap": 3}}}, "tau.threshold"),
+    ({"name": "check_stopping_time",
+      "params": {"tau": {"kind": "first_exceed", "threshold": "high", "cap": 3}}},
+     "tau.threshold"),
+    ({"name": "check_stopping_time", "params": {"tau": {"kind": "constant", "n": 3.7}}},
+     "tau.n"),
+    ({"name": "check_stopping_time",
+      "params": {"tau": {"kind": "first_exceed", "threshold": 0.8, "cap": 3.7}}}, "tau.cap"),
+    ({"name": "check_stopping_time",
+      "params": {"tau": {"kind": "constant", "n": 3}, "coord": -1}}, "coord"),
+    ({"name": "check_stopping_time",
+      "params": {"tau": {"kind": "constant", "n": 3}, "coord": 2}}, "coord"),
+    ({"name": "check_pcid", "params": {"coord": -1}}, "coord"),
+    ({"name": "check_pcid", "params": {"coord": 2}}, "coord"),
+])
+def test_check_params_rejected_before_simulating(test, key, monkeypatch, tmp_path, capsys):
+    from pcid import verifiers
+    monkeypatch.setattr(verifiers, "run_ensemble", _no_simulation)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": {"kind": "polya", "n_coords": 2}, "n_paths": 10,
+                               "horizon": 6, "tests": [test]}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
 
@@ -308,3 +360,40 @@ def test_load_bundled_configs_all_parse():
                  "gaussian_last_tick_limit"):
         cfg = load_config(name)
         assert cfg.n_paths >= 1
+
+
+# Imports pcid.runner in a fresh interpreter, runs every verifier at a small
+# size, and prints the scipy.stats modules then loaded.
+_RUN_EVERY_VERIFIER = """
+import sys
+import pcid.runner
+from pcid import specs
+from pcid.verifiers import VERIFIERS
+rru = specs.ReinforcedSpec(2, (1.0, 1.0), (specs.UniformBase(),) * 2,
+                           specs.CommonWeight(specs.TwoPointWeight(1.0, 3.0, 0.5)))
+calls = {
+    "check_pcid": (rru, 20, None, {"n": 1}),
+    "check_stopping_time": (rru, 20, 6, {"tau": {"kind": "first_exceed",
+                                                 "threshold": 0.5, "cap": 4}}),
+    "check_clt_forecast_errors": (rru, 20, 1000, {}),
+    "check_clt_sample_mean": (rru, 20, 1000, {}),
+    "check_gaussian_limit": (specs.GaussianLastTickSpec(n_coords=2, mu1=(0.0, 0.0),
+                                                        sigma2_1=(1.0, 1.0)), 20, 1000, {}),
+}
+assert sorted(calls) == sorted(VERIFIERS), sorted(VERIFIERS)
+for name, (spec, paths, horizon, kw) in calls.items():
+    VERIFIERS[name](spec, paths, horizon, 0, threads=1, **kw)
+print(sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats.")))
+"""
+
+
+def test_run_does_not_import_scipy_stats():
+    # scipy.stats costs more than half of a pcid run's start-up: the KS
+    # p-values come from pcid.kolmogorov instead
+    src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _RUN_EVERY_VERIFIER], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
