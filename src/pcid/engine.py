@@ -350,9 +350,12 @@ _KINDS = {
          ("z", None, lambda spec, h: (h,), "standard_normal")),
         _PREDICTIVE | {"arrivals", "lambdas"},
         # the gaps (the lambdas are a view of them) and the arrivals, H + 1
-        # each; mu, sigma^2 and the step's draws, K each; a step buffer;
-        # gamma_hat and the terminal copies of mu and sigma^2; the tile's
-        # normals and lambdas, K + 1 per step of a tile
+        # each, made only when either is recorded: otherwise the kernel
+        # holds one tile's arrivals, T + 1 values, in their place, and the
+        # estimate over-counts (kept so, with the chunk plan it sets; see
+        # CHANGES.md). mu, sigma^2 and the step's draws, K each; a step
+        # buffer; gamma_hat and the terminal copies of mu and sigma^2; the
+        # tile's normals and lambdas, K + 1 per step of a tile
         held=lambda h, k: (2 * (h + 1) + 5 * k + 2
                            + (k + 1) * min(h, processes.GAUSSIAN_TILE_STEPS)),
         views=frozenset({"arrivals", "lambdas"})),

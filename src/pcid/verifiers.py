@@ -115,6 +115,15 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _alpha(alpha) -> float:
+    """`alpha` as a float in (0, 1): a real number, never a bool or NaN. A
+    p-value sub-check's margin alpha / p is <= 0 for alpha <= 0, so such a
+    level would pass every test."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0 < alpha < 1:
+        raise ValueError(f"alpha must be a number in (0, 1), got {alpha!r}")
+    return float(alpha)
+
+
 def _coordinate(coord, k: int) -> int:
     """`coord` as an index into k coordinates; -1 is no alias for k - 1."""
     coord = _integer(coord, "coord")
@@ -209,11 +218,19 @@ def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
     labels and their products with the distances, 32 MB at the defaults,
     plus distance row blocks of ENERGY_BLOCK_BYTES; no N x N matrix.
     """
+    alpha = _alpha(alpha)
     k = spec.n_coords
     if k < 2:
         raise ValueError("the joint-law check requires at least 2 coordinates")
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    n_permutations = _integer(n_permutations, "n_permutations")
+    if n_permutations < 1:
+        raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
+    max_group = _integer(max_group, "max_group")
+    if max_group < 1:
+        raise ValueError(f"max_group must be >= 1, got {max_group}")
     if horizon is None:
         horizon = n + 2
     if n + 2 > horizon:
@@ -261,6 +278,7 @@ def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
     tau = {"kind": "first_exceed", "threshold": t, "cap": c} stops at the
     first step whose observation exceeds t, capped at c.
     """
+    alpha = _alpha(alpha)
     if not isinstance(tau, dict):
         raise ValueError(f"tau must be an object, got {tau!r}")
     kind = tau.get("kind")
@@ -344,6 +362,7 @@ def check_clt_forecast_errors(spec, n_paths: int, horizon: int, master_seed: int
     n = horizon: per-coordinate normal fit of S / plug-in sigma, ensemble
     variance against the mean plug-in variance (5%), and vanishing
     cross-coordinate correlation (diagonal limit covariance)."""
+    alpha = _alpha(alpha)
     n = horizon
     if n < 1000:
         raise ValueError(f"asymptotic regime not reached: need horizon >= 1000, got {n}")
@@ -373,6 +392,7 @@ def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
     closed-form limit covariance, available for common-weight reinforcement
     (sigma2_alpha * Var(W)/E[W]^2), the cross-reinforced uniform pair with
     the harmonic fraction schedule, and i.i.d. sequences."""
+    alpha = _alpha(alpha)
     n = horizon
     # the reference form, found before the ensemble is simulated
     rspec = reinforced_view(spec)
@@ -434,6 +454,7 @@ def check_gaussian_limit(spec, n_paths: int, horizon: int, master_seed: int, *,
     the variance factor gamma (closed forms exist under Poisson arrivals),
     the variance of the terminal predictive mean, and the cross-coordinate
     dependence induced by the shared arrival times."""
+    alpha = _alpha(alpha)
     if not isinstance(spec, GaussianLastTickSpec):
         raise ValueError("check_gaussian_limit applies to the gaussian_last_tick kind")
     if horizon < 1000:

@@ -90,6 +90,27 @@ def test_gaussian_chunk_peak_within_estimate(k, horizon):
     _assert_chunk_peak_within_estimate(spec, horizon)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_unrecorded_gaussian_chunk_holds_only_tiles_besides_draws(k):
+    # with neither arrivals nor lambdas recorded, the kernel keeps no
+    # (P, H+1) array: besides its draws it holds the tile buffers (normals,
+    # lambdas and arrivals of one tile) and O(P) values: mu, sigma^2, the
+    # step's draws and their terminal copies, gamma_hat and a few step
+    # buffers
+    n_paths, horizon = 512, 1000
+    spec = specs.GaussianLastTickSpec(n_coords=k, mu1=(0.0,) * k, sigma2_1=(1.0,) * k)
+    tracemalloc.start()
+    try:
+        engine._run_chunk(spec, horizon, 1, 0, n_paths, frozenset())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    draws = 8 * n_paths * ((horizon + 1) + k * horizon)
+    tile = processes.GAUSSIAN_TILE_STEPS
+    allowed = 8 * n_paths * ((k + 1) * tile + (tile + 1) + 5 * k + 4)
+    assert peak - draws <= allowed, (peak - draws, allowed)
+
+
 _PEAK_CASES = ([(kind, horizon, "default") for horizon in (5, 1000)
                 for kind in ("polya", "reinforced", "uniform_coupled",
                              "broken_feedback_weight", "state_space_cid")]

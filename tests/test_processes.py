@@ -378,15 +378,21 @@ def test_scalar_matches_vectorized_gaussian(monkeypatch):
     # every recorded series at every step, and the terminal summaries. The
     # kernel steps in tiles of five steps, copied in blocks of two paths:
     # horizons below one tile, of one tile and not a multiple of it, and
-    # one chunk of three paths, a block and a remainder
+    # one chunk of three paths, a block and a remainder. The records
+    # without arrivals and lambdas take the kernel's per-tile arrivals,
+    # whose running total crosses every tile boundary
     monkeypatch.setattr(processes, "GAUSSIAN_TILE_STEPS", 5)
     monkeypatch.setattr(processes, "GAUSSIAN_TILE_PATHS", 2)
+    records = (None, frozenset(), frozenset({"observations"}),
+               frozenset({"predictive_mean", "predictive_var"}))
     for horizon, (k, t0, rate) in itertools.product(
-            (3, 5, 12, 25), [(1, None, 1.0), (1, 0.4, 2.5), (3, None, 0.6), (3, 0.4, 1.0)]):
+            (1, 3, 4, 5, 6, 12, 25),
+            [(1, None, 1.0), (1, 0.4, 2.5), (3, None, 0.6), (3, 0.4, 1.0)]):
         spec = specs.GaussianLastTickSpec(n_coords=k, mu1=tuple(0.5 * i for i in range(k)),
                                           sigma2_1=tuple(1.0 + i for i in range(k)),
                                           rate=rate, t0=t0)
-        ens = run_ensemble(spec, 3, horizon, 31, chunk_paths=3)
+        ensembles = [run_ensemble(spec, 3, horizon, 31, record=record, chunk_paths=3)
+                     for record in records]
         for p in range(3):
             streams = PathStreams(31, p, k)
             gaps = streams.weights.standard_exponential(horizon + 1) / spec.rate
@@ -405,14 +411,16 @@ def test_scalar_matches_vectorized_gaussian(monkeypatch):
                 lambdas.append(lam)
                 mus.append([st.mu for st in states])
                 s2s.append([st.sigma2 for st in states])
-            assert np.array_equal(np.array(xs), ens.observations[p])
-            assert np.array_equal(np.array(mus), ens.predictive_mean[p])
-            assert np.array_equal(np.array(s2s), ens.predictive_var[p])
-            assert np.array_equal(np.array(arrivals), ens.arrivals[p])
-            assert np.array_equal(np.array(lambdas), ens.lambdas[p])
-            assert ens.gamma_hat[p] == gamma
-            assert np.array_equal(np.array(mus[-1]), ens.arrays["terminal_mu"][p])
-            assert np.array_equal(np.array(s2s[-1]), ens.arrays["terminal_sigma2"][p])
+            scalar = {"observations": xs, "predictive_mean": mus, "predictive_var": s2s,
+                      "arrivals": arrivals, "lambdas": lambdas}
+            for ens in ensembles:
+                assert set(ens.arrays) == ens.record | {"gamma_hat", "terminal_mu",
+                                                        "terminal_sigma2"}
+                for name in ens.record:
+                    assert np.array_equal(np.array(scalar[name]), ens.arrays[name][p]), name
+                assert ens.gamma_hat[p] == gamma
+                assert np.array_equal(np.array(mus[-1]), ens.arrays["terminal_mu"][p])
+                assert np.array_equal(np.array(s2s[-1]), ens.arrays["terminal_sigma2"][p])
 
 
 # ---------------------------------------------------------------------------

@@ -201,3 +201,33 @@ def test_chunking_does_not_change_ensemble(rru_two_point_spec, uniform_polya_spe
                 for key in base.arrays:
                     assert np.array_equal(base.arrays[key], other.arrays[key]), (
                         spec, key, chunk, horizon)
+
+
+_PREFIX_SERIES = ("observations", "predictive_mean", "predictive_var")
+_IID_GAMMA = specs.ReinforcedSpec(2, (1.0, 2.0), (specs.UniformBase(),) * 2,
+                                  specs.IidWeights(specs.GammaWeight(2.5, 1.0, 0.1)))
+# (spec, the large ensemble's size, the prefixes checked against it). The
+# prefixes cross the flat-search switch at H = 32, the vectorized Philox
+# rows up to 96 uniforms and the Gaussian kernel's 64-step tiles, across
+# which it carries the arrival total
+_PREFIX_CASES = ([(kind, specs.spec_from_dict({"kind": kind}), (60, 100),
+                   [(60, 3), (25, 100), (30, 33), (7, 64), (60, 65), (60, 99)])
+                  for kind in specs.list_spec_kinds()]
+                 + [("iid_gamma", _IID_GAMMA, (60, 120), [(30, 33), (7, 97), (60, 96)])])
+
+
+@pytest.mark.parametrize("spec,size,prefixes", [case[1:] for case in _PREFIX_CASES],
+                         ids=[case[0] for case in _PREFIX_CASES])
+def test_ensemble_prefix_is_the_smaller_ensemble(spec, size, prefixes):
+    # a path's draws are a pure function of its address, and each step uses
+    # only those before it: a (p, h) ensemble is rows [:p, :h] of a larger
+    # one with the same seed, bit for bit, whatever the chunk plan
+    record = frozenset(_PREFIX_SERIES)
+    big = run_ensemble(spec, *size, 19, record=record, threads=2)
+    for n_paths, horizon in prefixes:
+        small = run_ensemble(spec, n_paths, horizon, 19, record=record, threads=1)
+        for name in _PREFIX_SERIES:
+            got = small.arrays[name]
+            want = big.arrays[name][:n_paths, :got.shape[1]]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (
+                name, n_paths, horizon)

@@ -125,10 +125,20 @@ def _no_simulation(*args, **kwargs):
       "params": {"tau": {"kind": "constant", "n": 3}, "coord": 2}}, "coord"),
     ({"name": "check_pcid", "params": {"coord": -1}}, "coord"),
     ({"name": "check_pcid", "params": {"coord": 2}}, "coord"),
+    ({"name": "check_pcid", "params": {"n": True}}, "n must"),
+    ({"name": "check_pcid", "params": {"n_permutations": 1.5}}, "n_permutations"),
+    ({"name": "check_pcid", "params": {"max_group": 0}}, "max_group"),
+    ({"name": "check_pcid", "params": {"alpha": 0}}, "alpha"),
+    ({"name": "check_stopping_time",
+      "params": {"tau": {"kind": "constant", "n": 3}, "alpha": -1}}, "alpha"),
+    ({"name": "check_stopping_time",
+      "params": {"tau": {"kind": "constant", "n": 3}, "alpha": True}}, "alpha"),
+    ({"name": "check_clt_sample_mean", "params": {"alpha": 1}}, "alpha"),
 ])
 def test_check_params_rejected_before_simulating(test, key, monkeypatch, tmp_path, capsys):
     from pcid import verifiers
     monkeypatch.setattr(verifiers, "run_ensemble", _no_simulation)
+    monkeypatch.setattr(verifiers, "map_path_chunks", _no_simulation)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"spec": {"kind": "polya", "n_coords": 2}, "n_paths": 10,
                                "horizon": 6, "tests": [test]}))

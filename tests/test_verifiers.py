@@ -274,3 +274,47 @@ def test_list_verifier_names():
     assert verifiers.list_verifier_names() == [
         "check_clt_forecast_errors", "check_clt_sample_mean",
         "check_gaussian_limit", "check_pcid", "check_stopping_time"]
+
+
+def _forbid_simulation(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated an ensemble for a misconfigured check")
+
+    monkeypatch.setattr(verifiers, "map_path_chunks", no_simulation)
+    monkeypatch.setattr(verifiers, "run_ensemble", no_simulation)
+
+
+# each check with arguments it would otherwise run on
+_VALID_CALLS = {
+    "check_pcid": (specs.UniformCoupledSpec(), 100, None, {}),
+    "check_stopping_time": (specs.Ar1DriftSpec(), 100, 10, {"tau": {"kind": "constant",
+                                                                    "n": 6}}),
+    "check_clt_forecast_errors": (specs.Ar1DriftSpec(), 100, 1000, {}),
+    "check_clt_sample_mean": (specs.Ar1DriftSpec(phi=0.0, drift=0.0), 100, 1000, {}),
+    "check_gaussian_limit": (specs.GaussianLastTickSpec(), 100, 1000, {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALID_CALLS))
+@pytest.mark.parametrize("alpha", [True, float("nan"), 0, 1.0, -0.01, float("inf"), "0.01"])
+def test_alpha_outside_unit_interval_rejected_before_simulating(monkeypatch, name, alpha):
+    # alpha <= 0 makes every p-value margin alpha / p <= 0, so a check
+    # would pass whatever the data
+    _forbid_simulation(monkeypatch)
+    spec, n_paths, horizon, params = _VALID_CALLS[name]
+    with pytest.raises(ValueError, match="alpha"):
+        verifiers.VERIFIERS[name](spec, n_paths, horizon, 0, alpha=alpha, **params)
+
+
+@pytest.mark.parametrize("params,key", [
+    ({"n": True}, "n must"), ({"n": 1.5}, "n must"), ({"n": "1"}, "n must"),
+    ({"n": -1}, "n must"),
+    ({"n_permutations": 1.5}, "n_permutations"), ({"n_permutations": 0}, "n_permutations"),
+    ({"n_permutations": True}, "n_permutations"),
+    ({"max_group": 0}, "max_group"), ({"max_group": 2.5}, "max_group"),
+    ({"max_group": False}, "max_group"),
+])
+def test_pcid_arguments_rejected_before_simulating(monkeypatch, params, key):
+    _forbid_simulation(monkeypatch)
+    with pytest.raises(ValueError, match=key):
+        check_pcid(specs.UniformCoupledSpec(), 100, 10, 0, **params)
