@@ -324,7 +324,7 @@ class _Kind:
     inputs: tuple
     series: frozenset  # what it can record, all by default
     held: object       # (H, K) -> values per path held besides draws and series
-    views: frozenset = frozenset()  # recorded series that are buffers in `held`
+    views: frozenset = frozenset()  # recorded series counted in `held`
     blocks: object = None           # (spec, H, P) -> bytes of its row blocks, if any
 
 
@@ -349,15 +349,14 @@ _KINDS = {
         (("exp_draws", 0, lambda spec, h: (h + 1,), "standard_exponential"),
          ("z", None, lambda spec, h: (h,), "standard_normal")),
         _PREDICTIVE | {"arrivals", "lambdas"},
-        # the gaps (the lambdas are a view of them) and the arrivals, H + 1
-        # each, made only when either is recorded: otherwise the kernel
-        # holds one tile's arrivals, T + 1 values, in their place, and the
-        # estimate over-counts (kept so, with the chunk plan it sets; see
-        # CHANGES.md). mu, sigma^2 and the step's draws, K each; a step
+        # 2(H + 1): room for the recorded arrivals and lambdas, counted
+        # whether they are recorded or not, since it sets the chunk plan
+        # (ROADMAP item 7). mu, sigma^2 and the step's draws, K each; a step
         # buffer; gamma_hat and the terminal copies of mu and sigma^2; the
-        # tile's normals and lambdas, K + 1 per step of a tile
-        held=lambda h, k: (2 * (h + 1) + 5 * k + 2
-                           + (k + 1) * min(h, processes.GAUSSIAN_TILE_STEPS)),
+        # tile's normals and lambdas, K + 1 per step of a tile, and its
+        # arrivals, one more
+        held=lambda h, k: (2 * (h + 1) + 5 * k + 3
+                           + (k + 2) * min(h, processes.GAUSSIAN_TILE_STEPS)),
         views=frozenset({"arrivals", "lambdas"})),
     "state_space_cid": _Kind(
         "simulate_state_space_chunk",
@@ -493,7 +492,7 @@ def _resolve_threads(threads: int | None) -> int:
 
 
 def _validate_run_args(spec, n_paths: int, horizon: int, master_seed: int,
-                       record=None, chunk_paths: int | None = None) -> None:
+                       record=None) -> None:
     spec.validate()
     if record is not None:
         check_record(spec, record)
@@ -504,29 +503,22 @@ def _validate_run_args(spec, n_paths: int, horizon: int, master_seed: int,
     _check_stream_address(master_seed, 0, 0)
     if n_paths > MAX_PATHS:
         raise SpecValidationError("n_paths", f"must be <= 2^{_PATH_BITS}")
-    if chunk_paths is not None and chunk_paths < 1:
-        raise ValueError(f"chunk_paths must be None or >= 1, got {chunk_paths}")
 
 
 def map_path_chunks(spec, n_paths: int, horizon: int, master_seed: int, reducer,
-                    *, record: frozenset | None = None, threads: int | None = None,
-                    chunk_paths: int | None = None) -> dict:
+                    *, record: frozenset | None = None, threads: int | None = None) -> dict:
     """Run the ensemble chunk by chunk and apply `reducer` to each chunk's
     Ensemble, gathering the per-path result arrays in path order.
 
     The reducer must be a pure function mapping an Ensemble to a dict of
     arrays whose first dimension indexes the chunk's paths. Chunks follow
     `_chunk_bounds`, so the chunk data in flight stays near
-    CHUNK_BUDGET_BYTES regardless of n_paths and `threads`; `chunk_paths`
-    sets a fixed chunk size instead.
+    CHUNK_BUDGET_BYTES regardless of n_paths and `threads`.
     """
-    _validate_run_args(spec, n_paths, horizon, master_seed, record, chunk_paths)
+    _validate_run_args(spec, n_paths, horizon, master_seed, record)
     record = frozenset(record) if record is not None else default_record(spec)
     threads = _resolve_threads(threads)
-    if chunk_paths is None:
-        bounds = _chunk_bounds(spec, n_paths, horizon, record, threads)
-    else:
-        bounds = [(lo, min(lo + chunk_paths, n_paths)) for lo in range(0, n_paths, chunk_paths)]
+    bounds = _chunk_bounds(spec, n_paths, horizon, record, threads)
     n_workers = min(threads, len(bounds))
 
     def work(bound):
@@ -561,15 +553,14 @@ def map_path_chunks(spec, n_paths: int, horizon: int, master_seed: int, reducer,
 
 
 def run_ensemble(spec, n_paths: int, horizon: int, master_seed: int,
-                 *, record: frozenset | None = None, threads: int | None = None,
-                 chunk_paths: int | None = None) -> Ensemble:
+                 *, record: frozenset | None = None, threads: int | None = None) -> Ensemble:
     """Simulate `n_paths` independent paths of `spec` up to `horizon`.
 
     A pure function of (spec, n_paths, horizon, master_seed): the result is
     bit-identical for any thread count and any chunking.
     """
     reduced = map_path_chunks(spec, n_paths, horizon, master_seed, lambda e: e.arrays,
-                              record=record, threads=threads, chunk_paths=chunk_paths)
+                              record=record, threads=threads)
     record = frozenset(record) if record is not None else default_record(spec)
     return Ensemble(spec, n_paths, horizon, master_seed, record, reduced)
 

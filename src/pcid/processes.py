@@ -33,12 +33,12 @@ The Gaussian kernel steps with a coordinate-major state: mu and sigma^2 are
 (K, P), each coordinate's normals are one contiguous row per path, and
 every step updates the state in place with one loop over the paths per
 coordinate and operation. It steps in tiles, each laid out step-major
-before its steps run, so that a step reads contiguous rows. Unless the
-arrivals or the fractions lambda_n are recorded, it finds them one tile at
-a time, carrying the arrival total from tile to tile, and divides its
-exponential draws by the rate in place, so it makes no array as long as a
-path besides its draws and recorded series. The operations and their
-order are the scalar step's, so the two layers still agree bit for bit.
+before its steps run, so that a step reads contiguous rows. It finds the
+arrivals and the fractions lambda_n one tile at a time, carrying the
+arrival total from tile to tile, and divides its exponential draws by the
+rate in place, so it makes no array as long as a path besides its draws
+and recorded series. The operations and their order are the scalar
+step's, so the two layers still agree bit for bit.
 """
 
 from __future__ import annotations
@@ -603,16 +603,8 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
 
     exp_draws: (P, H+1) standard exponentials (inter-arrivals before rate
     scaling; the first is replaced when the spec fixes t0). z: (P, H, K)
-    standard normals; `_chunk_draws` passes a view of (P, K, H) rows.
-
-    The kernel owns exp_draws. With neither the arrivals nor the lambdas
-    recorded, it divides them by the rate in place, and each tile finds its
-    own arrivals and fractions lambda_n = t_n / T_{n+1} (see below), so no
-    (P, H+1) array is made. Recording either series computes them for all
-    steps at once instead, in a new gaps array and an arrivals array, with
-    the recorded lambdas a view of the gaps. The engine's kind table counts
-    these two (P, H+1) arrays among the values the kernel holds, recorded
-    or not, and the recorded arrivals and lambdas as views of them.
+    standard normals; `_chunk_draws` passes a view of (P, K, H) rows. The
+    kernel owns exp_draws and divides them by the rate in place.
 
     The state is coordinate-major: mu and sigma^2 are (K, P), and each step
     updates them in place, one loop over the paths per coordinate and
@@ -620,39 +612,22 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
     step's bits.
 
     The steps run in tiles of GAUSSIAN_TILE_STEPS. Before each tile, its
-    normals and lambdas (unrecorded: its gaps) are copied step-major into
-    (T, K, P) and (T, P) buffers, in blocks of GAUSSIAN_TILE_PATHS paths,
-    so that every step reads contiguous rows rather than one value from
-    each per-path row. Unrecorded, a (T+1, P) buffer then takes the tile's
-    arrivals: row 0 carries T_{lo+1} from the tile before, the tile's gaps
-    go below it, and one np.cumsum down the rows adds them left to right,
-    as the full arrivals' cumsum does, so with its bits. The gaps are then
-    divided by these arrivals in place. The kind table counts the first two
-    buffers, (K + 1) min(H, T) values per path; the unrecorded run's
-    arrivals buffer fits in the room it counts for the (P, H+1) arrays.
+    normals and gaps are copied step-major into (T, K, P) and (T, P)
+    buffers, in blocks of GAUSSIAN_TILE_PATHS paths, so that every step
+    reads contiguous rows rather than one value from each per-path row. A
+    (T+1, P) buffer then takes the tile's arrivals: row 0 carries T_{lo+1}
+    from the tile before, the tile's gaps go below it, and one np.cumsum
+    down the rows adds them left to right, as a cumsum along each path
+    would. The gaps are then divided by these arrivals in place, into the
+    fractions lambda_n = t_n / T_{n+1}. Recorded arrivals and lambdas are
+    copied out of these buffers tile by tile.
     """
     n_paths = exp_draws.shape[0]
     k = spec.n_coords
     tile = min(horizon, GAUSSIAN_TILE_STEPS)
-    full = bool(record & {"arrivals", "lambdas"})
-    # the kernel owns its chunk's draws: unless the series are recorded,
-    # the gaps overwrite them
-    gaps = np.divide(exp_draws, spec.rate, out=None if full else exp_draws)
+    gaps = np.divide(exp_draws, spec.rate, out=exp_draws)
     if spec.t0 is not None:
         gaps[:, 0] = spec.t0
-    if full:
-        arrivals = np.cumsum(gaps, axis=1)  # T_1 .. T_{H+1}
-        lambdas = np.divide(gaps, arrivals, out=gaps)[:, 1:]  # t_n / T_{n+1}, n = 1..H
-        # recorded, these two are series; the other series fill step by step
-        out = {name: a for name, a in (("arrivals", arrivals), ("lambdas", lambdas))
-               if name in record}
-        del arrivals
-        tile_source, arr_tile = lambdas, None
-    else:
-        # the gaps t_n, n = 1..H; each tile turns them into its lambdas
-        out, tile_source = {}, gaps[:, 1:]
-        arr_tile = np.empty((tile + 1, n_paths))
-        arr_tile[0] = gaps[:, 0]            # T_1
 
     mu = np.repeat(np.asarray(spec.mu1, dtype=float)[:, None], n_paths, axis=1)
     s2 = np.repeat(np.asarray(spec.sigma2_1, dtype=float)[:, None], n_paths, axis=1)
@@ -660,26 +635,30 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
     x = np.empty((k, n_paths))
     shrink = np.empty(n_paths)  # 1 - lambda, then 1 - lambda^2
 
-    out.update(series_buffers(record - {"arrivals", "lambdas"}, n_paths, horizon, k,
-                              predictive_mean=spec.mu1, predictive_var=spec.sigma2_1))
-    obs = out.get("observations")
+    out = series_buffers(record, n_paths, horizon, k, predictive_mean=spec.mu1,
+                         predictive_var=spec.sigma2_1, arrivals=gaps[:, 0])
+    obs, arr_out, lam_out = out.get("observations"), out.get("arrivals"), out.get("lambdas")
     mean_out, var_out = out.get("predictive_mean"), out.get("predictive_var")
 
     z_tile = np.empty((tile, k, n_paths))
     lam_tile = np.empty((tile, n_paths))
+    arr_tile = np.empty((tile + 1, n_paths))
+    arr_tile[0] = gaps[:, 0]            # T_1
     for lo in range(0, horizon, tile):
         t = min(tile, horizon - lo)
         for p in range(0, n_paths, GAUSSIAN_TILE_PATHS):
             q = min(p + GAUSSIAN_TILE_PATHS, n_paths)
             np.copyto(z_tile[:t, :, p:q], z[p:q, lo:lo + t, :].transpose(1, 2, 0))
-            np.copyto(lam_tile[:t, p:q], tile_source[p:q, lo:lo + t].T)
-        if arr_tile is not None:
-            # row 0 holds T_{lo+1}: the sums go on left to right, as the
-            # full arrivals' np.cumsum adds them, to T_{lo+2} .. T_{lo+t+1}
-            arr_tile[1:t + 1] = lam_tile[:t]
-            np.cumsum(arr_tile[:t + 1], axis=0, out=arr_tile[:t + 1])
-            np.divide(lam_tile[:t], arr_tile[1:t + 1], out=lam_tile[:t])
-            arr_tile[0] = arr_tile[t]
+            np.copyto(lam_tile[:t, p:q], gaps[p:q, lo + 1:lo + t + 1].T)
+        # row 0 holds T_{lo+1}: the sums go on to T_{lo+2} .. T_{lo+t+1}
+        arr_tile[1:t + 1] = lam_tile[:t]
+        np.cumsum(arr_tile[:t + 1], axis=0, out=arr_tile[:t + 1])
+        np.divide(lam_tile[:t], arr_tile[1:t + 1], out=lam_tile[:t])
+        if arr_out is not None:
+            arr_out[:, lo + 1:lo + t + 1] = arr_tile[1:t + 1].T
+        if lam_out is not None:
+            lam_out[:, lo:lo + t] = lam_tile[:t].T
+        arr_tile[0] = arr_tile[t]
         for j in range(t):
             n = lo + j + 1
             lam = lam_tile[j]

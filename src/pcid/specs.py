@@ -585,11 +585,16 @@ class GaussianLastTickSpec(_DictForm):
         _require(self.n_coords >= 1, "n_coords", f"need at least one coordinate, got {self.n_coords}")
         _require(len(self.mu1) == self.n_coords, "mu1", "one initial mean per coordinate")
         _require(len(self.sigma2_1) == self.n_coords, "sigma2_1", "one initial variance per coordinate")
+        for i, m in enumerate(self.mu1):
+            _require(math.isfinite(m), f"mu1[{i}]", f"must be finite, got {m}")
         for i, s2 in enumerate(self.sigma2_1):
-            _require(s2 > 0, f"sigma2_1[{i}]", f"must be positive, got {s2}")
-        _require(self.rate > 0, "rate", f"must be positive, got {self.rate}")
+            _require(s2 > 0 and math.isfinite(s2), f"sigma2_1[{i}]",
+                     f"must be positive and finite, got {s2}")
+        _require(self.rate > 0 and math.isfinite(self.rate), "rate",
+                 f"must be positive and finite, got {self.rate}")
         if self.t0 is not None:
-            _require(self.t0 > 0, "t0", f"must be positive, got {self.t0}")
+            _require(self.t0 > 0 and math.isfinite(self.t0), "t0",
+                     f"must be positive and finite, got {self.t0}")
 
 
 @dataclass(frozen=True)
@@ -643,8 +648,13 @@ class Ar1DriftSpec(_DictForm):
 
     def validate(self) -> None:
         _require(abs(self.phi) < 1, "phi", f"|phi| must be < 1, got {self.phi}")
-        _require(self.noise_var > 0, "noise_var", f"must be positive, got {self.noise_var}")
-        _require(self.init_var > 0, "init_var", f"must be positive, got {self.init_var}")
+        _require(math.isfinite(self.drift), "drift", f"must be finite, got {self.drift}")
+        _require(math.isfinite(self.init_mean), "init_mean",
+                 f"must be finite, got {self.init_mean}")
+        _require(self.noise_var > 0 and math.isfinite(self.noise_var), "noise_var",
+                 f"must be positive and finite, got {self.noise_var}")
+        _require(self.init_var > 0 and math.isfinite(self.init_var), "init_var",
+                 f"must be positive and finite, got {self.init_var}")
 
 
 SPEC_KINDS = {

@@ -101,7 +101,10 @@ class TestVerdict:
 
 def _verdict(name: str, subchecks: list[SubCheck], alpha: float, n_paths: int,
              horizon: int, seed: int, params: dict) -> TestVerdict:
-    worst = max((s.margin for s in subchecks), default=math.inf)
+    margins = [s.margin for s in subchecks]
+    # max() skips a NaN that is not the first margin; a NaN margin fails
+    worst = (math.nan if any(math.isnan(m) for m in margins)
+             else max(margins, default=math.inf))
     return TestVerdict(name, worst, 1.0, 1.0, alpha, worst <= 1.0,
                        n_paths, horizon, seed, subchecks, params)
 
@@ -293,7 +296,8 @@ def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
     else:
         bound = _integer(tau["cap"], "tau.cap")
         thr = tau["threshold"]
-        if isinstance(thr, bool) or not isinstance(thr, numbers.Real):
+        # a NaN threshold is never exceeded: tau would be the cap, silently
+        if isinstance(thr, bool) or not isinstance(thr, numbers.Real) or math.isnan(thr):
             raise ValueError(f"tau.threshold must be a number, got {thr!r}")
     if not (0 <= bound <= horizon - 1):
         raise ValueError(f"stopping rule bound {bound} exceeds horizon - 1 = {horizon - 1}")

@@ -1,7 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
 
-from pcid import specs
+from pcid import engine, specs
 
 
 class FakeStream:
@@ -49,3 +51,16 @@ def degenerate_spec():
 def two_sample_halves(values: np.ndarray):
     half = len(values) // 2
     return values[:half], values[half:2 * half]
+
+
+@contextlib.contextmanager
+def fixed_chunks(size):
+    """Within the block, the engine plans chunks of `size` paths (the last
+    one shorter) in place of its budgeted plan."""
+    planned = engine._chunk_bounds
+    engine._chunk_bounds = lambda spec, n_paths, horizon, record, n_workers: [
+        (lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+    try:
+        yield
+    finally:
+        engine._chunk_bounds = planned

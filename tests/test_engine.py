@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcid import engine, processes, specs, statistics, verifiers
+from conftest import fixed_chunks
+from pcid import engine, processes, runner, specs, statistics, verifiers
 from pcid.engine import (
     MissingSeriesError,
     recompute_predictive_series,
@@ -21,19 +22,14 @@ def test_run_rejects_empty_ensemble(uniform_polya_spec):
     assert err.value.field == "horizon"
 
 
-@pytest.mark.parametrize("chunk_paths", [-2, 0])
-def test_run_rejects_bad_chunk_paths(uniform_polya_spec, chunk_paths):
-    with pytest.raises(ValueError, match="chunk_paths"):
-        run_ensemble(uniform_polya_spec, 5, 5, 1, chunk_paths=chunk_paths)
-
-
 def test_reducer_needs_one_row_per_path(uniform_polya_spec):
     # a per-chunk scalar would depend on the chunk plan, and so on threads
     with pytest.raises(ValueError, match="one row per path"):
         engine.map_path_chunks(uniform_polya_spec, 5, 3, 1,
                                lambda e: {"mean": e.observations.mean()})
-    got = engine.map_path_chunks(uniform_polya_spec, 5, 3, 1,
-                                 lambda e: {"x": e.observations[:, 0, 0]}, chunk_paths=2)
+    with fixed_chunks(2):
+        got = engine.map_path_chunks(uniform_polya_spec, 5, 3, 1,
+                                     lambda e: {"x": e.observations[:, 0, 0]})
     assert np.array_equal(got["x"], run_ensemble(uniform_polya_spec, 5, 3, 1).observations[:, 0, 0])
 
 
@@ -91,24 +87,28 @@ def test_gaussian_chunk_peak_within_estimate(k, horizon):
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_unrecorded_gaussian_chunk_holds_only_tiles_besides_draws(k):
-    # with neither arrivals nor lambdas recorded, the kernel keeps no
-    # (P, H+1) array: besides its draws it holds the tile buffers (normals,
+def test_gaussian_chunk_holds_only_tiles_besides_draws_and_series(k):
+    # whatever it records, the kernel keeps no (P, H+1) array but its draws
+    # and recorded series: besides those it holds the tile buffers (normals,
     # lambdas and arrivals of one tile) and O(P) values: mu, sigma^2, the
     # step's draws and their terminal copies, gamma_hat and a few step
     # buffers
     n_paths, horizon = 512, 1000
     spec = specs.GaussianLastTickSpec(n_coords=k, mu1=(0.0,) * k, sigma2_1=(1.0,) * k)
-    tracemalloc.start()
-    try:
-        engine._run_chunk(spec, horizon, 1, 0, n_paths, frozenset())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     draws = 8 * n_paths * ((horizon + 1) + k * horizon)
     tile = processes.GAUSSIAN_TILE_STEPS
     allowed = 8 * n_paths * ((k + 1) * tile + (tile + 1) + 5 * k + 4)
-    assert peak - draws <= allowed, (peak - draws, allowed)
+    for record in (frozenset(), frozenset({"arrivals"}), frozenset({"lambdas"}),
+                   frozenset({"arrivals", "lambdas"}), engine.default_record(spec)):
+        tracemalloc.start()
+        try:
+            engine._run_chunk(spec, horizon, 1, 0, n_paths, record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        series = sum(8 * np.prod(processes.series_shape(name, n_paths, horizon, k))
+                     for name in record)
+        assert peak - draws - series <= allowed, (record, peak - draws - series, allowed)
 
 
 _PEAK_CASES = ([(kind, horizon, "default") for horizon in (5, 1000)
@@ -201,6 +201,18 @@ def test_chunk_bounds_many_workers_keep_many_paths(kind):
     for horizon in (3, 20, 1000):
         bounds = engine._chunk_bounds(spec, 10 ** 5, horizon, engine.default_record(spec), 8)
         assert min(hi - lo for lo, hi in bounds) > 10, horizon
+
+
+def test_bundled_gaussian_chunk_plan():
+    # the kind table's estimate sets how many chunks the bundled Gaussian
+    # config runs in (its check records nothing): an edit to the estimate
+    # that moves this plan changes the run's memory and time, so it must
+    # move the plan knowingly
+    config = runner.load_config("gaussian_last_tick_limit")
+    for threads, n_chunks in ((1, 7), (2, 14)):
+        bounds = engine._chunk_bounds(config.spec, config.n_paths, config.horizon,
+                                      frozenset(), threads)
+        assert len(bounds) == n_chunks, threads
 
 
 def test_run_rejects_unrecordable_series(uniform_polya_spec):

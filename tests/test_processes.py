@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import FakeStream, FakeStreams
+from conftest import FakeStream, FakeStreams, fixed_chunks
 from pcid import processes, specs
 from pcid.engine import Ensemble, PathStreams, run_ensemble
 from pcid.processes import (
@@ -378,21 +378,23 @@ def test_scalar_matches_vectorized_gaussian(monkeypatch):
     # every recorded series at every step, and the terminal summaries. The
     # kernel steps in tiles of five steps, copied in blocks of two paths:
     # horizons below one tile, of one tile and not a multiple of it, and
-    # one chunk of three paths, a block and a remainder. The records
-    # without arrivals and lambdas take the kernel's per-tile arrivals,
-    # whose running total crosses every tile boundary
+    # one chunk of three paths, a block and a remainder. Every record takes
+    # the kernel's per-tile arrivals, whose running total crosses every tile
+    # boundary, and the recorded arrivals and lambdas are copied from them
     monkeypatch.setattr(processes, "GAUSSIAN_TILE_STEPS", 5)
     monkeypatch.setattr(processes, "GAUSSIAN_TILE_PATHS", 2)
     records = (None, frozenset(), frozenset({"observations"}),
-               frozenset({"predictive_mean", "predictive_var"}))
+               frozenset({"predictive_mean", "predictive_var"}),
+               frozenset({"arrivals"}), frozenset({"lambdas"}))
     for horizon, (k, t0, rate) in itertools.product(
             (1, 3, 4, 5, 6, 12, 25),
             [(1, None, 1.0), (1, 0.4, 2.5), (3, None, 0.6), (3, 0.4, 1.0)]):
         spec = specs.GaussianLastTickSpec(n_coords=k, mu1=tuple(0.5 * i for i in range(k)),
                                           sigma2_1=tuple(1.0 + i for i in range(k)),
                                           rate=rate, t0=t0)
-        ensembles = [run_ensemble(spec, 3, horizon, 31, record=record, chunk_paths=3)
-                     for record in records]
+        with fixed_chunks(3):
+            ensembles = [run_ensemble(spec, 3, horizon, 31, record=record)
+                         for record in records]
         for p in range(3):
             streams = PathStreams(31, p, k)
             gaps = streams.weights.standard_exponential(horizon + 1) / spec.rate

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import fixed_chunks
 from pcid import engine, processes, specs
 from pcid.engine import _StreamFiller, derive_stream, run_ensemble
 
@@ -141,7 +142,8 @@ def test_thread_count_does_not_change_ensemble(uniform_polya_spec, monkeypatch):
     spec = specs.UniformCoupledSpec()
     base = run_ensemble(spec, 64, 20, 42, threads=1)
     for threads in (2, 8):
-        other = run_ensemble(spec, 64, 20, 42, threads=threads, chunk_paths=9)
+        with fixed_chunks(9):
+            other = run_ensemble(spec, 64, 20, 42, threads=threads)
         for key in base.arrays:
             assert np.array_equal(base.arrays[key], other.arrays[key]), key
     # the automatic chunk plan, with a budget of seven paths: one chunk of
@@ -154,7 +156,8 @@ def test_thread_count_does_not_change_ensemble(uniform_polya_spec, monkeypatch):
                  specs.GaussianLastTickSpec(t0=0.25),
                  specs.StateSpaceCidSpec(),
                  specs.Ar1DriftSpec()):
-        base = run_ensemble(spec, 40, 20, 42, threads=1, chunk_paths=40)
+        with fixed_chunks(40):
+            base = run_ensemble(spec, 40, 20, 42, threads=1)
         per = engine._series_bytes_per_path(spec, 20, engine.default_record(spec))
         for threads in (1, 2, 3):
             monkeypatch.setattr(engine, "CHUNK_BUDGET_BYTES",
@@ -168,9 +171,11 @@ def test_thread_count_does_not_change_ensemble(uniform_polya_spec, monkeypatch):
 
 def test_chunking_does_not_change_ensemble(rru_two_point_spec, uniform_polya_spec,
                                            monkeypatch):
-    base = run_ensemble(rru_two_point_spec, 50, 30, 5, chunk_paths=50)
+    with fixed_chunks(50):
+        base = run_ensemble(rru_two_point_spec, 50, 30, 5)
     for chunk in (1, 7, 49):
-        other = run_ensemble(rru_two_point_spec, 50, 30, 5, chunk_paths=chunk)
+        with fixed_chunks(chunk):
+            other = run_ensemble(rru_two_point_spec, 50, 30, 5)
         for key in base.arrays:
             assert np.array_equal(base.arrays[key], other.arrays[key]), (key, chunk)
     # the genealogy kernel works in row blocks, here of 10 paths: chunks on
@@ -195,9 +200,11 @@ def test_chunking_does_not_change_ensemble(rru_two_point_spec, uniform_polya_spe
         for horizon in (3, 30, processes.GENEALOGY_FLAT_SEARCH_BELOW + 8,
                         2 * processes.GAUSSIAN_TILE_STEPS + 1):
             monkeypatch.setattr(processes, "GENEALOGY_BLOCK_STEPS", 10 * (horizon + 1))
-            base = run_ensemble(spec, 54, horizon, 5, chunk_paths=1)
+            with fixed_chunks(1):
+                base = run_ensemble(spec, 54, horizon, 5)
             for chunk in (7, 9, 11, 54):
-                other = run_ensemble(spec, 54, horizon, 5, chunk_paths=chunk)
+                with fixed_chunks(chunk):
+                    other = run_ensemble(spec, 54, horizon, 5)
                 for key in base.arrays:
                     assert np.array_equal(base.arrays[key], other.arrays[key]), (
                         spec, key, chunk, horizon)

@@ -61,6 +61,12 @@ def test_malformed_spec_value_exits_2(tmp_path, capsys):
                                "n_paths": 10, "horizon": 5}))
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
     assert "coupling.dist" in capsys.readouterr().err
+    # json reads NaN; a NaN initial mean gives a NaN margin, not a verdict
+    cfg.write_text(json.dumps({"spec": {"kind": "gaussian_last_tick", "mu1": [float("nan")]},
+                               "n_paths": 10, "horizon": 1000,
+                               "tests": [{"name": "check_gaussian_limit"}]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "mu1[0]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc,key", [
@@ -134,6 +140,10 @@ def _no_simulation(*args, **kwargs):
     ({"name": "check_stopping_time",
       "params": {"tau": {"kind": "constant", "n": 3}, "alpha": True}}, "alpha"),
     ({"name": "check_clt_sample_mean", "params": {"alpha": 1}}, "alpha"),
+    # no observation exceeds NaN: tau would silently be the cap
+    ({"name": "check_stopping_time",
+      "params": {"tau": {"kind": "first_exceed", "threshold": float("nan"), "cap": 3}}},
+     "tau.threshold"),
 ])
 def test_check_params_rejected_before_simulating(test, key, monkeypatch, tmp_path, capsys):
     from pcid import verifiers

@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 
 import pytest
@@ -70,6 +71,17 @@ def test_round_trip(doc):
     ({"kind": "polya", "base": {"kind": "discrete", "probs": [1.0]}}, "base.values"),
     ({"kind": "uniform_coupled", "beta": {"kind": "table", "table": 0.5}}, "beta.table"),
     ({"kind": "polya", "w0": "abc"}, "w0"),
+    ({"kind": "gaussian_last_tick", "mu1": math.nan}, "mu1[0]"),
+    ({"kind": "gaussian_last_tick", "n_coords": 2, "mu1": [0.0, -math.inf],
+      "sigma2_1": [1.0, 1.0]}, "mu1[1]"),
+    ({"kind": "gaussian_last_tick", "sigma2_1": math.inf}, "sigma2_1[0]"),
+    ({"kind": "gaussian_last_tick", "rate": math.inf}, "rate"),
+    ({"kind": "gaussian_last_tick", "t0": math.inf}, "t0"),
+    ({"kind": "ar1_drift", "drift": math.nan}, "drift"),
+    ({"kind": "ar1_drift", "drift": math.inf}, "drift"),
+    ({"kind": "ar1_drift", "init_mean": -math.inf}, "init_mean"),
+    ({"kind": "ar1_drift", "noise_var": math.inf}, "noise_var"),
+    ({"kind": "ar1_drift", "init_var": math.inf}, "init_var"),
 ])
 def test_validation_names_offending_field(doc, field):
     with pytest.raises(SpecValidationError) as err:

@@ -270,6 +270,15 @@ def test_verdict_margin_convention():
                       "n_paths", "horizon", "seed", "subchecks"}
 
 
+def test_verdict_fails_on_a_nan_margin():
+    # Python's max() skips a NaN that is not its first argument
+    for margins in ((0.3, float("nan")), (float("nan"), 0.3)):
+        subchecks = [verifiers.SubCheck(f"s{i}", "tolerance", 0.0, 0.0, 1.0, m)
+                     for i, m in enumerate(margins)]
+        v = verifiers._verdict("check", subchecks, 0.01, 10, 10, 1, {})
+        assert not v.passed and np.isnan(v.statistic), margins
+
+
 def test_list_verifier_names():
     assert verifiers.list_verifier_names() == [
         "check_clt_forecast_errors", "check_clt_sample_mean",
