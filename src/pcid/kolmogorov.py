@@ -1,4 +1,4 @@
-"""Kolmogorov-Smirnov p-values without scipy.stats.
+"""Kolmogorov-Smirnov p-values and the standard normal cdf without scipy.stats.
 
 The survival function of the two-sided one-sample Kolmogorov-Smirnov
 statistic D_n, P(D_n > d), chosen per (n, d) among exact and asymptotic
@@ -15,6 +15,12 @@ so `kstwo_sf`, `ks_normal` and `ks_two_sample` give the bits of
 `scipy.stats.kstwo.sf`, `kstest(x, "norm")` and
 `ks_2samp(a, b, method="asymp")`. Importing scipy.stats would cost more
 than half of a `pcid run` start-up.
+
+`ndtr` is the standard normal cdf of the Cephes library (notice below),
+the routine behind `scipy.special.ndtr`, carried over with its rational
+approximations of erf and erfc, so that importing this module loads no
+scipy at all. Only the 2 * smirnov branches import `scipy.special`, when
+they are first reached.
 """
 
 # Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
@@ -48,12 +54,41 @@ than half of a `pcid run` start-up.
 # (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
 # OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 
+# Cephes Math Library Release 2.8:  June, 2000
+# Copyright 1984, 1995, 2000 by Stephen L. Moshier
+#
+# This software is derived from the Cephes Math Library and is
+# incorporated herein by permission of the author.
+#
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions are met:
+#     * Redistributions of source code must retain the above copyright
+#       notice, this list of conditions and the following disclaimer.
+#     * Redistributions in binary form must reproduce the above copyright
+#       notice, this list of conditions and the following disclaimer in the
+#       documentation and/or other materials provided with the distribution.
+#     * Neither the name of the <organization> nor the
+#       names of its contributors may be used to endorse or promote products
+#       derived from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS "AS IS" AND
+# ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT LIMITED TO, THE IMPLIED
+# WARRANTIES OF MERCHANTABILITY AND FITNESS FOR A PARTICULAR PURPOSE ARE
+# DISCLAIMED. IN NO EVENT SHALL <COPYRIGHT HOLDER> BE LIABLE FOR ANY
+# DIRECT, INDIRECT, INCIDENTAL, SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES
+# (INCLUDING, BUT NOT LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES;
+# LOSS OF USE, DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND
+# ON ANY THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE OF THIS
+# SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy import special
 
 _E128 = 128
 _EP128 = np.ldexp(np.longdouble(1), _E128)
@@ -278,6 +313,13 @@ def _cdf_pelz_good(n, x):
     return sum(K0to3)
 
 
+def _twice_smirnov(n, x):
+    """2 * the one-sided survival function P(D_n^+ >= x), the only use of
+    scipy here: its module is imported on the first call that needs it."""
+    from scipy import special
+    return _clip_prob(2 * special.smirnov(n, x))
+
+
 def _kolmogn_sf(n, x):
     """P(D_n > x) for an int n >= 1 and a 0-d float64 array x with
     0.5/n < x < 1, by the method Simard and L'Ecuyer choose for (n, x)."""
@@ -293,7 +335,7 @@ def _kolmogn_sf(n, x):
     if t >= n - 1:  # Ruben-Gambino
         return _clip_prob(2 * (1.0 - x)**n)
     if x >= 0.5:  # exact
-        return _clip_prob(2 * special.smirnov(n, x))
+        return _twice_smirnov(n, x)
 
     nxsquared = t * x
     if n <= 140:
@@ -302,16 +344,95 @@ def _kolmogn_sf(n, x):
         if nxsquared <= 4:
             return _clip_prob(1.0 - _cdf_pomeranz(n, x))
         # Miller's approximation
-        return _clip_prob(2 * special.smirnov(n, x))
+        return _twice_smirnov(n, x)
     if nxsquared >= 370.0:
         return 0.0
     if nxsquared >= 2.2:
-        return _clip_prob(2 * special.smirnov(n, x))
+        return _twice_smirnov(n, x)
     if n <= 100000 and n * x**1.5 <= 1.4:
         cdfprob = _cdf_durbin_mtw(n, x)
     else:
         cdfprob = _cdf_pelz_good(n, x)
     return _clip_prob(1.0 - cdfprob)
+
+
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8, exp(-x^2) R(x) / S(x) above,
+# U, Q and S with their leading coefficient 1 left out
+_SQRT1_2 = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2  # log(2^1024)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _polevl(x, coef):
+    """coef[0] x^N + ... + coef[N] by Horner's rule, as cephes polevl."""
+    ans = coef[0] * x + coef[1]
+    for c in coef[2:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef):
+    """x^N + coef[0] x^(N-1) + ... + coef[N-1], as cephes p1evl."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf_small(x):
+    """cephes erf for |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _T) / _p1evl(z, _U)
+
+
+def _erfc_large(x):
+    """cephes erfc for x >= 1: 0 where exp(-x^2) underflows, as for x = inf.
+    exp is libm's, through math.exp: numpy's own exp differs from it in the
+    last bit at about one point in twenty."""
+    out = np.zeros_like(x)
+    with np.errstate(over="ignore"):
+        z = -x * x
+    live = z >= -_MAXLOG
+    x = x[live]
+    e = np.fromiter(map(math.exp, z[live].tolist()), np.float64, len(x))
+    small = x < 8.0
+    p = np.where(small, _polevl(x, _P), _polevl(x, _R))
+    q = np.where(small, _p1evl(x, _Q), _p1evl(x, _S))
+    out[live] = e * p / q
+    return out
+
+
+def ndtr(a):
+    """The standard normal cdf, elementwise: cephes `ndtr`, bit for bit
+    `scipy.special.ndtr`. NaN gives NaN."""
+    a = np.asarray(a, dtype=np.float64)
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    y = np.full(x.shape, np.nan)
+    centre = z < _SQRT1_2
+    y[centre] = 0.5 + 0.5 * _erf_small(x[centre])
+    # 0.5 erfc(|x|), with erfc = 1 - erf below 1
+    mid = (z >= _SQRT1_2) & (z < 1.0)
+    y[mid] = 0.5 * (1.0 - _erf_small(z[mid]))
+    tail = z >= 1.0
+    y[tail] = 0.5 * _erfc_large(z[tail])
+    upper = ~centre & (x > 0)
+    y[upper] = 1.0 - y[upper]
+    return y[()]
 
 
 def kstwo_sf(d: float, n: float) -> float:
@@ -337,7 +458,7 @@ def ks_normal(x) -> tuple[float, float]:
     n = x.shape[-1]
     if n == 0 or np.isnan(x).any():
         return math.nan, math.nan
-    cdfvals = special.ndtr(x)
+    cdfvals = ndtr(x)
     d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
     d_minus = (cdfvals - np.arange(0.0, n) / n).max()
     d = float(d_plus if d_plus > d_minus else d_minus)

@@ -227,6 +227,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str, *, seed: int,
     stream = stream if stream is not None else sys.stdout
     if threads is not None and threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
+    for flag, value in (("--paths", n_paths), ("--horizon", horizon)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     paths = n_paths if n_paths is not None else config.n_paths
     steps = horizon if horizon is not None else config.horizon
     try:

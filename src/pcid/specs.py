@@ -16,7 +16,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
-from scipy import special
+
+from .kolmogorov import ndtr
 
 
 class SpecValidationError(ValueError):
@@ -197,9 +198,10 @@ class NormalBase(_DictForm):
         raise ValueError(f"raw moments implemented up to order 4, got {r}")
 
     def cdf(self, x):
-        return special.ndtr((np.asarray(x, float) - self.mean_value) / math.sqrt(self.var))
+        return ndtr((np.asarray(x, float) - self.mean_value) / math.sqrt(self.var))
 
     def ppf(self, q):
+        from scipy import special
         return self.mean_value + math.sqrt(self.var) * special.ndtri(np.asarray(q, float))
 
     def support(self) -> tuple[float, float]:
@@ -301,7 +303,8 @@ class TwoPointWeight(_DictForm):
     consumes_uniform: ClassVar[bool] = True
 
     def validate(self, field_name: str = "weight") -> None:
-        _require(self.lo > 0 and self.hi > 0, field_name, "both weight values must be positive")
+        _require(self.lo > 0 and 0 < self.hi < math.inf, field_name,
+                 "both weight values must be positive and finite")
         _require(self.hi > self.lo, field_name, "need hi > lo")
         _require(0.0 < self.p_lo < 1.0, field_name, f"p_lo must be in (0,1), got {self.p_lo}")
 
@@ -329,7 +332,8 @@ class UniformWeight(_DictForm):
 
     def validate(self, field_name: str = "weight") -> None:
         _require(self.a > 0, field_name, f"lower bound must be positive, got {self.a}")
-        _require(self.b > self.a, field_name, f"need b > a, got ({self.a}, {self.b})")
+        _require(self.a < self.b < math.inf, field_name,
+                 f"need finite b > a, got ({self.a}, {self.b})")
 
     def mean(self) -> float:
         return 0.5 * (self.a + self.b)
@@ -355,9 +359,12 @@ class GammaWeight(_DictForm):
     consumes_uniform: ClassVar[bool] = True
 
     def validate(self, field_name: str = "weight") -> None:
-        _require(self.shape > 0, field_name, f"shape must be positive, got {self.shape}")
-        _require(self.scale > 0, field_name, f"scale must be positive, got {self.scale}")
-        _require(self.shift >= 0, field_name, f"shift must be >= 0, got {self.shift}")
+        _require(0 < self.shape < math.inf, field_name,
+                 f"shape must be positive and finite, got {self.shape}")
+        _require(0 < self.scale < math.inf, field_name,
+                 f"scale must be positive and finite, got {self.scale}")
+        _require(0 <= self.shift < math.inf, field_name,
+                 f"shift must be >= 0 and finite, got {self.shift}")
         _require(self.shift > 0 or self.shape > 2, field_name,
                  "need shift > 0 or shape > 2 so that E[1/W^2] is finite")
 
@@ -371,6 +378,7 @@ class GammaWeight(_DictForm):
         return self.variance() + self.mean() ** 2
 
     def from_uniform(self, u):
+        from scipy import special
         return self.shift + self.scale * special.gammaincinv(self.shape, np.asarray(u, float))
 
 
@@ -471,8 +479,8 @@ class FeedbackWeight(_DictForm):
     kind: ClassVar[str] = "feedback_weight"
 
     def validate(self, field_name: str = "coupling") -> None:
-        _require(self.scale > 0 and self.shift > 0, field_name,
-                 "scale and shift must be positive")
+        _require(0 < self.scale < math.inf and 0 < self.shift < math.inf, field_name,
+                 "scale and shift must be positive and finite")
 
 
 COUPLING_RULES = {
@@ -563,9 +571,11 @@ class BrokenFeedbackWeightSpec(_DictForm):
 
     def validate(self) -> None:
         _require(self.n_coords >= 1, "n_coords", f"need at least one coordinate, got {self.n_coords}")
-        _require(self.w0 > 0, "w0", f"must be positive, got {self.w0}")
-        _require(self.shift > 0, "shift", f"must be positive, got {self.shift}")
-        _require(self.scale > 0, "scale", f"must be positive, got {self.scale}")
+        _require(0 < self.w0 < math.inf, "w0", f"must be positive and finite, got {self.w0}")
+        _require(0 < self.shift < math.inf, "shift",
+                 f"must be positive and finite, got {self.shift}")
+        _require(0 < self.scale < math.inf, "scale",
+                 f"must be positive and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -613,7 +623,7 @@ class StateSpaceCidSpec(_DictForm):
 
     def validate(self) -> None:
         _require(math.isfinite(self.theta0), "theta0", "must be finite")
-        _require(self.c > 0, "c", f"must be positive, got {self.c}")
+        _require(0 < self.c < math.inf, "c", f"must be positive and finite, got {self.c}")
         _require(0 < self.c_prime < self.c, "c_prime",
                  f"need 0 < c_prime < c, got c_prime={self.c_prime}, c={self.c}")
         if self.b_table:

@@ -20,7 +20,6 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import kolmogorov, oracles, statistics
 from .engine import derive_stream, map_path_chunks, run_ensemble
@@ -165,6 +164,7 @@ def energy_permutation_test(sample_a: np.ndarray, sample_b: np.ndarray,
     and its product with the N x (n_permutations + 1) label matrix, one
     GEMM per block, so memory grows with N times the block rows, not N^2.
     """
+    from scipy.spatial.distance import cdist
     a = np.atleast_2d(np.asarray(sample_a, float))
     b = np.atleast_2d(np.asarray(sample_b, float))
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
-from pcid.kolmogorov import ks_normal, ks_two_sample, kstwo_sf
+from pcid.kolmogorov import ks_normal, ks_two_sample, kstwo_sf, ndtr
 
 
 def _same(ours, theirs) -> bool:
@@ -71,6 +71,32 @@ def test_documented_edges():
     # two one-point samples: the effective size round(1 * 1 / 2) is 0
     d, p = ks_two_sample([0.2], [0.7])
     assert d == 1.0 and math.isnan(p)
+
+
+def _ndtr_points() -> np.ndarray:
+    """Random points over the whole range, the 61 doubles around each edge
+    between cephes' branches (a = +-1: erf and 1 - erf; +-sqrt(2): 1 - erf
+    and exp(-x^2) P/Q; +-8 sqrt(2): P/Q and R/S; |a| = sqrt(2 MAXLOG) ~ 37.68,
+    past which erfc is 0), and the non-finite, zero and subnormal points."""
+    rng = np.random.default_rng(5)
+    sign = rng.choice([-1.0, 1.0], 20000)
+    points = [rng.standard_normal(20000), rng.uniform(-40.0, 40.0, 20000),
+              sign * np.exp(rng.uniform(-745.0, 6.0, 20000))]
+    for edge in (1.0, math.sqrt(2), 8 * math.sqrt(2), math.sqrt(2 * 709.782712893384), 37.7):
+        for a in (edge, -edge):
+            points.append(a + np.arange(-30, 31) * np.spacing(a))
+    points.append(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324,
+                            2.2250738585072014e-308, 1e300, -1e300]))
+    return np.concatenate(points)
+
+
+def test_ndtr_bits_equal_scipy():
+    a = _ndtr_points()
+    ours, ref = ndtr(a), special.ndtr(a)
+    mismatches = a[ours.view(np.uint64) != ref.view(np.uint64)]
+    assert mismatches.tolist() == []
+    assert ndtr(0.3) == special.ndtr(0.3) and np.ndim(ndtr(0.3)) == 0
+    assert ndtr(a.reshape(-1, 2)).shape == (len(a) // 2, 2)
 
 
 def _samples() -> list[np.ndarray]:

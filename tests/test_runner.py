@@ -178,6 +178,21 @@ def test_threads_below_one_exits_2(config, tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--paths", "0"), ("--paths", "-3"),
+                                         ("--horizon", "0")])
+def test_size_override_below_one_exits_2_before_simulating(flag, value, monkeypatch,
+                                                           tmp_path, capsys):
+    from pcid import verifiers
+    monkeypatch.setattr(verifiers, "run_ensemble", _no_simulation)
+    monkeypatch.setattr(verifiers, "map_path_chunks", _no_simulation)
+    monkeypatch.setattr(runner, "run_ensemble", _no_simulation)
+    out = tmp_path / "o"
+    args = ["run", "--config", "uniform_coupled_demo", flag, value, "--out", str(out)]
+    assert main(args) == EXIT_CONFIG
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_unknown_test_name_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"spec": {"kind": "polya"}, "n_paths": 10, "horizon": 5,
@@ -407,13 +422,49 @@ print(sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy
 """
 
 
-def test_run_does_not_import_scipy_stats():
-    # scipy.stats costs more than half of a pcid run's start-up: the KS
-    # p-values come from pcid.kolmogorov instead
+def _run_fresh(script: str) -> str:
+    """stdout of `script` run by a fresh interpreter that imports pcid from
+    this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _RUN_EVERY_VERIFIER], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_run_does_not_import_scipy_stats():
+    # scipy.stats costs more than half of a pcid run's start-up: the KS
+    # p-values come from pcid.kolmogorov instead
+    assert _run_fresh(_RUN_EVERY_VERIFIER) == "[]"
+
+
+_SCIPY_LOADED = 'print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))'
+
+
+def test_import_loads_no_scipy():
+    # start-up pays for no scipy module: each is imported by the call that needs it
+    assert _run_fresh("import sys\nimport pcid, pcid.runner\n" + _SCIPY_LOADED) == "[]"
+
+
+# Runs the CLT check, whose normal fits take KS p-values, with a spy in place
+# of 2 * smirnov, the one KS branch that needs scipy (reached only by p-values
+# of a few percent or less), and the Gaussian check.
+_RUN_NORMAL_FIT_CHECKS = """
+import sys
+from pcid import kolmogorov, specs
+from pcid.verifiers import check_clt_forecast_errors, check_gaussian_limit
+def no_smirnov(n, x):
+    raise AssertionError(f"2 * smirnov reached at n = {n}, d = {float(x)}")
+kolmogorov._twice_smirnov = no_smirnov
+urn = specs.ReinforcedSpec(2, (25.0, 25.0), (specs.UniformBase(),) * 2,
+                           specs.CommonWeight(specs.TwoPointWeight(1.0, 3.0, 0.5)))
+gauss = specs.GaussianLastTickSpec(n_coords=2, mu1=(0.0, 0.0), sigma2_1=(1.0, 1.0))
+check_clt_forecast_errors(urn, 400, 1000, 3, threads=1)
+check_gaussian_limit(gauss, 400, 1000, 3, threads=1)
+"""
+
+
+def test_clt_and_gaussian_checks_load_no_scipy():
+    assert _run_fresh(_RUN_NORMAL_FIT_CHECKS + _SCIPY_LOADED) == "[]"

@@ -82,10 +82,27 @@ def test_round_trip(doc):
     ({"kind": "ar1_drift", "init_mean": -math.inf}, "init_mean"),
     ({"kind": "ar1_drift", "noise_var": math.inf}, "noise_var"),
     ({"kind": "ar1_drift", "init_var": math.inf}, "init_var"),
+    ({"kind": "state_space_cid", "c": math.inf}, "c"),
+    ({"kind": "broken_feedback_weight", "w0": math.inf}, "w0"),
+    ({"kind": "broken_feedback_weight", "shift": math.inf}, "shift"),
+    ({"kind": "broken_feedback_weight", "scale": math.inf}, "scale"),
+    ({"kind": "reinforced", "coupling": {"kind": "common_weight",
+      "dist": {"kind": "two_point", "lo": 1.0, "hi": math.inf}}}, "coupling.dist"),
+    ({"kind": "reinforced", "coupling": {"kind": "independent_iid_weights",
+      "dist": {"kind": "uniform", "a": 0.5, "b": math.inf}}}, "coupling.dist"),
+    ({"kind": "reinforced", "coupling": {"kind": "common_weight",
+      "dist": {"kind": "gamma", "shape": math.inf}}}, "coupling.dist"),
+    ({"kind": "reinforced", "coupling": {"kind": "common_weight",
+      "dist": {"kind": "gamma", "shape": 3.0, "scale": math.inf}}}, "coupling.dist"),
+    ({"kind": "reinforced", "coupling": {"kind": "common_weight",
+      "dist": {"kind": "gamma", "shift": math.inf}}}, "coupling.dist"),
+    # the coupling of broken_feedback_weight's reinforced view, not a config block
+    (specs.FeedbackWeight(scale=math.inf), "coupling"),
+    (specs.FeedbackWeight(shift=math.inf), "coupling"),
 ])
 def test_validation_names_offending_field(doc, field):
     with pytest.raises(SpecValidationError) as err:
-        spec_from_dict(doc)
+        spec_from_dict(doc) if isinstance(doc, dict) else doc.validate()
     assert err.value.field == field
 
 
