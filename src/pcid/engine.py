@@ -9,9 +9,15 @@ worker threads; workers write to disjoint slices of the output arrays.
 Chunk plan: `map_path_chunks` splits the paths into balanced contiguous
 ranges, a multiple of the worker count of them, each small enough that one
 chunk per worker fits in CHUNK_BUDGET_BYTES together. So the chunk data in
-flight (draws, recorded series and kernel buffers) stays near that one
+flight (draws, recorded series and kernel buffers) stays within that one
 budget whatever `threads` is; a reducer that keeps every path's series,
-as `run_ensemble` does, holds the whole ensemble besides.
+as `run_ensemble` does, holds the whole ensemble besides. A kind's table
+entry may cap its chunks further: the genealogy-order reinforced kernel
+works a chunk one row block at a time, so its chunks stop at
+`processes.GENEALOGY_CHUNK_STEPS` path-steps, and its in-flight data stays
+far under the budget. The step-major kernels (stepping reinforced
+couplings, Gaussian, AR(1), state-space) make one numpy call per step over
+all of a chunk's paths, so they keep the budget-sized chunks.
 
 The kind table `_KINDS` holds, per kernel family, its kernel, its random
 inputs (substream, row shape and law), the series it records and the
@@ -326,6 +332,7 @@ class _Kind:
     held: object       # (H, K) -> values per path held besides draws and series
     views: frozenset = frozenset()  # recorded series counted in `held`
     blocks: object = None           # (spec, H, P) -> bytes of its row blocks, if any
+    chunk_cap: object = None        # (spec, H) -> most paths per chunk, or None
 
 
 _PREDICTIVE = frozenset({"observations", "predictive_mean", "predictive_var"})
@@ -343,7 +350,10 @@ _KINDS = {
         # terminal summaries and each step's temporaries (traced: under 16)
         held=lambda h, k: 2 * h * k + 20 * k,
         views=frozenset({"observations"}),
-        blocks=processes.genealogy_block_bytes),
+        blocks=processes.genealogy_block_bytes,
+        # a kernel that works a chunk row block by row block gains nothing
+        # from chunks of more than a few blocks
+        chunk_cap=processes.genealogy_chunk_paths),
     "gaussian_last_tick": _Kind(
         "simulate_gaussian_chunk",
         (("exp_draws", 0, lambda spec, h: (h + 1,), "standard_exponential"),
@@ -432,14 +442,19 @@ def _chunk_bounds(spec, n_paths: int, horizon: int, record: frozenset,
     multiple of `n_workers` of them (one per path when there are fewer
     paths), their sizes differing by at most one, and `n_workers` chunks
     together, with each worker's buffers, within CHUNK_BUDGET_BYTES unless
-    a chunk is a single path."""
+    a chunk is a single path. A kind whose table entry caps its chunks
+    gets chunks of at most that many paths besides."""
+    kind = _kind(spec)
     per = _series_bytes_per_path(spec, horizon, record)
 
     def fits(p: int) -> bool:
         return n_workers * (p * per + _worker_bytes(spec, horizon, p)) <= CHUNK_BUDGET_BYTES
 
-    # the largest chunk that fits (the bytes grow with the chunk), or one path
+    # the largest chunk that fits (the bytes grow with the chunk) and keeps
+    # to the kind's cap, or one path
     max_paths, hi = 1, max(1, n_paths)
+    if kind.chunk_cap is not None and (cap := kind.chunk_cap(spec, horizon)) is not None:
+        hi = min(hi, cap)
     while max_paths < hi:
         mid = (max_paths + hi + 1) // 2
         if fits(mid):

@@ -346,10 +346,19 @@ def reinforced_weight_shape(rspec, horizon: int) -> tuple | None:
 
 
 # Path-steps per row block of the genealogy-order kernel: each of its
-# working buffers holds at most 1 MiB, whatever the chunk size (or one path
-# row, if that is longer). `statistics.clt_path_summaries` blocks its rows
-# by the same count of values.
-GENEALOGY_BLOCK_STEPS = 1 << 17
+# working buffers holds at most 256 KiB, whatever the chunk size (or one
+# path row, if that is longer), so a block's ~20 buffers take ~5 MB where
+# blocks of 2^17 steps took ~20 MB. `statistics.clt_path_summaries` blocks
+# its rows by the same count of values.
+GENEALOGY_BLOCK_STEPS = 1 << 15
+# Path-steps per chunk of the genealogy-order kernel: 8 row blocks. It
+# works a chunk one row block at a time, so longer chunks gain no speed and
+# only hold more draws and series; the chunk budget still caps them from
+# above. With both constants, `clt_long` (2000 x 2000) peaked at 73.8 MB
+# against 125.4 MB with 2^17-step blocks and budget-sized chunks (medians
+# of 10 benchmark runs each), and ran no slower at one thread or two
+# (BENCH_genealogy_chunks.json).
+GENEALOGY_CHUNK_STEPS = 1 << 18
 # Below this horizon the kernel finds every step's atom by one flattened
 # bisection (`_row_first_greater`), at and above it by one `np.searchsorted`
 # per path row over that row's queries sorted by `np.argsort`: the crossover
@@ -447,6 +456,22 @@ def _genealogy_block_rows(horizon: int) -> int:
     return max(1, GENEALOGY_BLOCK_STEPS // (horizon + 1))
 
 
+def _runs_in_genealogy_order(rspec) -> bool:
+    """Whether a reinforced view's weights ignore its observations, so that
+    `simulate_reinforced_chunk` runs it in genealogy order."""
+    return isinstance(rspec.coupling, (CommonWeight, IidWeights))
+
+
+def genealogy_chunk_paths(spec, horizon: int) -> int | None:
+    """Most paths per chunk of a reinforced kind that runs in genealogy
+    order: GENEALOGY_CHUNK_STEPS path-steps, or one path if a row is
+    longer; None for couplings that step, whose kernel makes one numpy call
+    per step over all of a chunk's paths and so wants large chunks."""
+    if not _runs_in_genealogy_order(reinforced_view(spec)):
+        return None
+    return max(1, GENEALOGY_CHUNK_STEPS // (horizon + 1))
+
+
 def genealogy_block_bytes(spec, horizon: int, n_paths: int) -> int:
     """Upper estimate of the bytes `_genealogy_chunk` holds for one row
     block of a chunk of n_paths paths of a reinforced kind, besides its
@@ -455,7 +480,7 @@ def genealogy_block_bytes(spec, horizon: int, n_paths: int) -> int:
     coordinate under i.i.d. weights (traced with tracemalloc for K up to
     10); b is at most n_paths and at most the block's rows."""
     rspec = reinforced_view(spec)
-    if not isinstance(rspec.coupling, (CommonWeight, IidWeights)):
+    if not _runs_in_genealogy_order(rspec):
         return 0
     n_buffers = 20
     if isinstance(rspec.coupling, IidWeights):
@@ -533,7 +558,7 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
     """
     rspec = reinforced_view(spec)
     coupling = rspec.coupling
-    if isinstance(coupling, (CommonWeight, IidWeights)):
+    if _runs_in_genealogy_order(rspec):
         return _genealogy_chunk(rspec, horizon, coord_u, weight_u, record)
     k = rspec.n_coords
     w0 = np.asarray(rspec.w0, dtype=float)

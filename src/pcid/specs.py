@@ -366,7 +366,8 @@ class GammaWeight(_DictForm):
         _require(0 <= self.shift < math.inf, field_name,
                  f"shift must be >= 0 and finite, got {self.shift}")
         _require(self.shift > 0 or self.shape > 2, field_name,
-                 "need shift > 0 or shape > 2 so that E[1/W^2] is finite")
+                 f"need shift > 0 or shape > 2 so that E[1/W^2] is finite; got shape "
+                 f"{self.shape} and shift {self.shift}, defaults included")
 
     def mean(self) -> float:
         return self.shape * self.scale + self.shift

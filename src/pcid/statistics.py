@@ -124,7 +124,7 @@ def clt_path_summaries(ens: Ensemble) -> dict:
     path-steps: each block's forecast errors are formed once, summed into
     S, then turned into the residuals V = U - n dE in place and summed for
     the telescoping check. So its temporaries are two block-sized arrays
-    (at most 1 MiB each, or one path row if that is longer) whatever the
+    (at most 256 KiB each, or one path row if that is longer) whatever the
     chunk size. Each block sums its steps in the order numpy's reduction
     over the whole chunk would (`_step_sums`: pairwise for one coordinate,
     left to right through one accumulate for several), so the results do

@@ -117,6 +117,14 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _horizon(horizon, check: str) -> int:
+    """`horizon` as an int. A null horizon in a config reaches the check as
+    None, and only check_pcid derives a horizon of its own."""
+    if horizon is None:
+        raise ValueError(f"{check} needs a horizon, got None; only check_pcid derives one")
+    return _integer(horizon, "horizon")
+
+
 def _alpha(alpha) -> float:
     """`alpha` as a float in (0, 1): a real number, never a bool or NaN. A
     p-value sub-check's margin alpha / p is <= 0 for alpha <= 0, so such a
@@ -282,6 +290,7 @@ def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
     first step whose observation exceeds t, capped at c.
     """
     alpha = _alpha(alpha)
+    horizon = _horizon(horizon, "check_stopping_time")
     if not isinstance(tau, dict):
         raise ValueError(f"tau must be an object, got {tau!r}")
     kind = tau.get("kind")
@@ -367,7 +376,7 @@ def check_clt_forecast_errors(spec, n_paths: int, horizon: int, master_seed: int
     variance against the mean plug-in variance (5%), and vanishing
     cross-coordinate correlation (diagonal limit covariance)."""
     alpha = _alpha(alpha)
-    n = horizon
+    n = _horizon(horizon, "check_clt_forecast_errors")
     if n < 1000:
         raise ValueError(f"asymptotic regime not reached: need horizon >= 1000, got {n}")
     summaries = _clt_summaries(spec, n_paths, n, master_seed, threads)
@@ -397,7 +406,7 @@ def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
     (sigma2_alpha * Var(W)/E[W]^2), the cross-reinforced uniform pair with
     the harmonic fraction schedule, and i.i.d. sequences."""
     alpha = _alpha(alpha)
-    n = horizon
+    n = _horizon(horizon, "check_clt_sample_mean")
     # the reference form, found before the ensemble is simulated
     rspec = reinforced_view(spec)
     if rspec is not None and isinstance(rspec.coupling, CommonWeight):
@@ -459,6 +468,7 @@ def check_gaussian_limit(spec, n_paths: int, horizon: int, master_seed: int, *,
     the variance of the terminal predictive mean, and the cross-coordinate
     dependence induced by the shared arrival times."""
     alpha = _alpha(alpha)
+    horizon = _horizon(horizon, "check_gaussian_limit")
     if not isinstance(spec, GaussianLastTickSpec):
         raise ValueError("check_gaussian_limit applies to the gaussian_last_tick kind")
     if horizon < 1000:

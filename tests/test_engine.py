@@ -215,6 +215,61 @@ def test_bundled_gaussian_chunk_plan():
         assert len(bounds) == n_chunks, threads
 
 
+def test_clt_long_chunk_plan():
+    # the genealogy kernel works a chunk one row block at a time, so its
+    # chunks stop at GENEALOGY_CHUNK_STEPS path-steps, far under the
+    # budget: 16 chunks of 125 paths at any thread count up to 16
+    spec, record = _CLT_SPECS["clt_long"], verifiers._clt_record(_CLT_SPECS["clt_long"])
+    for threads in (1, 2):
+        bounds = engine._chunk_bounds(spec, 2000, 2000, record, threads)
+        assert [hi - lo for lo, hi in bounds] == [125] * 16, threads
+
+
+@pytest.mark.parametrize("kind", ["polya", "reinforced", "iid_k3"])
+def test_genealogy_chunks_within_cap(kind):
+    if kind == "iid_k3":
+        spec = specs.ReinforcedSpec(3, (1.0,) * 3, (specs.UniformBase(),) * 3,
+                                    specs.IidWeights(specs.GammaWeight(2.5, 1.0, 0.1)))
+    else:
+        spec = specs.spec_from_dict({"kind": kind})
+    for horizon in (3, 24, 1000, 10 ** 4, 10 ** 6):
+        cap = processes.genealogy_chunk_paths(spec, horizon)
+        assert cap == max(1, processes.GENEALOGY_CHUNK_STEPS // (horizon + 1))
+        for threads in (1, 2, 8):
+            bounds = engine._chunk_bounds(spec, 10 ** 5, horizon,
+                                          engine.default_record(spec), threads)
+            assert max(hi - lo for lo, hi in bounds) <= cap, (horizon, threads)
+
+
+@pytest.mark.parametrize("kind", ["uniform_coupled", "broken_feedback_weight"])
+def test_stepping_couplings_keep_budget_plan(kind):
+    # their kernel makes one numpy call per step over all of a chunk's
+    # paths, so they keep the budget-sized chunks (the plans before the
+    # genealogy cap)
+    spec = specs.spec_from_dict({"kind": kind})
+    assert processes.genealogy_chunk_paths(spec, 2000) is None
+    plans = {(2000, 2000, 1): (3, 667), (2000, 2000, 2): (6, 334),
+             (10 ** 5, 50, 1): (4, 25000), (10 ** 5, 50, 2): (8, 12500),
+             (10 ** 6, 24, 1): (21, 47620), (10 ** 6, 24, 2): (42, 23810)}
+    for (n_paths, horizon, threads), (n_chunks, largest) in plans.items():
+        bounds = engine._chunk_bounds(spec, n_paths, horizon,
+                                      engine.default_record(spec), threads)
+        assert (len(bounds), max(hi - lo for lo, hi in bounds)) == (n_chunks, largest)
+
+
+def test_clt_summaries_do_not_depend_on_the_plan():
+    # at 600 x 1000 the cap plans four chunks of 150 paths at two threads,
+    # against 250, 250 and 100 below
+    spec = _CLT_SPECS["clt_long"]
+    assert len(engine._chunk_bounds(spec, 600, 1000, verifiers._clt_record(spec), 2)) == 4
+    planned = verifiers._clt_summaries(spec, 600, 1000, 3, threads=2)
+    with fixed_chunks(250):
+        fixed = verifiers._clt_summaries(spec, 600, 1000, 3, threads=1)
+    assert planned.keys() == fixed.keys() >= {"S", "S_tilde", "terminal_moments"}
+    for key in planned:
+        assert np.array_equal(planned[key], fixed[key]), key
+
+
 def test_run_rejects_unrecordable_series(uniform_polya_spec):
     for record in ({"theta"}, {"observations", "total_weight"}, {"nothing"}):
         with pytest.raises(SpecValidationError) as err:

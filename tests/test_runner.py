@@ -144,6 +144,16 @@ def _no_simulation(*args, **kwargs):
     ({"name": "check_stopping_time",
       "params": {"tau": {"kind": "first_exceed", "threshold": float("nan"), "cap": 3}}},
      "tau.threshold"),
+    # a null horizon: only check_pcid derives one
+    ({"name": "check_stopping_time",
+      "params": {"tau": {"kind": "constant", "n": 3}, "horizon": None}},
+     "check_stopping_time needs a horizon"),
+    ({"name": "check_clt_forecast_errors", "params": {"horizon": None}},
+     "check_clt_forecast_errors needs a horizon"),
+    ({"name": "check_clt_sample_mean", "params": {"horizon": None}},
+     "check_clt_sample_mean needs a horizon"),
+    ({"name": "check_gaussian_limit", "params": {"horizon": None}},
+     "check_gaussian_limit needs a horizon"),
 ])
 def test_check_params_rejected_before_simulating(test, key, monkeypatch, tmp_path, capsys):
     from pcid import verifiers

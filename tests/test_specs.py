@@ -99,11 +99,21 @@ def test_round_trip(doc):
     # the coupling of broken_feedback_weight's reinforced view, not a config block
     (specs.FeedbackWeight(scale=math.inf), "coupling"),
     (specs.FeedbackWeight(shift=math.inf), "coupling"),
+    # shape and shift left at their defaults, 2 and 0
+    ({"kind": "reinforced", "coupling": {"kind": "common_weight",
+      "dist": {"kind": "gamma", "scale": 0.5}}}, "coupling.dist"),
 ])
 def test_validation_names_offending_field(doc, field):
     with pytest.raises(SpecValidationError) as err:
         spec_from_dict(doc) if isinstance(doc, dict) else doc.validate()
     assert err.value.field == field
+
+
+def test_gamma_weight_rejection_names_values_in_effect():
+    # a config that sets only the scale is rejected for the default shape
+    # and shift, so the message must name them
+    with pytest.raises(SpecValidationError, match="got shape 2.0 and shift 0.0"):
+        specs.GammaWeight(scale=0.5).validate()
 
 
 def test_beta_schedules():
