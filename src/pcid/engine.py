@@ -4,7 +4,8 @@ Random streams are addressed by the triple (master_seed, path_index,
 substream_index) and realized as keyed Philox counter-based generators, so
 a path's randomness is a pure function of its address. Ensembles are
 therefore identical for any chunking of the path range and any number of
-worker threads; workers write to disjoint slices of the output arrays.
+worker processes; the caller copies each chunk's result into its rows of
+the output arrays, in path order.
 
 Chunk plan: `map_path_chunks` splits the paths into balanced contiguous
 ranges, a multiple of the worker count of them, each small enough that one
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -520,6 +520,60 @@ def _validate_run_args(spec, n_paths: int, horizon: int, master_seed: int,
         raise SpecValidationError("n_paths", f"must be <= 2^{_PATH_BITS}")
 
 
+def _chunk_worker(work, bounds, recv, send) -> None:
+    """Body of one forked worker: send (work(bound), None) for each bound in
+    order, or, on the first failure, (None, (exception, traceback text))."""
+    recv.close()    # the parent's end: with it closed here, a dead parent breaks the pipe
+    try:
+        for bound in bounds:
+            send.send((work(bound), None))
+    except BaseException as exc:  # re-raised in the parent
+        import traceback
+        send.send((None, (exc, traceback.format_exc())))
+    finally:
+        send.close()
+
+
+def _forked_map(work, store, bounds: list, n_workers: int) -> None:
+    """Call store(bound, work(bound)) for every bound, in order, with
+    work(bound) computed by `n_workers` forked processes: worker w takes
+    bounds w, w + n_workers, ... and sends each result back over its own
+    pipe. Every worker has exited when this returns or raises."""
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for w in range(n_workers):
+            recv, send = ctx.Pipe(duplex=False)
+            conns.append(recv)
+            proc = ctx.Process(target=_chunk_worker,
+                               args=(work, bounds[w::n_workers], recv, send))
+            proc.start()
+            procs.append(proc)
+            send.close()
+        for j, bound in enumerate(bounds):
+            w = j % n_workers
+            try:
+                part, error = conns[w].recv()
+            except EOFError:
+                procs[w].join()
+                raise RuntimeError(f"chunk worker {w} (pid {procs[w].pid}) exited with code "
+                                   f"{procs[w].exitcode} before sending chunk {bound}") from None
+            if error is not None:
+                exc, text = error
+                raise exc from RuntimeError(f"in chunk worker {w}:\n{text}")
+            store(bound, part)
+    except BaseException:
+        for proc in procs:
+            proc.terminate()    # it may be mid-chunk, or blocked sending one
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
 def map_path_chunks(spec, n_paths: int, horizon: int, master_seed: int, reducer,
                     *, record: frozenset | None = None, threads: int | None = None) -> dict:
     """Run the ensemble chunk by chunk and apply `reducer` to each chunk's
@@ -529,12 +583,20 @@ def map_path_chunks(spec, n_paths: int, horizon: int, master_seed: int, reducer,
     arrays whose first dimension indexes the chunk's paths. Chunks follow
     `_chunk_bounds`, so the chunk data in flight stays near
     CHUNK_BUDGET_BYTES regardless of n_paths and `threads`.
+
+    With `threads` workers and more chunks than workers, on a platform
+    that can fork, the chunks run in `threads` forked worker processes,
+    started for this call and joined before it returns or raises. The
+    reducer then runs in a worker: its result must pickle, and its side
+    effects (and spans a tracer records in it) stay in the worker. An
+    exception it raises reaches the caller with its type and arguments. A
+    plan with at most one chunk per worker runs in this process, chunk
+    after chunk, as does every plan at `threads=1`.
     """
     _validate_run_args(spec, n_paths, horizon, master_seed, record)
     record = frozenset(record) if record is not None else default_record(spec)
     threads = _resolve_threads(threads)
     bounds = _chunk_bounds(spec, n_paths, horizon, record, threads)
-    n_workers = min(threads, len(bounds))
 
     def work(bound):
         lo, hi = bound
@@ -557,13 +619,11 @@ def map_path_chunks(spec, n_paths: int, horizon: int, master_seed: int, reducer,
                 out[key] = np.empty((n_paths,) + val.shape[1:], val.dtype)
             out[key][lo:hi] = val
 
-    if n_workers <= 1:
+    if 1 < threads < len(bounds) and hasattr(os, "fork"):
+        _forked_map(work, store, bounds, threads)
+    else:
         for bound in bounds:
             store(bound, work(bound))
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for bound, part in zip(bounds, pool.map(work, bounds)):
-                store(bound, part)
     return out
 
 
@@ -572,7 +632,7 @@ def run_ensemble(spec, n_paths: int, horizon: int, master_seed: int,
     """Simulate `n_paths` independent paths of `spec` up to `horizon`.
 
     A pure function of (spec, n_paths, horizon, master_seed): the result is
-    bit-identical for any thread count and any chunking.
+    bit-identical for any worker count and any chunking.
     """
     reduced = map_path_chunks(spec, n_paths, horizon, master_seed, lambda e: e.arrays,
                               record=record, threads=threads)

@@ -7,7 +7,7 @@ prints a summary table, and writes report.json, summary.txt, and one
 series_<name>.csv per requested series into the output directory.
 
 Reports are byte-identical across reruns with the same seed and across
-thread counts: they contain the config, resolved seed, sizes, verdicts,
+worker counts: they contain the config, resolved seed, sizes, verdicts,
 and the library version - nothing machine- or schedule-dependent.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--paths", type=int, default=None, help="n_paths override")
     run_p.add_argument("--horizon", type=int, default=None, help="horizon override")
     run_p.add_argument("--threads", type=int, default=None,
-                       help="worker threads, at least 1 (default: the cores this "
+                       help="worker processes, at least 1 (default: the cores this "
                             "process may run on); results are identical for every "
                             "value, and chunk memory does not grow with it")
     run_p.add_argument("--out", default="pcid_out", help="output directory")

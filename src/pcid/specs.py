@@ -25,7 +25,13 @@ class SpecValidationError(ValueError):
 
     def __init__(self, field_name: str, message: str):
         self.field = field_name
+        self.message = message
         super().__init__(f"{field_name}: {message}")
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so that it survives pickling, as an
+        # error raised in a forked chunk worker must to reach the caller
+        return type(self), (self.field, self.message)
 
 
 def _require(cond: bool, field_name: str, message: str) -> None:

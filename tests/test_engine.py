@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -31,6 +33,61 @@ def test_reducer_needs_one_row_per_path(uniform_polya_spec):
         got = engine.map_path_chunks(uniform_polya_spec, 5, 3, 1,
                                      lambda e: {"x": e.observations[:, 0, 0]})
     assert np.array_equal(got["x"], run_ensemble(uniform_polya_spec, 5, 3, 1).observations[:, 0, 0])
+
+
+def _in_worker(parent_pid):
+    # True in a forked chunk worker, False in the calling process
+    return os.getpid() != parent_pid
+
+
+_WORKER_ERRORS = [processes.ProcessError("draw outside (0, 1)"),
+                  statistics.StatisticsError("need two paths"),
+                  MissingSeriesError("weights"),
+                  SpecValidationError("w0[0]", "must be > 0")]
+
+
+@pytest.mark.parametrize("error", _WORKER_ERRORS, ids=lambda e: type(e).__name__)
+def test_reducer_error_in_forked_worker_reaches_caller(uniform_polya_spec, error):
+    parent = os.getpid()
+
+    def reducer(ens):
+        if _in_worker(parent):
+            raise error
+        return {"x": ens.observations[:, 0, 0]}
+
+    with fixed_chunks(2), pytest.raises(type(error)) as got:
+        engine.map_path_chunks(uniform_polya_spec, 8, 3, 1, reducer, threads=2)
+    assert str(got.value) == str(error)
+    assert getattr(got.value, "field", None) == getattr(error, "field", None)
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_raises_and_leaves_no_process(uniform_polya_spec):
+    parent = os.getpid()
+    whole = run_ensemble(uniform_polya_spec, 8, 3, 1, threads=1).observations[:, 0, 0]
+
+    def dies_on_second_chunk(ens):
+        # chunk 1 (paths 2-3) is the first of worker 1
+        if _in_worker(parent) and ens.observations[0, 0, 0] == whole[2]:
+            os._exit(3)
+        return {"x": ens.observations[:, 0, 0]}
+
+    def one_value_per_chunk(ens):
+        return {"mean": ens.observations.mean()}
+
+    with fixed_chunks(2):
+        with pytest.raises(RuntimeError, match="worker 1 .*exited with code 3"):
+            engine.map_path_chunks(uniform_polya_spec, 8, 3, 1, dies_on_second_chunk,
+                                   threads=2)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ValueError, match="one row per path"):
+            engine.map_path_chunks(uniform_polya_spec, 8, 3, 1, one_value_per_chunk,
+                                   threads=2)
+        assert multiprocessing.active_children() == []
+        got = engine.map_path_chunks(uniform_polya_spec, 8, 3, 1,
+                                     lambda e: {"x": e.observations[:, 0, 0]}, threads=2)
+        assert multiprocessing.active_children() == []
+    assert np.array_equal(got["x"], whole)
 
 
 def test_default_threads_are_the_usable_cores(monkeypatch):
@@ -152,6 +209,9 @@ def test_clt_reducer_peak_within_estimate(spec):
     # the kernel and then the reducer must both fit the chunk's budget
     n_paths, horizon = 250, 2000
     record = verifiers._clt_record(spec)
+    # a one-path chunk first: the first chunk a process draws imports
+    # numpy.random (~740 KB traced), which no chunk holds
+    engine._run_chunk(spec, horizon, 1, 0, 1, record)
     tracemalloc.start()
     try:
         arrays = engine._run_chunk(spec, horizon, 1, 0, n_paths, record)
