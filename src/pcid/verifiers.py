@@ -155,6 +155,37 @@ def _verifier_rng(master_seed: int, label: str) -> np.random.Generator:
 # at least two rows, so each block's product with the labels stays a matrix
 # product (one row would go to a matrix-vector routine with other rounding).
 ENERGY_BLOCK_BYTES = 8 << 20
+# Rows of one tile of a distance block: the tile's temporary is at most this
+# many rows of the pooled sample, and never more rows than the smallest block.
+ENERGY_TILE_ROWS = 32
+
+
+def _euclidean_rows(points_t: np.ndarray, start: int, out: np.ndarray,
+                    tile: np.ndarray) -> None:
+    """out[i, j] = |p_{start+i} - p_j| for the pooled points p whose (d, N)
+    transpose is `points_t`, bit for bit SciPy's pairwise Euclidean
+    distances between rows start..start+len(out)-1 of p and all of p.
+
+    Tile by tile of len(tile) rows: acc = (x_0 - p_0)^2, then for each later
+    feature k in order acc += (x_k - p_k)^2, then sqrt in place. These are
+    SciPy's operations in SciPy's order: one sequential sum over the
+    features from feature 0, of |x - y| * |x - y| = (x - y)^2. Like
+    SciPy, it is silent when a square overflows to inf or inf - inf is NaN.
+    """
+    if len(points_t) == 0:
+        out.fill(0.0)
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r0 in range(0, len(out), len(tile)):
+            acc = out[r0:r0 + len(tile)]
+            rows = slice(start + r0, start + r0 + len(acc))
+            for k, feature in enumerate(points_t):
+                t = acc if k == 0 else tile[:len(acc)]
+                np.subtract(feature[rows, None], feature, out=t)
+                np.multiply(t, t, out=t)
+                if k:
+                    acc += t
+            np.sqrt(acc, out=acc)
 
 
 def energy_permutation_test(sample_a: np.ndarray, sample_b: np.ndarray,
@@ -170,9 +201,12 @@ def energy_permutation_test(sample_a: np.ndarray, sample_b: np.ndarray,
     The pooled N x N distance matrix is never formed: balanced row blocks
     of at most ENERGY_BLOCK_BYTES (and at least two rows) give its row sums
     and its product with the N x (n_permutations + 1) label matrix, one
-    GEMM per block, so memory grows with N times the block rows, not N^2.
+    GEMM per block. Each block's distances are built in tiles of at most
+    ENERGY_TILE_ROWS rows, bit for bit SciPy's Euclidean distances. Memory
+    is the labels, their product with the distances, one distance block,
+    one tile and the (d, N) transposed sample: it grows with N times the
+    block rows, not N^2.
     """
-    from scipy.spatial.distance import cdist
     a = np.atleast_2d(np.asarray(sample_a, float))
     b = np.atleast_2d(np.asarray(sample_b, float))
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
@@ -180,8 +214,10 @@ def energy_permutation_test(sample_a: np.ndarray, sample_b: np.ndarray,
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         raise ValueError(f"samples must not be empty, got {n} and {m} points")
-    big = np.vstack([a, b])
     total_n = n + m
+    points_t = np.empty((a.shape[1], total_n))  # each feature one contiguous row
+    points_t[:, :n] = a.T
+    points_t[:, n:] = b.T
     labels = np.zeros((total_n, n_permutations + 1))
     labels[:n, 0] = 1.0
     for c in range(1, n_permutations + 1):
@@ -191,9 +227,12 @@ def energy_permutation_test(sample_a: np.ndarray, sample_b: np.ndarray,
     row_sums = np.empty(total_n)
     block_rows = max(2, ENERGY_BLOCK_BYTES // (8 * total_n))
     n_blocks = max(1, min(total_n // 2, -(-total_n // block_rows)))
+    dist_buf = np.empty((-(-total_n // n_blocks), total_n))
+    tile = np.empty((min(ENERGY_TILE_ROWS, total_n // n_blocks), total_n))
     for j in range(n_blocks):
         blk = slice(total_n * j // n_blocks, total_n * (j + 1) // n_blocks)
-        dist = cdist(big[blk], big)
+        dist = dist_buf[:blk.stop - blk.start]
+        _euclidean_rows(points_t, blk.start, dist, tile)
         np.matmul(dist, labels, out=cross[blk])
         dist.sum(axis=1, out=row_sums[blk])
     total_sum = float(row_sums.sum())
@@ -224,10 +263,14 @@ def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
     (X_{1:n}, X_{n+1} without coord j, X_{n+2,j}) across two independent
     halves of the ensemble with a two-sample energy-distance test.
 
-    Each half holds at most `max_group` paths, so the test pools
-    N <= 2 * max_group points. Its memory is the N x (n_permutations + 1)
-    labels and their products with the distances, 32 MB at the defaults,
-    plus distance row blocks of ENERGY_BLOCK_BYTES; no N x N matrix.
+    Each half holds at most `max_group` paths, and only those 2 * half
+    paths are simulated (a smaller ensemble is the prefix of a larger one),
+    so the test pools N <= 2 * max_group points. Its memory is the
+    N x (n_permutations + 1) labels and their products with the distances,
+    32 MB at the defaults, plus one distance row block of at most
+    ENERGY_BLOCK_BYTES, one tile of at most ENERGY_TILE_ROWS rows and the
+    (d, N) transposed sample; no N x N matrix. The verdict reports the
+    configured n_paths.
     """
     alpha = _alpha(alpha)
     k = spec.n_coords
@@ -249,10 +292,9 @@ def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
     coord = _coordinate(coord, k)
     if n_paths < 2:
         raise ValueError(f"need n_paths >= 2 for two halves of paths, got {n_paths}")
-    ens = run_ensemble(spec, n_paths, horizon, master_seed,
-                       record=frozenset({"observations"}), threads=threads)
-    obs = ens.observations
     half = min(n_paths // 2, max_group)
+    obs = run_ensemble(spec, 2 * half, horizon, master_seed,
+                       record=frozenset({"observations"}), threads=threads).observations
     others = [i for i in range(k) if i != coord]
 
     def features(block: np.ndarray, step_j: int) -> np.ndarray:

@@ -478,3 +478,17 @@ check_gaussian_limit(gauss, 400, 1000, 3, threads=1)
 
 def test_clt_and_gaussian_checks_load_no_scipy():
     assert _run_fresh(_RUN_NORMAL_FIT_CHECKS + _SCIPY_LOADED) == "[]"
+
+
+# The joint-law check builds its energy-test distances in numpy.
+_RUN_PCID_CHECK = """
+import sys
+from pcid import specs
+from pcid.verifiers import check_pcid
+polya = specs.PolyaSpec(2, (1.0, 1.0), (specs.UniformBase(),) * 2)
+check_pcid(polya, 400, None, 3, n=1, threads=1)
+"""
+
+
+def test_pcid_check_loads_no_scipy():
+    assert _run_fresh(_RUN_PCID_CHECK + _SCIPY_LOADED) == "[]"

@@ -59,11 +59,12 @@ def test_energy_test_matches_dense_definition(monkeypatch, n, m, d):
 
 def test_energy_test_memory_grows_with_block_not_n_squared(monkeypatch):
     # the traced peak is the N x (B+1) labels and their products with the
-    # distances, plus a few row blocks; the N x N matrix would be 69 MiB
+    # distances, plus a few row blocks; the N x N matrix would be 69 MiB.
+    # With blocks of two pooled rows the tile must be no larger than a block.
     rng = np.random.default_rng(2)
-    n_perm, block = 199, 1 << 20
-    monkeypatch.setattr(verifiers, "ENERGY_BLOCK_BYTES", block)
-    for n in (1500, 3000):
+    n_perm = 199
+    for n, block in ((1500, 1 << 20), (3000, 1 << 20), (1500, 2 * 8 * 2 * 1500)):
+        monkeypatch.setattr(verifiers, "ENERGY_BLOCK_BYTES", block)
         a, b = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
         tracemalloc.start()
         try:
@@ -74,6 +75,88 @@ def test_energy_test_memory_grows_with_block_not_n_squared(monkeypatch):
         label_bytes = 8 * 2 * n * (n_perm + 1)
         assert peak <= 2 * label_bytes + 3 * block + 64 * 2 * n, n
         assert peak < 8 * (2 * n) ** 2 / 4, n
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def _kernel_distances(points, block_rows, tile_rows):
+    """All pooled distances from the energy test's kernel, block by block."""
+    out = np.empty((len(points), len(points)))
+    points_t = np.ascontiguousarray(points.T)
+    tile = np.empty((tile_rows, len(points)))
+    for start in range(0, len(points), block_rows):
+        verifiers._euclidean_rows(points_t, start, out[start:start + block_rows], tile)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 13])
+def test_distance_kernel_is_bit_for_bit_cdist(d):
+    # magnitudes run from subnormals to 1e200, whose squares overflow to inf
+    rng = np.random.default_rng(40 + d)
+    n_points = 37
+    scale = 10.0 ** rng.uniform(-320, 200, size=(n_points, d))
+    points = rng.normal(size=(n_points, d)) * scale
+    points[5] = points[11]            # a duplicate: zero distances
+    points[20] = points[20] * 1e-300  # subnormal features
+    want = cdist(points, points)
+    assert np.isinf(want).any() and (want[5, 11] == 0.0)
+    for block_rows, tile_rows in ((2, 2), (7, 3), (16, 5), (n_points, 32)):
+        got = _kernel_distances(points, block_rows, tile_rows)
+        assert _same_bits(got, want), (block_rows, tile_rows)
+
+
+def test_distance_kernel_is_bit_for_bit_cdist_on_ordinary_samples():
+    # features of like magnitude, where the order of the sum shows: from
+    # d = 8 on numpy's pairwise sum over the features would round otherwise
+    rng = np.random.default_rng(5)
+    for d in (0, 1, 2, 4, 8, 13):
+        points = rng.normal(loc=3.0, scale=[10.0 ** (k % 5 - 2) for k in range(d)],
+                            size=(101, d))
+        assert _same_bits(_kernel_distances(points, 10, 4), cdist(points, points)), d
+
+
+def _cdist_energy_test(a, b, rng, n_permutations, block_bytes):
+    """The energy test's block loop with scipy's cdist for the distances."""
+    n, m = len(a), len(b)
+    big = np.vstack([a, b])
+    total_n = n + m
+    labels = np.zeros((total_n, n_permutations + 1))
+    labels[:n, 0] = 1.0
+    for c in range(1, n_permutations + 1):
+        labels[rng.permutation(total_n)[:n], c] = 1.0
+    cross = np.empty((total_n, n_permutations + 1))
+    row_sums = np.empty(total_n)
+    block_rows = max(2, block_bytes // (8 * total_n))
+    n_blocks = max(1, min(total_n // 2, -(-total_n // block_rows)))
+    for j in range(n_blocks):
+        blk = slice(total_n * j // n_blocks, total_n * (j + 1) // n_blocks)
+        dist = cdist(big[blk], big)
+        np.matmul(dist, labels, out=cross[blk])
+        dist.sum(axis=1, out=row_sums[blk])
+    s_aa = np.einsum("nc,nc->c", labels, cross)
+    s_ab = cross.sum(axis=0) - s_aa
+    s_bb = float(row_sums.sum()) - 2.0 * s_ab - s_aa
+    stats_all = n * m / total_n * (2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m))
+    observed = float(stats_all[0])
+    return observed, float((1 + np.sum(stats_all[1:] >= observed)) / (1 + n_permutations))
+
+
+@pytest.mark.parametrize("n,m,d", [(57, 40, 2), (64, 64, 4), (41, 60, 9)])
+def test_energy_test_is_bit_for_bit_the_cdist_block_loop(monkeypatch, n, m, d):
+    # an odd N, two-row blocks, tiles that do not divide the blocks, one block
+    rng = np.random.default_rng(n * m + d)
+    a = rng.normal(size=(n, d))
+    b = rng.normal(loc=0.2, size=(m, d))
+    for block_bytes in (1, 7 * 8 * (n + m), 1 << 30):
+        want = _cdist_energy_test(a, b, np.random.default_rng(4), 99, block_bytes)
+        monkeypatch.setattr(verifiers, "ENERGY_BLOCK_BYTES", block_bytes)
+        for tile_rows in (3, 32):
+            monkeypatch.setattr(verifiers, "ENERGY_TILE_ROWS", tile_rows)
+            got = energy_permutation_test(a, b, np.random.default_rng(4), 99)
+            assert _same_bits(got, want), (block_bytes, tile_rows)
 
 
 def test_energy_test_validates_shapes():
@@ -133,6 +216,31 @@ def test_pcid_verdict_reproducible():
     a = check_pcid(spec, 1000, None, 5, n=1)
     b = check_pcid(spec, 1000, None, 5, n=1)
     assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("n_paths,max_group", [(401, 5000), (1000, 150)])
+def test_pcid_simulates_only_the_paths_it_compares(monkeypatch, n_paths, max_group):
+    # the compared paths are the prefix of the configured ensemble, so the
+    # verdict is the one the whole ensemble gives, field for field
+    spec = specs.UniformCoupledSpec()
+    real_run = verifiers.run_ensemble
+    asked = []
+
+    def spy(spec, n, *args, **kwargs):
+        asked.append(n)
+        return real_run(spec, n, *args, **kwargs)
+
+    def whole(spec, n, *args, **kwargs):
+        return real_run(spec, n_paths, *args, **kwargs)
+
+    monkeypatch.setattr(verifiers, "run_ensemble", spy)
+    got = check_pcid(spec, n_paths, None, 13, n=1, max_group=max_group, n_permutations=49)
+    half = min(n_paths // 2, max_group)
+    assert asked == [2 * half]
+    monkeypatch.setattr(verifiers, "run_ensemble", whole)
+    want = check_pcid(spec, n_paths, None, 13, n=1, max_group=max_group, n_permutations=49)
+    assert got.to_dict() == want.to_dict()
+    assert got.n_paths == n_paths and got.params["group_size"] == half
 
 
 def test_stopping_time_constant_reduces_to_marginal_identity():
