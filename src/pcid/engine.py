@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import processes
-from .specs import SpecValidationError, reinforced_view
+from .specs import SpecValidationError, as_int, reinforced_view
 
 _SUB_BITS = 16
 _PATH_BITS = 48
@@ -511,6 +511,9 @@ def _validate_run_args(spec, n_paths: int, horizon: int, master_seed: int,
     spec.validate()
     if record is not None:
         check_record(spec, record)
+    # the chunk plan's search for a fractional n_paths would never end
+    as_int(n_paths, "n_paths")
+    as_int(horizon, "horizon")
     if n_paths < 1:
         raise SpecValidationError("n_paths", f"must be >= 1, got {n_paths}")
     if horizon < 1:

@@ -745,8 +745,6 @@ def simulate_state_space_chunk(spec: StateSpaceCidSpec, horizon: int,
         if var_out is not None:
             # predictive Var(X_{n+1} | X_{1:n}) = P_n + (b_{n+1}-b_n) + (c-b_{n+1})
             var_out[:, n, 0] = p_var + (spec.c - b_n)
-
-    out["terminal_theta"] = theta
     return out
 
 

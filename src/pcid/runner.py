@@ -26,7 +26,7 @@ from importlib import resources
 from . import __version__
 from .engine import check_record, run_ensemble
 from .processes import SERIES
-from .specs import SpecValidationError, list_spec_kinds, spec_from_dict, SPEC_KINDS
+from .specs import SpecValidationError, as_int, list_spec_kinds, spec_from_dict, SPEC_KINDS
 from .verifiers import VERIFIERS, list_verifier_names
 
 EXIT_OK = 0
@@ -68,14 +68,10 @@ def _load_config_text(path_or_name: str) -> str:
 
 
 def _as_int(value, key: str, source: str) -> int:
-    """An integer, an integral float such as 1e6, or a decimal string
-    (PCID_SEED); never a bool or a float with a fractional part, which int()
-    would silently turn into 0, 1 or a truncated count."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{source}: {key} must be an integer, got {value!r}")
+    """`specs.as_int`, or a decimal string such as PCID_SEED holds."""
     try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
+        return as_int(int(value) if isinstance(value, str) else value, key)
+    except ValueError as exc:
         raise ConfigError(f"{source}: {key} must be an integer, got {value!r}") from exc
 
 

@@ -5,13 +5,15 @@ parameters, and the number of coordinates. Specs are plain data: they
 validate themselves, serialize to/from dicts (for experiment configs and
 report provenance), and are interpreted by the simulators in
 :mod:`pcid.processes`. This module is the only one that knows how a spec
-reads as a reinforced system (`reinforced_view`) and how it maps to and
-from a dict (`to_dict` / `from_dict`, derived from the dataclass fields).
+reads as a reinforced system (`reinforced_view`), how it maps to and from
+a dict and which values it accepts (`to_dict` / `from_dict` / `validate`,
+derived from the dataclass fields and the domains they declare).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from typing import ClassVar
 
@@ -39,17 +41,53 @@ def _require(cond: bool, field_name: str, message: str) -> None:
         raise SpecValidationError(field_name, message)
 
 
+def as_int(value, name: str) -> int:
+    """`value` as an int: an integer, or an integral float such as 1e6;
+    never a bool, a string or a float with a fractional part, which int()
+    would silently read as 0 or 1, parse, or truncate."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+# Domains a numeric field declares in its metadata ("domain"): a test of a
+# real number (never a bool) and what the domain asks for.
+_DOMAINS = {
+    "finite": (lambda x: -math.inf < x < math.inf, "must be finite"),
+    "positive": (lambda x: 0 < x < math.inf, "must be positive and finite"),
+    "nonnegative": (lambda x: 0 <= x < math.inf, "must be >= 0 and finite"),
+    "unit_interval": (lambda x: 0 < x < 1, "must lie in (0, 1)"),
+    "coordinates": (lambda x: x >= 1 and float(x).is_integer(),
+                    "must be an integer >= 1 (at least one coordinate)"),
+}
+
+
+def _in(domain: str, default=MISSING, **metadata):
+    """A dataclass field whose value, or each entry of a tuple, lies in the
+    `_DOMAINS` entry `domain`; further metadata as keywords."""
+    return field(default=default, metadata={"domain": domain, **metadata})
+
+
 # ---------------------------------------------------------------------------
-# Dict form, derived from the dataclass fields
+# Dict form and validation, derived from the dataclass fields
 # ---------------------------------------------------------------------------
 
-# Readers of plain fields, keyed by the field's annotation.
+def _real(v) -> float:
+    """A float field's value from its dict form; a bool is no number."""
+    if isinstance(v, bool):
+        raise TypeError("expected a number, got a bool")
+    return float(v)
+
+
+# Readers of plain fields, keyed by the field's annotation. An integer may
+# come as a decimal string, as a float may.
 _READERS = {
-    "float": float,
-    "int": int,
+    "float": _real,
+    "int": lambda v: as_int(int(v) if isinstance(v, str) else v, "the value"),
     "str": str,
-    "float | None": lambda v: None if v is None else float(v),
-    "tuple[float, ...]": lambda v: tuple(float(x) for x in v),
+    "float | None": lambda v: None if v is None else _real(v),
+    "tuple[float, ...]": lambda v: tuple(_real(x) for x in v),
 }
 
 
@@ -82,17 +120,22 @@ def _read_field(f, raw, field_name: str):
         names = [f"{field_name}[{i}]" for i in range(len(raw))]
     if kinds:
         return tuple(_read_nested(kinds, x, n) for x, n in zip(raw, names))
-    return tuple(float(x) for x in raw)
+    return tuple(_real(x) for x in raw)
 
 
 class _DictForm:
-    """`to_dict` / `from_dict` for the spec dataclasses and their components.
+    """`to_dict` / `from_dict` / `validate` for the spec dataclasses and
+    their components.
 
     The dict form holds the class's `kind` and every dataclass field. Field
     metadata refines it: "key" renames the field, "per_coord" marks a tuple
     with one entry per coordinate (a single entry is broadcast to
-    `n_coords`), and "kinds" marks a nested component.
+    `n_coords`), "kinds" marks a nested component, and "domain" names the
+    `_DOMAINS` entry that the field's value, or each entry of a tuple,
+    must lie in.
     """
+
+    role: ClassVar[str] = ""    # a component's name when validated alone
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
@@ -132,6 +175,47 @@ class _DictForm:
             values[f.name] = v
         return cls(**values)
 
+    def validate(self, field_name: str = "") -> None:
+        """Raise SpecValidationError unless every field lies in its domain,
+        every per-coordinate tuple has `n_coords` entries and every nested
+        component is valid, then check the relations between fields.
+
+        A spec names the field at fault, with [i] for a tuple entry. A
+        component names its place in the spec, `field_name`, which is its
+        `role` when it is validated alone.
+        """
+        place = field_name or self.role
+        for f in fields(self):
+            key = f.metadata.get("key", f.name)
+            value = getattr(self, f.name)
+            name = f"{place}.{key}" if place else key
+            if f.metadata.get("per_coord"):
+                _require(len(value) == self.n_coords, name,
+                         f"expected one entry per coordinate ({self.n_coords}), "
+                         f"got {len(value)}")
+            entries = value if isinstance(value, tuple) else (value,)
+            for i, x in enumerate(entries):
+                at = f"{name}[{i}]" if isinstance(value, tuple) else name
+                if isinstance(x, _DictForm):
+                    x.validate(at)
+                elif "domain" in f.metadata and x is not None:
+                    inside, asks = _DOMAINS[f.metadata["domain"]]
+                    _require(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                             and inside(x), place or at, f"{key} {asks}, got {x!r}")
+        self._relations(place)
+
+    def _relations(self, where: str) -> None:
+        """Checks between fields, beyond each field's own domain; a
+        component names `where`, a spec the field at fault."""
+
+
+def _family(role: str, *classes) -> dict:
+    """The registry of a component family, from kind to class. Each class
+    takes `role` as its name when it is validated alone."""
+    for cls in classes:
+        cls.role = role
+    return {cls.kind: cls for cls in classes}
+
 
 # ---------------------------------------------------------------------------
 # Base measures (the nu_i driving a reinforced coordinate)
@@ -141,14 +225,12 @@ class _DictForm:
 class UniformBase(_DictForm):
     """Uniform distribution on (a, b)."""
 
-    a: float = 0.0
-    b: float = 1.0
+    a: float = _in("finite", 0.0)
+    b: float = _in("finite", 1.0)
     kind: ClassVar[str] = "uniform"
 
-    def validate(self, field_name: str = "base") -> None:
-        _require(math.isfinite(self.a) and math.isfinite(self.b), field_name,
-                 "uniform bounds must be finite")
-        _require(self.b > self.a, field_name, f"need b > a, got ({self.a}, {self.b})")
+    def _relations(self, where: str) -> None:
+        _require(self.b > self.a, where, f"need b > a, got ({self.a}, {self.b})")
 
     def mean(self) -> float:
         return 0.5 * (self.a + self.b)
@@ -174,14 +256,9 @@ class UniformBase(_DictForm):
 class NormalBase(_DictForm):
     """Normal distribution with the given mean and variance."""
 
-    mean_value: float = field(default=0.0, metadata={"key": "mean"})
-    var: float = 1.0
+    mean_value: float = _in("finite", 0.0, key="mean")
+    var: float = _in("positive", 1.0)
     kind: ClassVar[str] = "normal"
-
-    def validate(self, field_name: str = "base") -> None:
-        _require(math.isfinite(self.mean_value), field_name, "mean must be finite")
-        _require(self.var > 0 and math.isfinite(self.var), field_name,
-                 f"variance must be positive, got {self.var}")
 
     def mean(self) -> float:
         return self.mean_value
@@ -220,22 +297,17 @@ class NormalBase(_DictForm):
 class DiscreteBase(_DictForm):
     """Finite discrete distribution given by support points and probabilities."""
 
-    values: tuple[float, ...]
-    probs: tuple[float, ...]
+    values: tuple[float, ...] = _in("finite")
+    probs: tuple[float, ...] = _in("positive")
     kind: ClassVar[str] = "discrete"
 
-    def validate(self, field_name: str = "base") -> None:
-        _require(len(self.values) == len(self.probs) > 0, field_name,
+    def _relations(self, where: str) -> None:
+        _require(len(self.values) == len(self.probs) > 0, where,
                  "values and probs must be equal-length and non-empty")
-        _require(all(math.isfinite(v) for v in self.values), field_name,
-                 "support values must be finite")
-        _require(all(p > 0 for p in self.probs), field_name, "probabilities must be positive")
-        _require(abs(sum(self.probs) - 1.0) < 1e-9, field_name,
+        _require(abs(sum(self.probs) - 1.0) < 1e-9, where,
                  f"probabilities must sum to 1, got {sum(self.probs)}")
-        _require(list(self.values) == sorted(self.values), field_name,
-                 "support values must be strictly increasing")
-        _require(len(set(self.values)) == len(self.values), field_name,
-                 "support values must be distinct")
+        _require(all(v < w for v, w in zip(self.values, self.values[1:])), where,
+                 "support values must be distinct and increasing")
 
     def mean(self) -> float:
         return float(np.dot(self.values, self.probs))
@@ -262,11 +334,7 @@ class DiscreteBase(_DictForm):
         return (min(self.values), max(self.values))
 
 
-BASE_MEASURES = {
-    UniformBase.kind: UniformBase,
-    NormalBase.kind: NormalBase,
-    DiscreteBase.kind: DiscreteBase,
-}
+BASE_MEASURES = _family("base", UniformBase, NormalBase, DiscreteBase)
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +345,9 @@ BASE_MEASURES = {
 class DegenerateWeight(_DictForm):
     """W identically equal to `value`. Consumes no randomness."""
 
-    value: float = 1.0
+    value: float = _in("positive", 1.0)
     kind: ClassVar[str] = "degenerate"
     consumes_uniform: ClassVar[bool] = False
-
-    def validate(self, field_name: str = "weight") -> None:
-        _require(self.value > 0 and math.isfinite(self.value), field_name,
-                 f"weight must be positive, got {self.value}")
 
     def mean(self) -> float:
         return self.value
@@ -302,17 +366,14 @@ class DegenerateWeight(_DictForm):
 class TwoPointWeight(_DictForm):
     """W = lo with probability p_lo, else hi."""
 
-    lo: float = 1.0
-    hi: float = 3.0
-    p_lo: float = 0.5
+    lo: float = _in("positive", 1.0)
+    hi: float = _in("positive", 3.0)
+    p_lo: float = _in("unit_interval", 0.5)
     kind: ClassVar[str] = "two_point"
     consumes_uniform: ClassVar[bool] = True
 
-    def validate(self, field_name: str = "weight") -> None:
-        _require(self.lo > 0 and 0 < self.hi < math.inf, field_name,
-                 "both weight values must be positive and finite")
-        _require(self.hi > self.lo, field_name, "need hi > lo")
-        _require(0.0 < self.p_lo < 1.0, field_name, f"p_lo must be in (0,1), got {self.p_lo}")
+    def _relations(self, where: str) -> None:
+        _require(self.hi > self.lo, where, f"need hi > lo, got ({self.lo}, {self.hi})")
 
     def mean(self) -> float:
         return self.p_lo * self.lo + (1 - self.p_lo) * self.hi
@@ -331,15 +392,13 @@ class TwoPointWeight(_DictForm):
 class UniformWeight(_DictForm):
     """W uniform on (a, b) with a > 0."""
 
-    a: float = 0.5
-    b: float = 1.5
+    a: float = _in("positive", 0.5)
+    b: float = _in("positive", 1.5)
     kind: ClassVar[str] = "uniform"
     consumes_uniform: ClassVar[bool] = True
 
-    def validate(self, field_name: str = "weight") -> None:
-        _require(self.a > 0, field_name, f"lower bound must be positive, got {self.a}")
-        _require(self.a < self.b < math.inf, field_name,
-                 f"need finite b > a, got ({self.a}, {self.b})")
+    def _relations(self, where: str) -> None:
+        _require(self.b > self.a, where, f"need b > a, got ({self.a}, {self.b})")
 
     def mean(self) -> float:
         return 0.5 * (self.a + self.b)
@@ -358,20 +417,14 @@ class UniformWeight(_DictForm):
 class GammaWeight(_DictForm):
     """W = shift + Gamma(shape, scale). Drawn by inverse CDF, so one uniform per draw."""
 
-    shape: float = 2.0
-    scale: float = 1.0
-    shift: float = 0.0
+    shape: float = _in("positive", 2.0)
+    scale: float = _in("positive", 1.0)
+    shift: float = _in("nonnegative", 0.0)
     kind: ClassVar[str] = "gamma"
     consumes_uniform: ClassVar[bool] = True
 
-    def validate(self, field_name: str = "weight") -> None:
-        _require(0 < self.shape < math.inf, field_name,
-                 f"shape must be positive and finite, got {self.shape}")
-        _require(0 < self.scale < math.inf, field_name,
-                 f"scale must be positive and finite, got {self.scale}")
-        _require(0 <= self.shift < math.inf, field_name,
-                 f"shift must be >= 0 and finite, got {self.shift}")
-        _require(self.shift > 0 or self.shape > 2, field_name,
+    def _relations(self, where: str) -> None:
+        _require(self.shift > 0 or self.shape > 2, where,
                  f"need shift > 0 or shape > 2 so that E[1/W^2] is finite; got shape "
                  f"{self.shape} and shift {self.shift}, defaults included")
 
@@ -389,12 +442,7 @@ class GammaWeight(_DictForm):
         return self.shift + self.scale * special.gammaincinv(self.shape, np.asarray(u, float))
 
 
-WEIGHT_DISTS = {
-    DegenerateWeight.kind: DegenerateWeight,
-    TwoPointWeight.kind: TwoPointWeight,
-    UniformWeight.kind: UniformWeight,
-    GammaWeight.kind: GammaWeight,
-}
+WEIGHT_DISTS = _family("weight", DegenerateWeight, TwoPointWeight, UniformWeight, GammaWeight)
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +461,19 @@ class BetaSchedule(_DictForm):
     kind: str = "harmonic"
     table: tuple[float, ...] = ()
     ratio: float = 0.5
+    role: ClassVar[str] = "beta"
 
-    def validate(self, field_name: str = "beta") -> None:
+    def _relations(self, where: str) -> None:
         _require(self.kind in ("constant_one", "harmonic", "geometric", "table"),
-                 field_name, f"unknown beta schedule kind {self.kind!r}")
+                 where, f"unknown beta schedule kind {self.kind!r}")
         if self.kind == "geometric":
-            _require(0.0 < self.ratio < 1.0, field_name,
+            _require(0.0 < self.ratio < 1.0, where,
                      f"geometric ratio must lie in (0, 1), got {self.ratio}")
         if self.kind == "table":
-            _require(len(self.table) >= 1, field_name, "table schedule needs at least one entry")
-            _require(abs(self.table[0] - 1.0) < 1e-15, field_name,
+            _require(len(self.table) >= 1, where, "table schedule needs at least one entry")
+            _require(abs(self.table[0] - 1.0) < 1e-15, where,
                      f"beta_1 must equal 1, got {self.table[0]}")
-            _require(all(0.0 < b <= 1.0 for b in self.table), field_name,
+            _require(all(0.0 < b <= 1.0 for b in self.table), where,
                      "all beta_n must lie in (0, 1]")
 
     def value(self, n: int) -> float:
@@ -445,9 +494,6 @@ class IidWeights(_DictForm):
     dist: object = field(metadata={"kinds": WEIGHT_DISTS})
     kind: ClassVar[str] = "independent_iid_weights"
 
-    def validate(self, field_name: str = "coupling") -> None:
-        self.dist.validate(f"{field_name}.dist")
-
 
 @dataclass(frozen=True)
 class CommonWeight(_DictForm):
@@ -455,9 +501,6 @@ class CommonWeight(_DictForm):
 
     dist: object = field(metadata={"kinds": WEIGHT_DISTS})
     kind: ClassVar[str] = "common_weight"
-
-    def validate(self, field_name: str = "coupling") -> None:
-        self.dist.validate(f"{field_name}.dist")
 
 
 @dataclass(frozen=True)
@@ -467,9 +510,6 @@ class CrossFraction(_DictForm):
 
     beta: BetaSchedule = field(default_factory=BetaSchedule, metadata={"kinds": BetaSchedule})
     kind: ClassVar[str] = "cross_fraction"
-
-    def validate(self, field_name: str = "coupling") -> None:
-        self.beta.validate(f"{field_name}.beta")
 
 
 @dataclass(frozen=True)
@@ -481,25 +521,22 @@ class FeedbackWeight(_DictForm):
     it is not a config coupling and is left out of COUPLING_RULES.
     """
 
-    scale: float = 1.0
-    shift: float = 0.1
+    scale: float = _in("positive", 1.0)
+    shift: float = _in("positive", 0.1)
     kind: ClassVar[str] = "feedback_weight"
-
-    def validate(self, field_name: str = "coupling") -> None:
-        _require(0 < self.scale < math.inf and 0 < self.shift < math.inf, field_name,
-                 "scale and shift must be positive and finite")
+    role: ClassVar[str] = "coupling"
 
 
-COUPLING_RULES = {
-    IidWeights.kind: IidWeights,
-    CommonWeight.kind: CommonWeight,
-    CrossFraction.kind: CrossFraction,
-}
+COUPLING_RULES = _family("coupling", IidWeights, CommonWeight, CrossFraction)
 
 
 # ---------------------------------------------------------------------------
 # Process specs
 # ---------------------------------------------------------------------------
+
+# the metadata of a per-coordinate tuple of base measures
+_COORD_BASES = {"per_coord": True, "kinds": BASE_MEASURES}
+
 
 @dataclass(frozen=True)
 class ReinforcedSpec(_DictForm):
@@ -507,23 +544,14 @@ class ReinforcedSpec(_DictForm):
     normalized mixture (w0_i nu_i + sum_k W_{k,i} delta_{x_{k,i}}) / total and
     the just-observed value is appended with a fresh positive weight."""
 
-    n_coords: int = 1
-    w0: tuple[float, ...] = field(default=(1.0,), metadata={"per_coord": True})
-    base: tuple = field(default=(UniformBase(),),
-                        metadata={"per_coord": True, "kinds": BASE_MEASURES})
+    n_coords: int = _in("coordinates", 1)
+    w0: tuple[float, ...] = _in("positive", (1.0,), per_coord=True)
+    base: tuple = field(default=(UniformBase(),), metadata=_COORD_BASES)
     coupling: object = field(default_factory=lambda: CommonWeight(DegenerateWeight(1.0)),
                              metadata={"kinds": COUPLING_RULES})
     kind: ClassVar[str] = "reinforced"
 
-    def validate(self) -> None:
-        _require(self.n_coords >= 1, "n_coords", f"need at least one coordinate, got {self.n_coords}")
-        _require(len(self.w0) == self.n_coords, "w0", "one base weight per coordinate")
-        for i, w in enumerate(self.w0):
-            _require(w > 0 and math.isfinite(w), f"w0[{i}]", f"must be positive, got {w}")
-        _require(len(self.base) == self.n_coords, "base", "one base measure per coordinate")
-        for i, b in enumerate(self.base):
-            b.validate(f"base[{i}]")
-        self.coupling.validate("coupling")
+    def _relations(self, where: str) -> None:
         if isinstance(self.coupling, CrossFraction):
             _require(self.n_coords == 2, "n_coords",
                      "cross_fraction coupling requires exactly 2 coordinates")
@@ -537,10 +565,9 @@ class ReinforcedSpec(_DictForm):
 class PolyaSpec(_DictForm):
     """Independent Polya sequences: the reinforced scheme with W = 1."""
 
-    n_coords: int = 1
-    w0: tuple[float, ...] = field(default=(1.0,), metadata={"per_coord": True})
-    base: tuple = field(default=(UniformBase(),),
-                        metadata={"per_coord": True, "kinds": BASE_MEASURES})
+    n_coords: int = _in("coordinates", 1)
+    w0: tuple[float, ...] = _in("positive", (1.0,), per_coord=True)
+    base: tuple = field(default=(UniformBase(),), metadata=_COORD_BASES)
     kind: ClassVar[str] = "polya"
 
     def validate(self) -> None:
@@ -553,14 +580,9 @@ class UniformCoupledSpec(_DictForm):
     reinforcement fraction A_{n,i} = beta_n * x_{n,j}, j != i."""
 
     beta: BetaSchedule = field(default_factory=BetaSchedule, metadata={"kinds": BetaSchedule})
-    w0: float = 1.0
+    w0: float = _in("positive", 1.0)
     kind: ClassVar[str] = "uniform_coupled"
     n_coords: ClassVar[int] = 2
-
-    def validate(self) -> None:
-        self.beta.validate("beta")
-        _require(self.w0 > 0 and math.isfinite(self.w0), "w0",
-                 f"must be positive, got {self.w0}")
 
 
 @dataclass(frozen=True)
@@ -570,19 +592,11 @@ class BrokenFeedbackWeightSpec(_DictForm):
     the independence of weight and observation, so the array is not p-c.i.d.;
     larger scales make the violation easier to detect."""
 
-    n_coords: int = 2
-    w0: float = 1.0
-    shift: float = 0.1
-    scale: float = 1.0
+    n_coords: int = _in("coordinates", 2)
+    w0: float = _in("positive", 1.0)
+    shift: float = _in("positive", 0.1)
+    scale: float = _in("positive", 1.0)
     kind: ClassVar[str] = "broken_feedback_weight"
-
-    def validate(self) -> None:
-        _require(self.n_coords >= 1, "n_coords", f"need at least one coordinate, got {self.n_coords}")
-        _require(0 < self.w0 < math.inf, "w0", f"must be positive and finite, got {self.w0}")
-        _require(0 < self.shift < math.inf, "shift",
-                 f"must be positive and finite, got {self.shift}")
-        _require(0 < self.scale < math.inf, "scale",
-                 f"must be positive and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -591,27 +605,12 @@ class GaussianLastTickSpec(_DictForm):
     is the duration-weighted (last-tick) average of past observations and the
     predictive variance shrinks by the factor 1 - lambda_n^2 each step."""
 
-    n_coords: int = 1
-    mu1: tuple[float, ...] = field(default=(0.0,), metadata={"per_coord": True})
-    sigma2_1: tuple[float, ...] = field(default=(1.0,), metadata={"per_coord": True})
-    rate: float = 1.0
-    t0: float | None = None  # None: first Poisson inter-arrival
+    n_coords: int = _in("coordinates", 1)
+    mu1: tuple[float, ...] = _in("finite", (0.0,), per_coord=True)
+    sigma2_1: tuple[float, ...] = _in("positive", (1.0,), per_coord=True)
+    rate: float = _in("positive", 1.0)
+    t0: float | None = _in("positive", None)  # None: first Poisson inter-arrival
     kind: ClassVar[str] = "gaussian_last_tick"
-
-    def validate(self) -> None:
-        _require(self.n_coords >= 1, "n_coords", f"need at least one coordinate, got {self.n_coords}")
-        _require(len(self.mu1) == self.n_coords, "mu1", "one initial mean per coordinate")
-        _require(len(self.sigma2_1) == self.n_coords, "sigma2_1", "one initial variance per coordinate")
-        for i, m in enumerate(self.mu1):
-            _require(math.isfinite(m), f"mu1[{i}]", f"must be finite, got {m}")
-        for i, s2 in enumerate(self.sigma2_1):
-            _require(s2 > 0 and math.isfinite(s2), f"sigma2_1[{i}]",
-                     f"must be positive and finite, got {s2}")
-        _require(self.rate > 0 and math.isfinite(self.rate), "rate",
-                 f"must be positive and finite, got {self.rate}")
-        if self.t0 is not None:
-            _require(self.t0 > 0 and math.isfinite(self.t0), "t0",
-                     f"must be positive and finite, got {self.t0}")
 
 
 @dataclass(frozen=True)
@@ -621,18 +620,16 @@ class StateSpaceCidSpec(_DictForm):
     independent N(0, c - b_n) noise. b_n increases to c_prime < c; the default
     schedule is b_n = c_prime * (1 - 2^{-n})."""
 
-    theta0: float = 0.0
-    c: float = 1.0
-    c_prime: float = 0.5
+    theta0: float = _in("finite", 0.0)
+    c: float = _in("positive", 1.0)
+    c_prime: float = _in("positive", 0.5)
     b_table: tuple[float, ...] = ()  # optional explicit schedule, else geometric
     kind: ClassVar[str] = "state_space_cid"
     n_coords: ClassVar[int] = 1
 
-    def validate(self) -> None:
-        _require(math.isfinite(self.theta0), "theta0", "must be finite")
-        _require(0 < self.c < math.inf, "c", f"must be positive and finite, got {self.c}")
-        _require(0 < self.c_prime < self.c, "c_prime",
-                 f"need 0 < c_prime < c, got c_prime={self.c_prime}, c={self.c}")
+    def _relations(self, where: str) -> None:
+        _require(self.c_prime < self.c, "c_prime",
+                 f"need c_prime < c, got c_prime={self.c_prime}, c={self.c}")
         if self.b_table:
             _require(self.b_table[0] > 0.0, "b_table", "b_1 must be positive")
             _require(all(b2 >= b1 for b1, b2 in zip(self.b_table, self.b_table[1:])),
@@ -656,22 +653,15 @@ class Ar1DriftSpec(_DictForm):
     phi = drift = 0 it degenerates to an i.i.d. Gaussian sequence."""
 
     phi: float = 0.8
-    drift: float = 0.3
-    noise_var: float = 1.0
-    init_mean: float = 0.0
-    init_var: float = 1.0
+    drift: float = _in("finite", 0.3)
+    noise_var: float = _in("positive", 1.0)
+    init_mean: float = _in("finite", 0.0)
+    init_var: float = _in("positive", 1.0)
     kind: ClassVar[str] = "ar1_drift"
     n_coords: ClassVar[int] = 1
 
-    def validate(self) -> None:
+    def _relations(self, where: str) -> None:
         _require(abs(self.phi) < 1, "phi", f"|phi| must be < 1, got {self.phi}")
-        _require(math.isfinite(self.drift), "drift", f"must be finite, got {self.drift}")
-        _require(math.isfinite(self.init_mean), "init_mean",
-                 f"must be finite, got {self.init_mean}")
-        _require(self.noise_var > 0 and math.isfinite(self.noise_var), "noise_var",
-                 f"must be positive and finite, got {self.noise_var}")
-        _require(self.init_var > 0 and math.isfinite(self.init_var), "init_var",
-                 f"must be positive and finite, got {self.init_var}")
 
 
 SPEC_KINDS = {

@@ -117,8 +117,8 @@ def clt_path_summaries(ens: Ensemble) -> dict:
     """Terminal scaled sums and plug-in moments per path, for CLT verdicts.
 
     Returns S and S~ at n = horizon, the terminal predictive variance
-    (the plug-in for the directing-measure variance), and the terminal raw
-    moments where the kind provides them.
+    (the plug-in for the directing-measure variance), and, for reinforced
+    kinds, the terminal mixture's raw moments.
 
     Runs over row blocks of about `processes.GENEALOGY_BLOCK_STEPS`
     path-steps: each block's forecast errors are formed once, summed into
@@ -153,14 +153,14 @@ def clt_path_summaries(ens: Ensemble) -> dict:
     if not err <= TELESCOPE_RTOL:   # also catches NaN from corrupt inputs
         raise StatisticsError(f"telescoping identity violated at the terminal step: "
                               f"max relative error {err:.3e} > {TELESCOPE_RTOL}")
-    out = {"S": s, "S_tilde": s_tilde, "sigma2_alpha": ens.terminal_variance(),
-           "mu_alpha": ens.terminal_mean()}
-    if "weighted_power_sums" in ens.arrays:
-        out["terminal_moments"] = ens.terminal_moments()
-    return out
+    if "weighted_power_sums" not in ens.arrays:
+        return {"S": s, "S_tilde": s_tilde, "sigma2_alpha": ens.terminal_variance()}
+    # the mixture moments once, and the variance from them as
+    # Ensemble.terminal_variance forms it
+    m = ens.terminal_moments()
+    return {"S": s, "S_tilde": s_tilde, "sigma2_alpha": m[:, :, 2] - m[:, :, 1] ** 2,
+            "terminal_moments": m}
 
 
 def gaussian_path_summaries(ens: Ensemble) -> dict:
-    return {"gamma_hat": ens.gamma_hat,
-            "terminal_mu": ens.arrays["terminal_mu"],
-            "terminal_sigma2": ens.arrays["terminal_sigma2"]}
+    return {"gamma_hat": ens.gamma_hat, "terminal_mu": ens.arrays["terminal_mu"]}

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,10 +28,21 @@ from .specs import (
     CommonWeight,
     GaussianLastTickSpec,
     UniformCoupledSpec,
+    as_int,
     reinforced_view,
 )
 
 VERIFIER_SUBSTREAM = 0xFFFF  # reserved; engine paths use substreams 0..K
+
+
+def _fields_dict(record) -> dict:
+    """A sub-check's or verdict's dict form: its fields, `passed` under the
+    key "pass", and each sub-check in its dict form."""
+    d = {f.name: getattr(record, f.name) for f in fields(record) if f.name != "passed"}
+    d["pass"] = record.passed
+    if "subchecks" in d:
+        d["subchecks"] = [s.to_dict() for s in d["subchecks"]]
+    return d
 
 
 @dataclass(frozen=True)
@@ -48,9 +59,7 @@ class SubCheck:
         return self.margin <= 1.0
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "kind": self.kind, "statistic": self.statistic,
-                "reference": self.reference, "tolerance": self.tolerance,
-                "margin": self.margin, "pass": self.passed}
+        return _fields_dict(self)
 
 
 def _p_value_check(name: str, p: float, alpha_adj: float) -> SubCheck:
@@ -91,11 +100,7 @@ class TestVerdict:
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "statistic": self.statistic, "reference": self.reference,
-                "tolerance": self.tolerance, "alpha": self.alpha, "pass": self.passed,
-                "n_paths": self.n_paths, "horizon": self.horizon, "seed": self.seed,
-                "params": self.params,
-                "subchecks": [s.to_dict() for s in self.subchecks]}
+        return _fields_dict(self)
 
 
 def _verdict(name: str, subchecks: list[SubCheck], alpha: float, n_paths: int,
@@ -108,21 +113,12 @@ def _verdict(name: str, subchecks: list[SubCheck], alpha: float, n_paths: int,
                        n_paths, horizon, seed, subchecks, params)
 
 
-def _integer(value, name: str) -> int:
-    """`value` as an int: an integer, or an integral float such as 3.0;
-    never a bool, whose int() would be 0 or 1."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
-            isinstance(value, float) and value.is_integer())):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _horizon(horizon, check: str) -> int:
     """`horizon` as an int. A null horizon in a config reaches the check as
     None, and only check_pcid derives a horizon of its own."""
     if horizon is None:
         raise ValueError(f"{check} needs a horizon, got None; only check_pcid derives one")
-    return _integer(horizon, "horizon")
+    return as_int(horizon, "horizon")
 
 
 def _alpha(alpha) -> float:
@@ -136,7 +132,7 @@ def _alpha(alpha) -> float:
 
 def _coordinate(coord, k: int) -> int:
     """`coord` as an index into k coordinates; -1 is no alias for k - 1."""
-    coord = _integer(coord, "coord")
+    coord = as_int(coord, "coord")
     if not 0 <= coord < k:
         raise ValueError(f"coord must lie in [0, {k}) for {k} coordinates, got {coord}")
     return coord
@@ -273,16 +269,17 @@ def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
     configured n_paths.
     """
     alpha = _alpha(alpha)
+    n_paths = as_int(n_paths, "n_paths")
     k = spec.n_coords
     if k < 2:
         raise ValueError("the joint-law check requires at least 2 coordinates")
-    n = _integer(n, "n")
+    n = as_int(n, "n")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    n_permutations = _integer(n_permutations, "n_permutations")
+    n_permutations = as_int(n_permutations, "n_permutations")
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
-    max_group = _integer(max_group, "max_group")
+    max_group = as_int(max_group, "max_group")
     if max_group < 1:
         raise ValueError(f"max_group must be >= 1, got {max_group}")
     if horizon is None:
@@ -332,6 +329,7 @@ def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
     first step whose observation exceeds t, capped at c.
     """
     alpha = _alpha(alpha)
+    n_paths = as_int(n_paths, "n_paths")
     horizon = _horizon(horizon, "check_stopping_time")
     if not isinstance(tau, dict):
         raise ValueError(f"tau must be an object, got {tau!r}")
@@ -343,9 +341,9 @@ def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
         if key not in tau:
             raise ValueError(f"stopping rule {kind!r} needs tau.{key}")
     if kind == "constant":
-        bound = _integer(tau["n"], "tau.n")
+        bound = as_int(tau["n"], "tau.n")
     else:
-        bound = _integer(tau["cap"], "tau.cap")
+        bound = as_int(tau["cap"], "tau.cap")
         thr = tau["threshold"]
         # a NaN threshold is never exceeded: tau would be the cap, silently
         if isinstance(thr, bool) or not isinstance(thr, numbers.Real) or math.isnan(thr):
@@ -418,6 +416,7 @@ def check_clt_forecast_errors(spec, n_paths: int, horizon: int, master_seed: int
     variance against the mean plug-in variance (5%), and vanishing
     cross-coordinate correlation (diagonal limit covariance)."""
     alpha = _alpha(alpha)
+    n_paths = as_int(n_paths, "n_paths")
     n = _horizon(horizon, "check_clt_forecast_errors")
     if n < 1000:
         raise ValueError(f"asymptotic regime not reached: need horizon >= 1000, got {n}")
@@ -448,6 +447,7 @@ def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
     (sigma2_alpha * Var(W)/E[W]^2), the cross-reinforced uniform pair with
     the harmonic fraction schedule, and i.i.d. sequences."""
     alpha = _alpha(alpha)
+    n_paths = as_int(n_paths, "n_paths")
     n = _horizon(horizon, "check_clt_sample_mean")
     # the reference form, found before the ensemble is simulated
     rspec = reinforced_view(spec)
@@ -510,6 +510,7 @@ def check_gaussian_limit(spec, n_paths: int, horizon: int, master_seed: int, *,
     the variance of the terminal predictive mean, and the cross-coordinate
     dependence induced by the shared arrival times."""
     alpha = _alpha(alpha)
+    n_paths = as_int(n_paths, "n_paths")
     horizon = _horizon(horizon, "check_gaussian_limit")
     if not isinstance(spec, GaussianLastTickSpec):
         raise ValueError("check_gaussian_limit applies to the gaussian_last_tick kind")

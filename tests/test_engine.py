@@ -24,6 +24,27 @@ def test_run_rejects_empty_ensemble(uniform_polya_spec):
     assert err.value.field == "horizon"
 
 
+@pytest.mark.parametrize("n_paths,horizon,field", [
+    (101.5, 3, "n_paths"), (True, 3, "n_paths"), ("101", 3, "n_paths"),
+    (101, 3.5, "horizon"), (101, True, "horizon")])
+def test_run_rejects_non_integral_counts_before_planning(monkeypatch, n_paths, horizon,
+                                                          field):
+    # a fractional n_paths once sent the chunk plan's search into a loop
+    # that never ended; with the planner replaced, a missed check fails
+    # here instead of hanging
+    def no_plan(*args):
+        raise AssertionError("planned chunks for a non-integral count")
+
+    monkeypatch.setattr(engine, "_chunk_bounds", no_plan)
+    spec = specs.UniformCoupledSpec()
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        run_ensemble(spec, n_paths, horizon, 1, threads=1)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        engine.map_path_chunks(spec, n_paths, horizon, 1, lambda e: {}, threads=1)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        engine._validate_run_args(spec, n_paths, horizon, 1)
+
+
 def test_reducer_needs_one_row_per_path(uniform_polya_spec):
     # a per-chunk scalar would depend on the chunk plan, and so on threads
     with pytest.raises(ValueError, match="one row per path"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -102,6 +103,22 @@ def test_round_trip(doc):
     # shape and shift left at their defaults, 2 and 0
     ({"kind": "reinforced", "coupling": {"kind": "common_weight",
       "dist": {"kind": "gamma", "scale": 0.5}}}, "coupling.dist"),
+    # int() read a fractional count as its truncation and a bool as 1;
+    # an infinite one overflowed
+    ({"kind": "polya", "n_coords": 2.5}, "n_coords"),
+    ({"kind": "polya", "n_coords": 1.9}, "n_coords"),
+    ({"kind": "polya", "n_coords": True}, "n_coords"),
+    ({"kind": "gaussian_last_tick", "n_coords": 2.5}, "n_coords"),
+    ({"kind": "gaussian_last_tick", "n_coords": True}, "n_coords"),
+    ({"kind": "broken_feedback_weight", "n_coords": math.inf}, "n_coords"),
+    (specs.BrokenFeedbackWeightSpec(n_coords=math.inf), "n_coords"),
+    (specs.BrokenFeedbackWeightSpec(n_coords=True), "n_coords"),
+    # float() would read a bool as 0.0 or 1.0
+    ({"kind": "ar1_drift", "drift": True}, "drift"),
+    ({"kind": "gaussian_last_tick", "sigma2_1": [True]}, "sigma2_1"),
+    (specs.UniformCoupledSpec(w0=True), "w0"),
+    (specs.PolyaSpec(w0=(True,)), "w0[0]"),
+    (specs.ReinforcedSpec(base=(specs.NormalBase(var=True),)), "base[0]"),
 ])
 def test_validation_names_offending_field(doc, field):
     with pytest.raises(SpecValidationError) as err:
@@ -155,3 +172,80 @@ def test_weight_draws_match_support():
         dist.validate()
         w = dist.from_uniform(u)
         assert np.all(w > 0)
+
+
+def test_integer_field_reads_integral_numbers_and_decimal_strings():
+    for n in (2, 2.0, "2"):
+        assert spec_from_dict({"kind": "polya", "n_coords": n}).n_coords == 2
+
+
+COMPONENT_CLASSES = [*specs.BASE_MEASURES.values(), *specs.WEIGHT_DISTS.values(),
+                     *specs.COUPLING_RULES.values(), specs.BetaSchedule,
+                     specs.FeedbackWeight]
+SPEC_CLASSES = list(specs.SPEC_KINDS.values())
+NUMERIC_TYPES = {"float", "int", "float | None", "tuple[float, ...]"}
+# numeric fields that only their class's _relations checks: their range
+# depends on another field
+RELATION_FIELDS = {(specs.BetaSchedule, "table"), (specs.BetaSchedule, "ratio"),
+                   (specs.StateSpaceCidSpec, "b_table"), (specs.Ar1DriftSpec, "phi")}
+# an instance that validates, for classes whose defaults do not or that
+# have required fields
+VALID = {
+    specs.DiscreteBase: specs.DiscreteBase((0.0, 1.0), (0.5, 0.5)),
+    specs.GammaWeight: specs.GammaWeight(3.0, 1.0, 0.0),
+    specs.IidWeights: specs.IidWeights(specs.DegenerateWeight()),
+    specs.CommonWeight: specs.CommonWeight(specs.DegenerateWeight()),
+}
+# values each domain must reject: NaN, the boundaries -1, 0 and +-inf that
+# lie outside it, and a bool
+OUTSIDE = {
+    "finite": (math.nan, -math.inf, math.inf, True),
+    "positive": (math.nan, -1.0, 0.0, math.inf, True),
+    "nonnegative": (math.nan, -1.0, math.inf, True),
+    "unit_interval": (math.nan, -1.0, 0.0, 1.0, math.inf, True),
+    "coordinates": (math.nan, -1, 0, 2.5, math.inf, True),
+}
+
+
+def _domain_fields():
+    for cls in SPEC_CLASSES + COMPONENT_CLASSES:
+        for f in dataclasses.fields(cls):
+            if "domain" in f.metadata:
+                yield cls, f
+
+
+def _valid(cls):
+    return VALID[cls] if cls in VALID else cls()
+
+
+@pytest.mark.parametrize("cls", SPEC_CLASSES + COMPONENT_CLASSES,
+                         ids=lambda c: c.__name__)
+def test_every_numeric_field_is_checked(cls):
+    # a numeric field declares its domain or is checked by _relations; any
+    # other field is a nested component or the beta schedule's kind name
+    _valid(cls).validate()
+    for f in dataclasses.fields(cls):
+        if f.type in NUMERIC_TYPES:
+            assert ("domain" in f.metadata) != ((cls, f.name) in RELATION_FIELDS), f.name
+        else:
+            assert "domain" not in f.metadata, f.name
+            assert "kinds" in f.metadata or (cls, f.name) == (specs.BetaSchedule, "kind")
+
+
+@pytest.mark.parametrize("cls,f", list(_domain_fields()),
+                         ids=lambda x: getattr(x, "__name__", getattr(x, "name", "")))
+def test_values_outside_a_domain_are_rejected_under_the_field(cls, f):
+    valid = _valid(cls)
+    old = getattr(valid, f.name)
+    if cls in COMPONENT_CLASSES:
+        # validated alone it names its role, in a spec its place there
+        names = {None: cls.role, "base[1]": "base[1]"}
+    else:
+        names = {None: f"{f.name}[0]" if isinstance(old, tuple) else f.name}
+    for bad in OUTSIDE[f.metadata["domain"]]:
+        value = (bad,) + old[1:] if isinstance(old, tuple) else bad
+        obj = dataclasses.replace(valid, **{f.name: value})
+        for place, want in names.items():
+            with pytest.raises(SpecValidationError) as err:
+                obj.validate() if place is None else obj.validate(place)
+            assert err.value.field == want, (f.name, bad, place)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pcid import processes, specs, statistics
-from pcid.engine import MissingSeriesError, run_ensemble
+from pcid import engine, processes, specs, statistics
+from pcid.engine import MissingSeriesError, default_record, run_ensemble
 from pcid.statistics import (
     StatisticsError,
     empirical_predictive_distance,
@@ -224,3 +224,23 @@ def test_clt_path_summaries_match_full_series(rru_two_point_spec):
     assert np.allclose(summ["S"], s[:, -1, :], rtol=1e-12, atol=1e-12)
     assert np.allclose(summ["S_tilde"], s_tilde[:, -1, :], rtol=1e-12, atol=1e-12)
     assert np.allclose(summ["sigma2_alpha"], ens.terminal_variance())
+
+
+def test_chunk_reducers_return_only_what_verdicts_read(monkeypatch, rru_two_point_spec):
+    calls = []
+    moments = engine.Ensemble.terminal_moments
+    monkeypatch.setattr(engine.Ensemble, "terminal_moments",
+                        lambda self: calls.append(1) or moments(self))
+    ens = run_ensemble(rru_two_point_spec, 6, 20, 3)
+    summ = statistics.clt_path_summaries(ens)
+    assert set(summ) == {"S", "S_tilde", "sigma2_alpha", "terminal_moments"}
+    assert len(calls) == 1   # the mixture moments once per chunk
+    # the variance as Ensemble.terminal_variance forms it, bit for bit
+    assert np.array_equal(summ["sigma2_alpha"], ens.terminal_variance())
+    assert np.array_equal(summ["terminal_moments"], ens.terminal_moments())
+    ar1 = run_ensemble(specs.Ar1DriftSpec(), 6, 20, 3)
+    assert set(statistics.clt_path_summaries(ar1)) == {"S", "S_tilde", "sigma2_alpha"}
+    gauss = run_ensemble(specs.GaussianLastTickSpec(), 6, 20, 3)
+    assert set(statistics.gaussian_path_summaries(gauss)) == {"gamma_hat", "terminal_mu"}
+    state = specs.StateSpaceCidSpec()
+    assert set(run_ensemble(state, 6, 20, 3).arrays) == default_record(state)

@@ -423,6 +423,28 @@ def test_alpha_outside_unit_interval_rejected_before_simulating(monkeypatch, nam
         verifiers.VERIFIERS[name](spec, n_paths, horizon, 0, alpha=alpha, **params)
 
 
+@pytest.mark.parametrize("name", sorted(_VALID_CALLS))
+@pytest.mark.parametrize("n_paths", [101.5, True, "101"])
+def test_non_integral_n_paths_rejected_before_simulating(monkeypatch, name, n_paths):
+    # check_pcid once simulated 2 * (101.5 // 2) = 100.0 paths; the engine
+    # never returned for 101.5 itself
+    _forbid_simulation(monkeypatch)
+    spec, _, horizon, params = _VALID_CALLS[name]
+    with pytest.raises(ValueError, match="n_paths must be an integer"):
+        verifiers.VERIFIERS[name](spec, n_paths, horizon, 0, **params)
+
+
+def test_verdict_dict_form_is_its_fields():
+    sub = verifiers.SubCheck("s", "tolerance", 0.5, 0.0, 1.0, 0.5)
+    v = verifiers._verdict("check", [sub], 0.01, 10, 20, 3, {"n": 1})
+    assert v.to_dict() == {
+        "name": "check", "statistic": 0.5, "reference": 1.0, "tolerance": 1.0,
+        "alpha": 0.01, "pass": True, "n_paths": 10, "horizon": 20, "seed": 3,
+        "params": {"n": 1},
+        "subchecks": [{"name": "s", "kind": "tolerance", "statistic": 0.5,
+                       "reference": 0.0, "tolerance": 1.0, "margin": 0.5, "pass": True}]}
+
+
 @pytest.mark.parametrize("params,key", [
     ({"n": True}, "n must"), ({"n": 1.5}, "n must"), ({"n": "1"}, "n must"),
     ({"n": -1}, "n must"),
