@@ -477,6 +477,9 @@ def _chunk_draws(spec, horizon: int, master_seed: int, path_lo: int, n_paths: in
             draws[name] = None
             continue
         subs = range(1, spec.n_coords + 1) if sub is None else (sub,)
+        if subs[-1] >= MAX_SUBSTREAMS:      # it would spill into the path bits of the key
+            raise ValueError(f"input {name!r} needs substream {subs[-1]}, beyond "
+                             f"the {MAX_SUBSTREAMS} of a path's streams")
         buf = np.empty((n_paths, len(subs)) + shape)
         for j, stream in enumerate(subs):
             if law == "random":

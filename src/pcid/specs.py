@@ -51,6 +51,11 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+# Coordinate i draws from substream 1 + i of its path's random streams,
+# whose address holds 16 bits of substream; substream 0 carries the shared
+# weights and 0xFFFF is the verifiers' own.
+MAX_COORDS = (1 << 16) - 2
+
 # Domains a numeric field declares in its metadata ("domain"): a test of a
 # real number (never a bool) and what the domain asks for.
 _DOMAINS = {
@@ -58,8 +63,8 @@ _DOMAINS = {
     "positive": (lambda x: 0 < x < math.inf, "must be positive and finite"),
     "nonnegative": (lambda x: 0 <= x < math.inf, "must be >= 0 and finite"),
     "unit_interval": (lambda x: 0 < x < 1, "must lie in (0, 1)"),
-    "coordinates": (lambda x: x >= 1 and float(x).is_integer(),
-                    "must be an integer >= 1 (at least one coordinate)"),
+    "coordinates": (lambda x: 1 <= x <= MAX_COORDS and float(x).is_integer(),
+                    f"must be an integer in [1, {MAX_COORDS}] (one random substream each)"),
 }
 
 
@@ -89,6 +94,14 @@ _READERS = {
     "float | None": lambda v: None if v is None else _real(v),
     "tuple[float, ...]": lambda v: tuple(_real(x) for x in v),
 }
+
+
+def _check_domain(f, x, field_name: str, key: str) -> None:
+    """Raise SpecValidationError on `field_name` unless x lies in the domain
+    that field f declares."""
+    inside, asks = _DOMAINS[f.metadata["domain"]]
+    _require(isinstance(x, numbers.Real) and not isinstance(x, bool) and inside(x),
+             field_name, f"{key} {asks}, got {x!r}")
 
 
 def _broadcast(x: tuple, k: int, field_name: str) -> tuple:
@@ -170,6 +183,9 @@ class _DictForm:
                 v = f.default_factory()
             else:
                 raise SpecValidationError(field_name, "required field is missing")
+            if f.metadata.get("domain") == "coordinates":
+                # checked before the per-coordinate fields are broadcast to it
+                _check_domain(f, v, field_name, key)
             if f.metadata.get("per_coord"):
                 v = _broadcast(v, values["n_coords"], field_name)
             values[f.name] = v
@@ -199,9 +215,7 @@ class _DictForm:
                 if isinstance(x, _DictForm):
                     x.validate(at)
                 elif "domain" in f.metadata and x is not None:
-                    inside, asks = _DOMAINS[f.metadata["domain"]]
-                    _require(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                             and inside(x), place or at, f"{key} {asks}, got {x!r}")
+                    _check_domain(f, x, place or at, key)
         self._relations(place)
 
     def _relations(self, where: str) -> None:

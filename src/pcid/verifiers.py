@@ -32,7 +32,7 @@ from .specs import (
     reinforced_view,
 )
 
-VERIFIER_SUBSTREAM = 0xFFFF  # reserved; engine paths use substreams 0..K
+VERIFIER_SUBSTREAM = 0xFFFF  # reserved; engine paths use substreams 0..K <= specs.MAX_COORDS
 
 
 def _fields_dict(record) -> dict:
@@ -198,10 +198,13 @@ def energy_permutation_test(sample_a: np.ndarray, sample_b: np.ndarray,
     of at most ENERGY_BLOCK_BYTES (and at least two rows) give its row sums
     and its product with the N x (n_permutations + 1) label matrix, one
     GEMM per block. Each block's distances are built in tiles of at most
-    ENERGY_TILE_ROWS rows, bit for bit SciPy's Euclidean distances. Memory
-    is the labels, their product with the distances, one distance block,
-    one tile and the (d, N) transposed sample: it grows with N times the
-    block rows, not N^2.
+    ENERGY_TILE_ROWS rows, bit for bit SciPy's Euclidean distances. The
+    statistics read only the column sums of that product and of its
+    elementwise product with the labels, so each block folds its rows into
+    them in row order, and no N x (n_permutations + 1) product is kept.
+    Memory is the labels, one distance block, one tile, two
+    (block rows + 1) x (n_permutations + 1) buffers and the (d, N)
+    transposed sample: it grows with N times the block rows, not N^2.
     """
     a = np.atleast_2d(np.asarray(sample_a, float))
     b = np.atleast_2d(np.asarray(sample_b, float))
@@ -219,22 +222,29 @@ def energy_permutation_test(sample_a: np.ndarray, sample_b: np.ndarray,
     for c in range(1, n_permutations + 1):
         perm = rng.permutation(total_n)
         labels[perm[:n], c] = 1.0
-    cross = np.empty((total_n, n_permutations + 1))  # dist @ labels
     row_sums = np.empty(total_n)
     block_rows = max(2, ENERGY_BLOCK_BYTES // (8 * total_n))
     n_blocks = max(1, min(total_n // 2, -(-total_n // block_rows)))
     dist_buf = np.empty((-(-total_n // n_blocks), total_n))
     tile = np.empty((min(ENERGY_TILE_ROWS, total_n // n_blocks), total_n))
+    # rows 1.. take a block's dist @ labels (cross) and labels * cross; row 0
+    # carries the column sums of the blocks before, so that adding up the
+    # rows continues the sums over all N rows in row order
+    cross = np.zeros((len(dist_buf) + 1, n_permutations + 1))
+    in_a = np.zeros_like(cross)
     for j in range(n_blocks):
         blk = slice(total_n * j // n_blocks, total_n * (j + 1) // n_blocks)
-        dist = dist_buf[:blk.stop - blk.start]
+        rows = blk.stop - blk.start
+        dist = dist_buf[:rows]
         _euclidean_rows(points_t, blk.start, dist, tile)
-        np.matmul(dist, labels, out=cross[blk])
+        np.matmul(dist, labels, out=cross[1:rows + 1])
         dist.sum(axis=1, out=row_sums[blk])
+        np.multiply(labels[blk], cross[1:rows + 1], out=in_a[1:rows + 1])  # exact: 0/1 labels
+        cross[0] = cross[:rows + 1].sum(axis=0)
+        in_a[0] = in_a[:rows + 1].sum(axis=0)
     total_sum = float(row_sums.sum())
-    s_aa = np.einsum("nc,nc->c", labels, cross)
-    s_a_all = cross.sum(axis=0)
-    s_ab = s_a_all - s_aa
+    s_aa = in_a[0]
+    s_ab = cross[0] - s_aa
     s_bb = total_sum - 2.0 * s_ab - s_aa
     scale = n * m / total_n
     stats_all = scale * (2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m))
@@ -262,11 +272,11 @@ def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
     Each half holds at most `max_group` paths, and only those 2 * half
     paths are simulated (a smaller ensemble is the prefix of a larger one),
     so the test pools N <= 2 * max_group points. Its memory is the
-    N x (n_permutations + 1) labels and their products with the distances,
-    32 MB at the defaults, plus one distance row block of at most
-    ENERGY_BLOCK_BYTES, one tile of at most ENERGY_TILE_ROWS rows and the
-    (d, N) transposed sample; no N x N matrix. The verdict reports the
-    configured n_paths.
+    N x (n_permutations + 1) labels, 16 MB at the defaults, plus one
+    distance row block of at most ENERGY_BLOCK_BYTES, one tile of at most
+    ENERGY_TILE_ROWS rows, two buffers of a block's rows and the (d, N)
+    transposed sample; no N x N matrix. The verdict reports the configured
+    n_paths.
     """
     alpha = _alpha(alpha)
     n_paths = as_int(n_paths, "n_paths")
@@ -317,6 +327,24 @@ def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
 STOPPING_RULE_KEYS = {"constant": ("n",), "first_exceed": ("threshold", "cap")}
 
 
+def _stopped_pair(coord: int, bound: int, threshold):
+    """A chunk reducer: per path, X_1 and X_{tau+1} of coordinate `coord`,
+    where tau is the first step whose observation exceeds `threshold`,
+    capped at `bound`, or `bound` itself for a threshold of None."""
+    def reduce(ens) -> dict:
+        obs = ens.observations[:, :, coord]
+        if threshold is None:
+            tau_idx = np.full(len(obs), bound)
+        else:
+            exceeded = obs > threshold
+            any_hit = exceeded.any(axis=1)
+            first_hit = exceeded.argmax(axis=1) + 1      # 1-based step of first exceedance
+            tau_idx = np.where(any_hit, np.minimum(first_hit, bound), bound)
+        # X_{tau+1} at array index tau
+        return {"first": obs[:, 0], "stopped": obs[np.arange(len(obs)), tau_idx]}
+    return reduce
+
+
 def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
                         tau: dict, coord: int = 0, alpha: float = 0.01,
                         threads: int | None = None) -> TestVerdict:
@@ -327,6 +355,10 @@ def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
     reduces to the marginal-identity check of X_{n+1} against X_1);
     tau = {"kind": "first_exceed", "threshold": t, "cap": c} stops at the
     first step whose observation exceeds t, capped at c.
+
+    The chunk workers reduce each path to (X_1, X_{tau+1}), so the caller
+    holds two values per path, and only the 2 * (n_paths // 2) compared
+    paths are simulated (a prefix of the ensemble).
     """
     alpha = _alpha(alpha)
     n_paths = as_int(n_paths, "n_paths")
@@ -342,31 +374,25 @@ def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
             raise ValueError(f"stopping rule {kind!r} needs tau.{key}")
     if kind == "constant":
         bound = as_int(tau["n"], "tau.n")
+        thr = None
     else:
         bound = as_int(tau["cap"], "tau.cap")
         thr = tau["threshold"]
         # a NaN threshold is never exceeded: tau would be the cap, silently
         if isinstance(thr, bool) or not isinstance(thr, numbers.Real) or math.isnan(thr):
             raise ValueError(f"tau.threshold must be a number, got {thr!r}")
+        thr = float(thr)
     if not (0 <= bound <= horizon - 1):
         raise ValueError(f"stopping rule bound {bound} exceeds horizon - 1 = {horizon - 1}")
     coord = _coordinate(coord, spec.n_coords)
     if n_paths < 2:
         raise ValueError(f"need n_paths >= 2 for two halves of paths, got {n_paths}")
-    ens = run_ensemble(spec, n_paths, horizon, master_seed,
-                       record=frozenset({"observations"}), threads=threads)
-    obs = ens.observations[:, :, coord]
     half = n_paths // 2
-    first_obs = obs[:half, 0]
-    block = obs[half:2 * half]
-    if kind == "constant":
-        tau_idx = np.full(len(block), bound)
-    else:
-        exceeded = block > float(thr)
-        any_hit = exceeded.any(axis=1)
-        first_hit = exceeded.argmax(axis=1) + 1          # 1-based step of first exceedance
-        tau_idx = np.where(any_hit, np.minimum(first_hit, bound), bound)
-    stopped = block[np.arange(len(block)), tau_idx]      # X_{tau+1} at array index tau
+    reduced = map_path_chunks(spec, 2 * half, horizon, master_seed,
+                              _stopped_pair(coord, bound, thr),
+                              record=frozenset({"observations"}), threads=threads)
+    first_obs = reduced["first"][:half]
+    stopped = reduced["stopped"][half:]
     ks_statistic, p = kolmogorov.ks_two_sample(first_obs, stopped)
     sub = _p_value_check("ks_p", p, alpha)
     return _verdict("check_stopping_time", [sub], alpha, n_paths, horizon, master_seed,

@@ -118,6 +118,19 @@ def test_rekey_filler_matches_derive_stream(monkeypatch):
                         assert np.array_equal(got, want), (spec.kind, horizon, name, p, i)
 
 
+def test_chunk_draws_refuse_substreams_beyond_the_address():
+    # substream 2^16 + 1 of path 0 is substream 1 of path 1 in the Philox
+    # key; a spec built without validation must not draw from it
+    want = np.empty((1, 8))
+    engine._philox_uniforms(5, 1, 1, want)
+    got = np.empty((1, 8))
+    engine._philox_uniforms(5, 0, engine.MAX_SUBSTREAMS + 1, got)
+    assert np.array_equal(got, want)
+    spec = specs.BrokenFeedbackWeightSpec(n_coords=engine.MAX_SUBSTREAMS)
+    with pytest.raises(ValueError, match="substream 65536"):
+        engine._chunk_draws(spec, 3, 5, 0, 2)
+
+
 @pytest.mark.parametrize("n_paths,n", [(1, 1), (7, 5), (3000, 24), (5000, 96)])
 def test_philox_pass_bytes_are_the_filler_buffers(n_paths, n):
     # the chunk plan charges `_philox_pass_bytes` for the filler's scratch:

@@ -174,6 +174,28 @@ def test_weight_draws_match_support():
         assert np.all(w > 0)
 
 
+@pytest.mark.parametrize("kind", ["polya", "gaussian_last_tick", "broken_feedback_weight"])
+@pytest.mark.parametrize("n_coords", [specs.MAX_COORDS + 1, 10 ** 9])
+def test_coordinate_count_beyond_the_substreams_rejected_before_broadcasting(
+        monkeypatch, kind, n_coords):
+    # coordinate 65534 would draw from substream 0xFFFF, the verifiers',
+    # and coordinate 65535 from one that overlaps the next path's; a count
+    # of 10**9 once built 10**9-entry tuples before any check ran
+    def no_broadcast(x, k, field_name):
+        raise AssertionError(f"broadcast {field_name} to {k} entries")
+
+    monkeypatch.setattr(specs, "_broadcast", no_broadcast)
+    with pytest.raises(SpecValidationError, match=r"\[1, 65534\]") as err:
+        spec_from_dict({"kind": kind, "n_coords": n_coords})
+    assert err.value.field == "n_coords"
+
+
+def test_coordinate_count_up_to_the_last_free_substream_accepted():
+    assert specs.MAX_COORDS == 0xFFFF - 1
+    spec = spec_from_dict({"kind": "broken_feedback_weight", "n_coords": specs.MAX_COORDS})
+    assert spec.n_coords == specs.MAX_COORDS
+
+
 def test_integer_field_reads_integral_numbers_and_decimal_strings():
     for n in (2, 2.0, "2"):
         assert spec_from_dict({"kind": "polya", "n_coords": n}).n_coords == 2
@@ -203,7 +225,7 @@ OUTSIDE = {
     "positive": (math.nan, -1.0, 0.0, math.inf, True),
     "nonnegative": (math.nan, -1.0, math.inf, True),
     "unit_interval": (math.nan, -1.0, 0.0, 1.0, math.inf, True),
-    "coordinates": (math.nan, -1, 0, 2.5, math.inf, True),
+    "coordinates": (math.nan, -1, 0, 2.5, math.inf, True, specs.MAX_COORDS + 1),
 }
 
 

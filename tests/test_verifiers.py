@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from pcid import specs, verifiers
+from pcid import engine, kolmogorov, specs, verifiers
+from pcid.engine import run_ensemble
 from pcid.verifiers import (
     check_clt_forecast_errors,
     check_clt_sample_mean,
@@ -75,6 +76,52 @@ def test_energy_test_memory_grows_with_block_not_n_squared(monkeypatch):
         label_bytes = 8 * 2 * n * (n_perm + 1)
         assert peak <= 2 * label_bytes + 3 * block + 64 * 2 * n, n
         assert peak < 8 * (2 * n) ** 2 / 4, n
+
+
+def test_energy_test_holds_one_label_matrix(monkeypatch):
+    # besides the N x (B+1) labels: the distance block, the two
+    # (rows + 1, B + 1) buffers that fold each block's products into the
+    # column sums, the tile, and vectors of N (the transposed sample, the
+    # row sums, a permutation); no second N x (B+1) array
+    rng = np.random.default_rng(3)
+    n_perm = 199
+    for n, m, d, block in ((1500, 1500, 3, 1 << 20), (3000, 3001, 3, 1 << 20),
+                           (1500, 1501, 4, 1), (2000, 1999, 9, 8 << 20)):
+        monkeypatch.setattr(verifiers, "ENERGY_BLOCK_BYTES", block)
+        a, b = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        tracemalloc.start()
+        try:
+            energy_permutation_test(a, b, np.random.default_rng(1), n_perm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        total = n + m
+        n_blocks = max(1, min(total // 2, -(-total // max(2, block // (8 * total)))))
+        block_bytes = 8 * total * -(-total // n_blocks)
+        tile_bytes = 8 * total * min(verifiers.ENERGY_TILE_ROWS, total // n_blocks)
+        label_bytes = 8 * total * (n_perm + 1)
+        assert peak <= label_bytes + 3 * block_bytes + tile_bytes + 8 * (d + 4) * total, (
+            n, m, d, block, peak)
+
+
+@pytest.mark.parametrize("n,m,d", [(57, 40, 1), (64, 65, 4), (41, 60, 9), (1501, 1500, 4)])
+def test_energy_test_does_not_depend_on_its_blocks(monkeypatch, n, m, d):
+    # the column sums run over all N rows in row order, whatever the
+    # blocks, and each row's product with the labels is the same GEMM row.
+    # (OpenBLAS gives a GEMM whose three sizes multiply to at most ~10^6
+    # and whose inner size exceeds ~300 to a small-matrix kernel of its
+    # own rounding: two-row blocks at 300 < N < 2600 do not match larger
+    # ones, in the one-matrix form of this test too. Blocks of
+    # ENERGY_BLOCK_BYTES = 8 MiB never reach that kernel.)
+    rng = np.random.default_rng(n * m + d)
+    a = rng.normal(size=(n, d))
+    b = rng.normal(loc=0.2, size=(m, d))
+    got = []
+    for block_bytes in (1, 7 * 8 * (n + m), 8 << 20, 1 << 30):
+        monkeypatch.setattr(verifiers, "ENERGY_BLOCK_BYTES", block_bytes)
+        got.append(energy_permutation_test(a, b, np.random.default_rng(6), 199))
+    for other in got[1:]:
+        assert _same_bits(other, got[0])
 
 
 def _same_bits(x, y) -> bool:
@@ -260,6 +307,70 @@ def test_stopping_time_rejects_drifting_sequence():
     v = check_stopping_time(specs.Ar1DriftSpec(), 8000, 10, 7,
                             tau={"kind": "constant", "n": 6})
     assert not v.passed
+
+
+_STOPPING_RULES = [{"kind": "constant", "n": 5},
+                   {"kind": "first_exceed", "threshold": 0.7, "cap": 8}]
+
+
+def _stopping_verdict_from_whole_observations(spec, n_paths, horizon, seed, tau, coord):
+    """check_stopping_time's verdict from the whole ensemble's observations."""
+    obs = run_ensemble(spec, n_paths, horizon, seed, record=frozenset({"observations"}),
+                       threads=1).observations[:, :, coord]
+    half = n_paths // 2
+    block = obs[half:2 * half]
+    if tau["kind"] == "constant":
+        tau_idx = np.full(half, tau["n"])
+    else:
+        exceeded = block > tau["threshold"]
+        tau_idx = np.where(exceeded.any(axis=1),
+                           np.minimum(exceeded.argmax(axis=1) + 1, tau["cap"]), tau["cap"])
+    ks_statistic, p = kolmogorov.ks_two_sample(obs[:half, 0], block[np.arange(half), tau_idx])
+    return verifiers._verdict("check_stopping_time", [verifiers._p_value_check("ks_p", p, 0.01)],
+                              0.01, n_paths, horizon, seed,
+                              {"tau": tau, "coord": coord, "ks_statistic": ks_statistic})
+
+
+@pytest.mark.parametrize("tau", _STOPPING_RULES, ids=lambda t: t["kind"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stopping_time_reduced_in_chunks_is_the_whole_ensemble_verdict(monkeypatch, tau,
+                                                                       threads):
+    # an odd n_paths leaves the last path out; at threads 2 the small
+    # budget makes more chunks than workers, so forked workers reduce them
+    spec = specs.PolyaSpec(2, (1.0, 1.0), (specs.UniformBase(),) * 2)
+    n_paths, horizon, seed = 301, 12, 17
+    want = _stopping_verdict_from_whole_observations(spec, n_paths, horizon, seed, tau, 1)
+    if threads > 1:
+        monkeypatch.setattr(engine, "CHUNK_BUDGET_BYTES", 1 << 18)
+        assert len(engine._chunk_bounds(spec, n_paths - 1, horizon,
+                                        frozenset({"observations"}), threads)) > threads
+    got = check_stopping_time(spec, n_paths, horizon, seed, tau=tau, coord=1, threads=threads)
+    assert got.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("tau", _STOPPING_RULES, ids=lambda t: t["kind"])
+def test_stopping_time_reduces_each_path_to_two_values(monkeypatch, tau):
+    real_map = verifiers.map_path_chunks
+    reduced_rows = []
+
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("check_stopping_time took a whole ensemble")
+
+    def spy(spec, n_paths, horizon, seed, reducer, **kwargs):
+        def checked(ens):
+            out = reducer(ens)
+            assert sorted(out) == ["first", "stopped"]
+            assert all(np.shape(v) == (ens.n_paths,) for v in out.values())
+            reduced_rows.append(ens.n_paths)
+            return out
+        return real_map(spec, n_paths, horizon, seed, checked, **kwargs)
+
+    monkeypatch.setattr(verifiers, "run_ensemble", no_ensemble)
+    monkeypatch.setattr(verifiers, "map_path_chunks", spy)
+    monkeypatch.setattr(engine, "CHUNK_BUDGET_BYTES", 1 << 18)
+    spec = specs.PolyaSpec(2, (1.0, 1.0), (specs.UniformBase(),) * 2)
+    check_stopping_time(spec, 301, 12, 17, tau=tau, coord=1, threads=1)
+    assert len(reduced_rows) > 1 and sum(reduced_rows) == 300
 
 
 def test_stopping_time_bound_validation():
