@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import processes
-from .specs import SpecValidationError, as_int, reinforced_view
+from .specs import SpecValidationError, _check_domain, reinforced_view
 
 _SUB_BITS = 16
 _PATH_BITS = 48
@@ -515,12 +515,8 @@ def _validate_run_args(spec, n_paths: int, horizon: int, master_seed: int,
     if record is not None:
         check_record(spec, record)
     # the chunk plan's search for a fractional n_paths would never end
-    as_int(n_paths, "n_paths")
-    as_int(horizon, "horizon")
-    if n_paths < 1:
-        raise SpecValidationError("n_paths", f"must be >= 1, got {n_paths}")
-    if horizon < 1:
-        raise SpecValidationError("horizon", f"must be >= 1, got {horizon}")
+    _check_domain("size", n_paths, "n_paths", "n_paths")
+    _check_domain("size", horizon, "horizon", "horizon")
     _check_stream_address(master_seed, 0, 0)
     if n_paths > MAX_PATHS:
         raise SpecValidationError("n_paths", f"must be <= 2^{_PATH_BITS}")

@@ -11,7 +11,7 @@ worker counts: they contain the config, resolved seed, sizes, verdicts,
 and the library version - nothing machine- or schedule-dependent.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration
-error (unknown spec kind, unknown check, invalid field), 3 I/O failure.
+error (unknown kind or check, undeclared key, invalid value), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from importlib import resources
 from . import __version__
 from .engine import check_record, run_ensemble
 from .processes import SERIES
-from .specs import SpecValidationError, as_int, list_spec_kinds, spec_from_dict, SPEC_KINDS
-from .verifiers import VERIFIERS, list_verifier_names
+from .specs import (SPEC_KINDS, SpecValidationError, _check_domain, _check_keys, _DictForm,
+                    _in, _int, _list, _require, list_spec_kinds, spec_from_dict)
+from .verifiers import VERIFIERS, fit_params, list_verifier_names
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -43,17 +44,38 @@ class ConfigError(Exception):
     pass
 
 
+def _read_tests(entries, where: str) -> list:
+    """The config's test entries, as given: each names a check, and its
+    params, if any, are arguments that check takes (`verifiers.fit_params`)."""
+    for i, test in enumerate(_list(entries)):
+        at = f"{where}[{i}]"
+        _require(isinstance(test, dict) and "name" in test, at, "expected an object with a 'name'")
+        _check_keys(test, ("name", "params"), at)
+        _require(test["name"] in VERIFIERS, f"{at}.name",
+                 f"unknown check {test['name']!r}; known: {list_verifier_names()}")
+        fit_params(VERIFIERS[test["name"]], test.get("params", {}), f"{at}.params")
+    return entries
+
+
 @dataclass
-class ExperimentConfig:
-    name: str
-    spec: object
-    n_paths: int
-    horizon: int
-    master_seed: int | None
-    tests: list[dict] = field(default_factory=list)
-    record: list[str] = field(default_factory=list)
-    series_format: str = "csv"
-    raw: dict = field(default_factory=dict)
+class ExperimentConfig(_DictForm):
+    """An experiment config, read from its JSON object as a spec is
+    (`specs._DictForm`): each field below is a key, and no other key is."""
+
+    spec: object = field(metadata={"read": lambda d, where: spec_from_dict(d)})
+    n_paths: int = _in("size")
+    horizon: int = _in("size")
+    name: str = "experiment"
+    master_seed: int | None = _in("seed", None)
+    tests: list = field(default_factory=list, metadata={"read": _read_tests})
+    record: list = field(default_factory=list)
+    series_format: str = field(default="csv", metadata={"key": "format"})
+    raw: dict = field(default_factory=dict, init=False)   # the JSON object, for the report
+
+    def _relations(self, where: str) -> None:
+        _require(self.series_format in ("csv", "json"), "format",
+                 f"must be 'csv' or 'json', got {self.series_format!r}")
+        check_record(self.spec, self.record)
 
 
 def _load_config_text(path_or_name: str) -> str:
@@ -67,66 +89,17 @@ def _load_config_text(path_or_name: str) -> str:
                       f"bundled: {sorted(p.stem for p in resources.files('pcid').joinpath('configs').iterdir())}")
 
 
-def _as_int(value, key: str, source: str) -> int:
-    """`specs.as_int`, or a decimal string such as PCID_SEED holds."""
-    try:
-        return as_int(int(value) if isinstance(value, str) else value, key)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {key} must be an integer, got {value!r}") from exc
-
-
-def _as_seed(value, key: str, source: str) -> int:
-    seed = _as_int(value, key, source)
-    if not 0 <= seed < 1 << 64:
-        raise ConfigError(f"{source}: {key} must lie in [0, 2^64), got {seed}")
-    return seed
-
-
 def parse_config(doc: dict, source: str = "<config>") -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{source}: the config must be a JSON object, "
-                          f"got {type(doc).__name__}")
+    """The config `doc`, every value it alone decides checked, so that a bad
+    one is rejected before anything is simulated."""
     try:
-        spec = spec_from_dict(doc.get("spec", {}))
-    except SpecValidationError as exc:
-        raise ConfigError(f"{source}: invalid spec: {exc}") from exc
-    n_paths = _as_int(doc.get("n_paths", 0), "n_paths", source)
-    horizon = _as_int(doc.get("horizon", 0), "horizon", source)
-    if n_paths < 1:
-        raise ConfigError(f"{source}: n_paths must be >= 1, got {n_paths}")
-    if horizon < 1:
-        raise ConfigError(f"{source}: horizon must be >= 1, got {horizon}")
-    tests = doc.get("tests", [])
-    if not isinstance(tests, list):
-        raise ConfigError(f"{source}: tests must be a list, got {tests!r}")
-    for t in tests:
-        if not isinstance(t, dict) or "name" not in t:
-            raise ConfigError(f"{source}: each test entry needs a 'name'")
-        if t["name"] not in VERIFIERS:
-            raise ConfigError(f"{source}: unknown check {t['name']!r}; "
-                              f"known: {list_verifier_names()}")
-        params = t.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"{source}: check {t['name']!r}: params must be an object, "
-                              f"got {params!r}")
-        if "n_paths" in params:
-            _as_int(params["n_paths"], f"check {t['name']!r}: params.n_paths", source)
-        if params.get("horizon") is not None:
-            _as_int(params["horizon"], f"check {t['name']!r}: params.horizon", source)
-    record = doc.get("record", [])
-    if not isinstance(record, list):
-        raise ConfigError(f"{source}: record must be a list, got {record!r}")
-    try:
-        check_record(spec, record)
+        _require(isinstance(doc, dict), "config", f"not a JSON object: {type(doc).__name__}")
+        config = ExperimentConfig.from_dict(doc)
+        config.validate()
     except SpecValidationError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    series_format = doc.get("format", "csv")
-    if series_format not in ("csv", "json"):
-        raise ConfigError(f"{source}: format must be 'csv' or 'json', got {series_format!r}")
-    seed = doc.get("master_seed")
-    return ExperimentConfig(doc.get("name", "experiment"), spec, n_paths, horizon,
-                            None if seed is None else _as_seed(seed, "master_seed", source),
-                            tests, list(record), series_format, doc)
+    config.raw = doc
+    return config
 
 
 def load_config(path_or_name: str) -> ExperimentConfig:
@@ -139,14 +112,17 @@ def load_config(path_or_name: str) -> ExperimentConfig:
 
 
 def resolve_seed(cli_seed: int | None, config_seed: int | None) -> int:
-    """Seed priority: --seed flag, then the config, then PCID_SEED, then 0."""
-    if cli_seed is not None:
-        return _as_seed(cli_seed, "--seed", "command line")
-    if config_seed is not None:
-        return config_seed
-    env = os.environ.get("PCID_SEED")
-    if env is not None:
-        return _as_seed(env, "PCID_SEED", "environment")
+    """Seed priority: --seed flag, then the config, then PCID_SEED, then 0.
+    Each is read and checked as the config's master_seed is."""
+    for name, value in (("--seed", cli_seed), ("master_seed", config_seed),
+                        ("PCID_SEED", os.environ.get("PCID_SEED"))):
+        if value is not None:
+            try:
+                seed = _int(value)
+            except ValueError as exc:
+                raise ConfigError(f"{name}: cannot read {value!r}: {exc}") from None
+            _check_domain("seed", seed, name, "the seed")
+            return seed
     return 0
 
 
@@ -221,9 +197,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str, *, seed: int,
                    threads: int | None = None, n_paths: int | None = None,
                    horizon: int | None = None, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
-    if threads is not None and threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {threads}")
-    for flag, value in (("--paths", n_paths), ("--horizon", horizon)):
+    for flag, value in (("--threads", threads), ("--paths", n_paths), ("--horizon", horizon)):
         if value is not None and value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
     paths = n_paths if n_paths is not None else config.n_paths
@@ -240,14 +214,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str, *, seed: int,
 
     verdicts = []
     for test in config.tests:
-        fn = VERIFIERS[test["name"]]
-        params = dict(test.get("params", {}))
-        t_paths = int(params.pop("n_paths", paths))
-        t_horizon = params.pop("horizon", steps)
-        t_horizon = None if t_horizon is None else int(t_horizon)
+        args = {"n_paths": paths, "horizon": steps, **test.get("params", {})}
         try:
-            verdicts.append(fn(config.spec, t_paths, t_horizon, seed,
-                               threads=threads, **params))
+            verdicts.append(VERIFIERS[test["name"]](config.spec, master_seed=seed,
+                                                    threads=threads, **args))
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"check {test['name']!r}: {exc}") from exc
 

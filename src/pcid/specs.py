@@ -41,16 +41,6 @@ def _require(cond: bool, field_name: str, message: str) -> None:
         raise SpecValidationError(field_name, message)
 
 
-def as_int(value, name: str) -> int:
-    """`value` as an int: an integer, or an integral float such as 1e6;
-    never a bool, a string or a float with a fractional part, which int()
-    would silently read as 0 or 1, parse, or truncate."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
-            isinstance(value, float) and value.is_integer())):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 # Coordinate i draws from substream 1 + i of its path's random streams,
 # whose address holds 16 bits of substream; substream 0 carries the shared
 # weights and 0xFFFF is the verifiers' own.
@@ -65,6 +55,9 @@ _DOMAINS = {
     "unit_interval": (lambda x: 0 < x < 1, "must lie in (0, 1)"),
     "coordinates": (lambda x: 1 <= x <= MAX_COORDS and float(x).is_integer(),
                     f"must be an integer in [1, {MAX_COORDS}] (one random substream each)"),
+    "count": (lambda x: 0 <= x < math.inf and x % 1 == 0, "must be an integer >= 0"),
+    "size": (lambda x: 1 <= x < math.inf and x % 1 == 0, "must be an integer >= 1"),
+    "seed": (lambda x: 0 <= x < 1 << 64 and x % 1 == 0, "must be an integer in [0, 2^64)"),
 }
 
 
@@ -85,23 +78,48 @@ def _real(v) -> float:
     return float(v)
 
 
+def _int(v) -> int:
+    """An int field's value from its dict form: an integer, an integral float
+    or a decimal string; not a bool or a fraction, which int() would misread."""
+    if isinstance(v, str) or isinstance(v, numbers.Integral) and not isinstance(v, bool) or (
+            isinstance(v, float) and v.is_integer()):
+        return int(v)
+    raise ValueError(f"expected an integer, got {v!r}")
+
+
+def _list(v) -> list:
+    """A list field's value from its dict form, which must be a list."""
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list, got {v!r}")
+    return v
+
+
 # Readers of plain fields, keyed by the field's annotation. An integer may
 # come as a decimal string, as a float may.
 _READERS = {
     "float": _real,
-    "int": lambda v: as_int(int(v) if isinstance(v, str) else v, "the value"),
+    "int": _int,
     "str": str,
     "float | None": lambda v: None if v is None else _real(v),
+    "int | None": lambda v: None if v is None else _int(v),
     "tuple[float, ...]": lambda v: tuple(_real(x) for x in v),
+    "list": _list,
 }
 
 
-def _check_domain(f, x, field_name: str, key: str) -> None:
-    """Raise SpecValidationError on `field_name` unless x lies in the domain
-    that field f declares."""
-    inside, asks = _DOMAINS[f.metadata["domain"]]
+def _check_domain(domain: str, x, field_name: str, key: str) -> None:
+    """Raise SpecValidationError on `field_name` unless x lies in the
+    `_DOMAINS` entry `domain`."""
+    inside, asks = _DOMAINS[domain]
     _require(isinstance(x, numbers.Real) and not isinstance(x, bool) and inside(x),
              field_name, f"{key} {asks}, got {x!r}")
+
+
+def _check_keys(d: dict, declared, where: str) -> None:
+    """Raise SpecValidationError on a key of d not `declared`, under `where`."""
+    for key in d:
+        _require(key in declared, f"{where}.{key}" if where else str(key),
+                 f"undeclared key; the declared keys are {sorted(declared)}")
 
 
 def _broadcast(x: tuple, k: int, field_name: str) -> tuple:
@@ -123,6 +141,8 @@ def _read_nested(kinds, d, field_name: str):
 
 def _read_field(f, raw, field_name: str):
     """One field's value from its dict form."""
+    if "read" in f.metadata:
+        return f.metadata["read"](raw, field_name)
     kinds = f.metadata.get("kinds")
     if not f.metadata.get("per_coord"):
         return _read_nested(kinds, raw, field_name) if kinds else _READERS[f.type](raw)
@@ -140,12 +160,13 @@ class _DictForm:
     """`to_dict` / `from_dict` / `validate` for the spec dataclasses and
     their components.
 
-    The dict form holds the class's `kind` and every dataclass field. Field
-    metadata refines it: "key" renames the field, "per_coord" marks a tuple
-    with one entry per coordinate (a single entry is broadcast to
-    `n_coords`), "kinds" marks a nested component, and "domain" names the
-    `_DOMAINS` entry that the field's value, or each entry of a tuple,
-    must lie in.
+    The dict form holds the class's `kind`, if any, and each dataclass field
+    that `__init__` takes, and no other key. Field metadata refines it:
+    "key" renames the field, "per_coord" marks a tuple with one entry per
+    coordinate (a single entry is broadcast to `n_coords`), "kinds" marks a
+    nested component, "read" gives a reader (dict form, field name) ->
+    value that validates too, and "domain" names the `_DOMAINS` entry that
+    the field's value, or each entry of a tuple, must lie in.
     """
 
     role: ClassVar[str] = ""    # a component's name when validated alone
@@ -163,11 +184,12 @@ class _DictForm:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = ""):
-        """Build from the dict form. Absent keys take the field defaults;
-        `where` prefixes the field names that errors report."""
+        """Build from the dict form. Absent keys take the field defaults, an
+        undeclared key is an error; `where` prefixes the fields errors name."""
+        declared = {f.metadata.get("key", f.name): f for f in fields(cls) if f.init}
+        _check_keys(d, {*declared, "kind"} if hasattr(cls, "kind") else set(declared), where)
         values: dict = {}
-        for f in fields(cls):
-            key = f.metadata.get("key", f.name)
+        for key, f in declared.items():
             field_name = f"{where}.{key}" if where else key
             if key in d:
                 try:
@@ -185,7 +207,7 @@ class _DictForm:
                 raise SpecValidationError(field_name, "required field is missing")
             if f.metadata.get("domain") == "coordinates":
                 # checked before the per-coordinate fields are broadcast to it
-                _check_domain(f, v, field_name, key)
+                _check_domain("coordinates", v, field_name, key)
             if f.metadata.get("per_coord"):
                 v = _broadcast(v, values["n_coords"], field_name)
             values[f.name] = v
@@ -202,6 +224,8 @@ class _DictForm:
         """
         place = field_name or self.role
         for f in fields(self):
+            if "read" in f.metadata:    # validated as it was read
+                continue
             key = f.metadata.get("key", f.name)
             value = getattr(self, f.name)
             name = f"{place}.{key}" if place else key
@@ -215,7 +239,7 @@ class _DictForm:
                 if isinstance(x, _DictForm):
                     x.validate(at)
                 elif "domain" in f.metadata and x is not None:
-                    _check_domain(f, x, place or at, key)
+                    _check_domain(f.metadata["domain"], x, place or at, key)
         self._relations(place)
 
     def _relations(self, where: str) -> None:
@@ -542,6 +566,29 @@ class FeedbackWeight(_DictForm):
 
 
 COUPLING_RULES = _family("coupling", IidWeights, CommonWeight, CrossFraction)
+
+
+@dataclass(frozen=True)
+class ConstantStop(_DictForm):
+    """tau identically n."""
+
+    n: int = _in("count")
+    kind: ClassVar[str] = "constant"
+
+
+@dataclass(frozen=True)
+class FirstExceedStop(_DictForm):
+    """tau is the first step whose observation exceeds `threshold`, capped at
+    `cap`. The threshold is finite: at NaN or +inf tau would be the cap, at
+    -inf it would be 1, silently."""
+
+    threshold: float = _in("finite")
+    cap: int = _in("count")
+    kind: ClassVar[str] = "first_exceed"
+
+
+# the stopping rules a stopping-time check's `tau` may declare
+STOPPING_RULES = _family("tau", ConstantStop, FirstExceedStop)
 
 
 # ---------------------------------------------------------------------------

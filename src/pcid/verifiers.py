@@ -14,8 +14,9 @@ substream derived from the master seed and the check's name.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
-import numbers
 import zlib
 from dataclasses import dataclass, field, fields
 
@@ -27,8 +28,12 @@ from .specs import (
     Ar1DriftSpec,
     CommonWeight,
     GaussianLastTickSpec,
+    STOPPING_RULES,
     UniformCoupledSpec,
-    as_int,
+    _check_domain,
+    _check_keys,
+    _read_nested,
+    _require,
     reinforced_view,
 )
 
@@ -113,29 +118,45 @@ def _verdict(name: str, subchecks: list[SubCheck], alpha: float, n_paths: int,
                        n_paths, horizon, seed, subchecks, params)
 
 
-def _horizon(horizon, check: str) -> int:
-    """`horizon` as an int. A null horizon in a config reaches the check as
-    None, and only check_pcid derives a horizon of its own."""
-    if horizon is None:
-        raise ValueError(f"{check} needs a horizon, got None; only check_pcid derives one")
-    return as_int(horizon, "horizon")
+# The domain of each check argument a config may set, by name: a _DOMAINS
+# entry, or the family of a stopping-time check's `tau` (specs.STOPPING_RULES).
+ARG_DOMAINS = {"n_paths": "size", "horizon": "size", "alpha": "unit_interval",
+               "n": "count", "coord": "count", "n_permutations": "size",
+               "max_group": "size", "tau": STOPPING_RULES}
+_CASTS = {"int": int, "int | None": int, "float": float}
 
 
-def _alpha(alpha) -> float:
-    """`alpha` as a float in (0, 1): a real number, never a bool or NaN. A
-    p-value sub-check's margin alpha / p is <= 0 for alpha <= 0, so such a
-    level would pass every test."""
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0 < alpha < 1:
-        raise ValueError(f"alpha must be a number in (0, 1), got {alpha!r}")
-    return float(alpha)
+def fit_params(check, params, where: str = "") -> dict:
+    """`params`, arguments of `check` that ARG_DOMAINS names, as the check
+    takes them: a number in its domain as the annotated type, or None where
+    that allows it (check_pcid derives a horizon); a stopping rule checked
+    and kept as given. Errors name the argument under `where`."""
+    _require(isinstance(params, dict), where, f"expected an object, got {params!r}")
+    args = inspect.signature(check).parameters
+    _check_keys(params, [a for a in args if a in ARG_DOMAINS], where)
+    fitted = dict(params)
+    for key, value in params.items():
+        name = f"{where}.{key}" if where else key
+        if isinstance(ARG_DOMAINS[key], dict):
+            _read_nested(ARG_DOMAINS[key], value, name).validate(name)
+        elif value is not None or args[key].annotation != "int | None":
+            _check_domain(ARG_DOMAINS[key], value, name, key)
+            fitted[key] = _CASTS[args[key].annotation](value)
+    return fitted
 
 
-def _coordinate(coord, k: int) -> int:
-    """`coord` as an index into k coordinates; -1 is no alias for k - 1."""
-    coord = as_int(coord, "coord")
-    if not 0 <= coord < k:
-        raise ValueError(f"coord must lie in [0, {k}) for {k} coordinates, got {coord}")
-    return coord
+def _fitted(check):
+    """`check`, its arguments fitted by fit_params first, so that a bad one
+    is rejected before anything is simulated, as it is in a config."""
+    signature = inspect.signature(check)
+
+    @functools.wraps(check)
+    def fitted(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.arguments.update(fit_params(
+            check, {k: v for k, v in bound.arguments.items() if k in ARG_DOMAINS}))
+        return check(*bound.args, **bound.kwargs)
+    return fitted
 
 
 def _verifier_rng(master_seed: int, label: str) -> np.random.Generator:
@@ -257,6 +278,7 @@ def energy_permutation_test(sample_a: np.ndarray, sample_b: np.ndarray,
 # p-c.i.d. joint-law check
 # ---------------------------------------------------------------------------
 
+@_fitted
 def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
                n: int = 1, coord: int = 0, alpha: float = 0.01,
                threads: int | None = None, n_permutations: int = 199,
@@ -278,25 +300,15 @@ def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
     transposed sample; no N x N matrix. The verdict reports the configured
     n_paths.
     """
-    alpha = _alpha(alpha)
-    n_paths = as_int(n_paths, "n_paths")
     k = spec.n_coords
     if k < 2:
         raise ValueError("the joint-law check requires at least 2 coordinates")
-    n = as_int(n, "n")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    n_permutations = as_int(n_permutations, "n_permutations")
-    if n_permutations < 1:
-        raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
-    max_group = as_int(max_group, "max_group")
-    if max_group < 1:
-        raise ValueError(f"max_group must be >= 1, got {max_group}")
     if horizon is None:
         horizon = n + 2
     if n + 2 > horizon:
         raise ValueError(f"need horizon >= n + 2 = {n + 2}, got {horizon}")
-    coord = _coordinate(coord, k)
+    if coord >= k:
+        raise ValueError(f"coord must lie in [0, {k}) for {k} coordinates, got {coord}")
     if n_paths < 2:
         raise ValueError(f"need n_paths >= 2 for two halves of paths, got {n_paths}")
     half = min(n_paths // 2, max_group)
@@ -324,9 +336,6 @@ def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
 # Stopping-time / marginal-identity check
 # ---------------------------------------------------------------------------
 
-STOPPING_RULE_KEYS = {"constant": ("n",), "first_exceed": ("threshold", "cap")}
-
-
 def _stopped_pair(coord: int, bound: int, threshold):
     """A chunk reducer: per path, X_1 and X_{tau+1} of coordinate `coord`,
     where tau is the first step whose observation exceeds `threshold`,
@@ -345,6 +354,7 @@ def _stopped_pair(coord: int, bound: int, threshold):
     return reduce
 
 
+@_fitted
 def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
                         tau: dict, coord: int = 0, alpha: float = 0.01,
                         threads: int | None = None) -> TestVerdict:
@@ -360,31 +370,13 @@ def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
     holds two values per path, and only the 2 * (n_paths // 2) compared
     paths are simulated (a prefix of the ensemble).
     """
-    alpha = _alpha(alpha)
-    n_paths = as_int(n_paths, "n_paths")
-    horizon = _horizon(horizon, "check_stopping_time")
-    if not isinstance(tau, dict):
-        raise ValueError(f"tau must be an object, got {tau!r}")
-    kind = tau.get("kind")
-    keys = STOPPING_RULE_KEYS.get(kind)
-    if keys is None:
-        raise ValueError(f"unknown stopping rule kind {kind!r}")
-    for key in keys:
-        if key not in tau:
-            raise ValueError(f"stopping rule {kind!r} needs tau.{key}")
-    if kind == "constant":
-        bound = as_int(tau["n"], "tau.n")
-        thr = None
-    else:
-        bound = as_int(tau["cap"], "tau.cap")
-        thr = tau["threshold"]
-        # a NaN threshold is never exceeded: tau would be the cap, silently
-        if isinstance(thr, bool) or not isinstance(thr, numbers.Real) or math.isnan(thr):
-            raise ValueError(f"tau.threshold must be a number, got {thr!r}")
-        thr = float(thr)
-    if not (0 <= bound <= horizon - 1):
+    rule = _read_nested(STOPPING_RULES, tau, "tau")
+    bound, thr = (rule.n, None) if rule.kind == "constant" else (rule.cap, rule.threshold)
+    if bound > horizon - 1:
         raise ValueError(f"stopping rule bound {bound} exceeds horizon - 1 = {horizon - 1}")
-    coord = _coordinate(coord, spec.n_coords)
+    if coord >= spec.n_coords:
+        raise ValueError(f"coord must lie in [0, {spec.n_coords}) for {spec.n_coords} "
+                         f"coordinates, got {coord}")
     if n_paths < 2:
         raise ValueError(f"need n_paths >= 2 for two halves of paths, got {n_paths}")
     half = n_paths // 2
@@ -435,18 +427,16 @@ def _normal_fit_and_variance(values: np.ndarray, ref_path: np.ndarray, alpha_adj
     return subchecks
 
 
+@_fitted
 def check_clt_forecast_errors(spec, n_paths: int, horizon: int, master_seed: int, *,
                               alpha: float = 0.01, threads: int | None = None) -> TestVerdict:
     """Three sub-checks on S_n = (scaled) cumulative forecast errors at
     n = horizon: per-coordinate normal fit of S / plug-in sigma, ensemble
     variance against the mean plug-in variance (5%), and vanishing
     cross-coordinate correlation (diagonal limit covariance)."""
-    alpha = _alpha(alpha)
-    n_paths = as_int(n_paths, "n_paths")
-    n = _horizon(horizon, "check_clt_forecast_errors")
-    if n < 1000:
-        raise ValueError(f"asymptotic regime not reached: need horizon >= 1000, got {n}")
-    summaries = _clt_summaries(spec, n_paths, n, master_seed, threads)
+    if horizon < 1000:
+        raise ValueError(f"asymptotic regime not reached: need horizon >= 1000, got {horizon}")
+    summaries = _clt_summaries(spec, n_paths, horizon, master_seed, threads)
     s = summaries["S"]
     sig2 = summaries["sigma2_alpha"]
     if np.any(sig2 <= 0):
@@ -458,7 +448,7 @@ def check_clt_forecast_errors(spec, n_paths: int, horizon: int, master_seed: int
         for j in range(i + 1, k):
             corr = float(np.corrcoef(s[:, i], s[:, j])[0, 1])
             subchecks.append(_upper_bound_check(f"cross_corr_{i}{j}", corr, bound))
-    return _verdict("check_clt_forecast_errors", subchecks, alpha, n_paths, n,
+    return _verdict("check_clt_forecast_errors", subchecks, alpha, n_paths, horizon,
                     master_seed, {})
 
 
@@ -466,15 +456,13 @@ def check_clt_forecast_errors(spec, n_paths: int, horizon: int, master_seed: int
 # CLT for the scaled sample-mean deviation
 # ---------------------------------------------------------------------------
 
+@_fitted
 def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
                           alpha: float = 0.01, threads: int | None = None) -> TestVerdict:
     """Checks S~_n = sqrt(n)(sample mean - predictive mean) against its
     closed-form limit covariance, available for common-weight reinforcement
     (sigma2_alpha * Var(W)/E[W]^2), the cross-reinforced uniform pair with
     the harmonic fraction schedule, and i.i.d. sequences."""
-    alpha = _alpha(alpha)
-    n_paths = as_int(n_paths, "n_paths")
-    n = _horizon(horizon, "check_clt_sample_mean")
     # the reference form, found before the ensemble is simulated
     rspec = reinforced_view(spec)
     if rspec is not None and isinstance(rspec.coupling, CommonWeight):
@@ -489,7 +477,7 @@ def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
     else:
         raise ValueError(f"no reference form for spec kind {spec.kind!r}")
 
-    summaries = _clt_summaries(spec, n_paths, n, master_seed, threads)
+    summaries = _clt_summaries(spec, n_paths, horizon, master_seed, threads)
     s_tilde = summaries["S_tilde"]
     k = s_tilde.shape[1]
     params: dict = {}
@@ -521,7 +509,7 @@ def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
         # mean of a column of n_paths copies need not be
         subchecks = _normal_fit_and_variance(s_tilde, np.array([[spec.noise_var]]), alpha,
                                              0.10)
-    return _verdict("check_clt_sample_mean", subchecks, alpha, n_paths, n,
+    return _verdict("check_clt_sample_mean", subchecks, alpha, n_paths, horizon,
                     master_seed, params)
 
 
@@ -529,15 +517,13 @@ def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
 # Gaussian arrival-time limit
 # ---------------------------------------------------------------------------
 
+@_fitted
 def check_gaussian_limit(spec, n_paths: int, horizon: int, master_seed: int, *,
                          alpha: float = 0.01, threads: int | None = None) -> TestVerdict:
     """Limit checks of the last-tick Gaussian system: the mean and spread of
     the variance factor gamma (closed forms exist under Poisson arrivals),
     the variance of the terminal predictive mean, and the cross-coordinate
     dependence induced by the shared arrival times."""
-    alpha = _alpha(alpha)
-    n_paths = as_int(n_paths, "n_paths")
-    horizon = _horizon(horizon, "check_gaussian_limit")
     if not isinstance(spec, GaussianLastTickSpec):
         raise ValueError("check_gaussian_limit applies to the gaussian_last_tick kind")
     if horizon < 1000:

@@ -111,8 +111,10 @@ def _no_simulation(*args, **kwargs):
     raise AssertionError("simulated an ensemble for a check that was misconfigured")
 
 
+# A case whose message changed keeps its id, which names the rule it tests.
 @pytest.mark.parametrize("test,key", [
-    ({"name": "check_stopping_time", "params": {"tau": 5}}, "tau must be an object"),
+    pytest.param({"name": "check_stopping_time", "params": {"tau": 5}},
+                 "params.tau: expected a dict with a 'kind'", id="test0-tau must be an object"),
     ({"name": "check_stopping_time", "params": {"tau": {"kind": "constant"}}}, "tau.n"),
     ({"name": "check_stopping_time",
       "params": {"tau": {"kind": "first_exceed", "threshold": 0.8}}}, "tau.cap"),
@@ -140,20 +142,25 @@ def _no_simulation(*args, **kwargs):
     ({"name": "check_stopping_time",
       "params": {"tau": {"kind": "constant", "n": 3}, "alpha": True}}, "alpha"),
     ({"name": "check_clt_sample_mean", "params": {"alpha": 1}}, "alpha"),
-    # no observation exceeds NaN: tau would silently be the cap
-    ({"name": "check_stopping_time",
-      "params": {"tau": {"kind": "first_exceed", "threshold": float("nan"), "cap": 3}}},
-     "tau.threshold"),
+    # no observation exceeds NaN or +inf, and every one exceeds -inf: tau
+    # would silently be the cap, or 1
+    pytest.param({"name": "check_stopping_time", "params": {"tau": {
+        "kind": "first_exceed", "threshold": float("nan"), "cap": 3}}},
+        "params.tau: threshold must be finite", id="test18-tau.threshold"),
     # a null horizon: only check_pcid derives one
+    *[pytest.param({"name": name, "params": {"horizon": None, **params}},
+                   "params.horizon: horizon must be an integer >= 1, got None",
+                   id=f"test{i}-{name} needs a horizon")
+      for i, name, params in ((19, "check_stopping_time", {"tau": {"kind": "constant", "n": 3}}),
+                              (20, "check_clt_forecast_errors", {}),
+                              (21, "check_clt_sample_mean", {}),
+                              (22, "check_gaussian_limit", {}))],
     ({"name": "check_stopping_time",
-      "params": {"tau": {"kind": "constant", "n": 3}, "horizon": None}},
-     "check_stopping_time needs a horizon"),
-    ({"name": "check_clt_forecast_errors", "params": {"horizon": None}},
-     "check_clt_forecast_errors needs a horizon"),
-    ({"name": "check_clt_sample_mean", "params": {"horizon": None}},
-     "check_clt_sample_mean needs a horizon"),
-    ({"name": "check_gaussian_limit", "params": {"horizon": None}},
-     "check_gaussian_limit needs a horizon"),
+      "params": {"tau": {"kind": "first_exceed", "threshold": float("inf"), "cap": 3}}},
+     "params.tau: threshold must be finite"),
+    ({"name": "check_stopping_time",
+      "params": {"tau": {"kind": "first_exceed", "threshold": -float("inf"), "cap": 3}}},
+     "params.tau: threshold must be finite"),
 ])
 def test_check_params_rejected_before_simulating(test, key, monkeypatch, tmp_path, capsys):
     from pcid import verifiers
@@ -164,6 +171,70 @@ def test_check_params_rejected_before_simulating(test, key, monkeypatch, tmp_pat
                                "horizon": 6, "tests": [test]}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+_GOOD_CHECK = {"name": "check_stopping_time", "params": {"tau": {"kind": "constant", "n": 3}}}
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"spec": {"kind": "polya", "w_0": [5, 5]}}, "w_0: undeclared key"),
+    ({"spec": {"kind": "polya", "base": [{"kind": "uniform", "bb": 3}, {"kind": "uniform"}]}},
+     "base[0].bb: undeclared key"),
+    ({"spec": {"kind": "reinforced", "coupling": {"kind": "common_weight", "dist": {
+        "kind": "two_point", "p": 0.5}}}}, "coupling.dist.p: undeclared key"),
+    ({"master_sed": 7}, "master_sed: undeclared key"),
+    ({"kind": "polya"}, "kind: undeclared key"),
+    ({"tests": [_GOOD_CHECK, {"name": "check_pcid", "parms": {"n": 1}}]},
+     "tests[1].parms: undeclared key"),
+    ({"tests": [{"name": "check_pcid", "params": {"alpah": 0.1}}]},
+     "tests[0].params.alpah: undeclared key"),
+    ({"tests": [{"name": "check_pcid", "params": {"threads": 1}}]},
+     "tests[0].params.threads: undeclared key"),
+    ({"tests": [{"name": "check_stopping_time",
+                 "params": {"tau": {"kind": "constant", "n": 3, "cap": 5}}}]},
+     "tests[0].params.tau.cap: undeclared key"),
+])
+def test_undeclared_key_exits_2_at_every_level(doc, key, monkeypatch, tmp_path, capsys):
+    # each of these keys was once dropped: the run went on with the default
+    monkeypatch.setattr(runner, "run_ensemble", _no_simulation)
+    cfg = tmp_path / "cfg.json"
+    base = {"spec": {"kind": "polya", "n_coords": 2}, "n_paths": 10, "horizon": 6,
+            "record": ["observations"]}
+    cfg.write_text(json.dumps({**base, **doc, "spec": {**base["spec"], **doc.get("spec", {})}}))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad,key", [
+    ({"name": "check_gaussian_limit", "params": {"alpha": 2}}, "tests[1].params.alpha"),
+    ({"name": "check_gaussian_limit", "parms": {"alpha": 0.05}}, "tests[1].parms"),
+    ({"name": "check_gaussian_limit", "params": {"alpah": 0.05}}, "tests[1].params.alpah"),
+])
+def test_later_check_rejected_before_anything_simulates(bad, key, monkeypatch, tmp_path,
+                                                        capsys):
+    # the first check would simulate 20000 x 1000 paths before the second
+    # one's parameters were looked at
+    from pcid import verifiers
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("simulated before every check's parameters were checked")
+
+    monkeypatch.setattr(verifiers, "run_ensemble", spy)
+    monkeypatch.setattr(verifiers, "map_path_chunks", spy)
+    monkeypatch.setattr(runner, "run_ensemble", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": {"kind": "gaussian_last_tick", "n_coords": 2},
+                               "n_paths": 20000, "horizon": 1000,
+                               "tests": [{"name": "check_gaussian_limit"}, bad]}))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert calls == []
+    assert not (out / "report.json").exists()
 
 
 def test_out_of_range_seed_flag_exits_2(tmp_path, capsys):

@@ -203,7 +203,7 @@ def test_integer_field_reads_integral_numbers_and_decimal_strings():
 
 COMPONENT_CLASSES = [*specs.BASE_MEASURES.values(), *specs.WEIGHT_DISTS.values(),
                      *specs.COUPLING_RULES.values(), specs.BetaSchedule,
-                     specs.FeedbackWeight]
+                     specs.FeedbackWeight, *specs.STOPPING_RULES.values()]
 SPEC_CLASSES = list(specs.SPEC_KINDS.values())
 NUMERIC_TYPES = {"float", "int", "float | None", "tuple[float, ...]"}
 # numeric fields that only their class's _relations checks: their range
@@ -217,6 +217,8 @@ VALID = {
     specs.GammaWeight: specs.GammaWeight(3.0, 1.0, 0.0),
     specs.IidWeights: specs.IidWeights(specs.DegenerateWeight()),
     specs.CommonWeight: specs.CommonWeight(specs.DegenerateWeight()),
+    specs.ConstantStop: specs.ConstantStop(3),
+    specs.FirstExceedStop: specs.FirstExceedStop(0.5, 3),
 }
 # values each domain must reject: NaN, the boundaries -1, 0 and +-inf that
 # lie outside it, and a bool
@@ -226,6 +228,7 @@ OUTSIDE = {
     "nonnegative": (math.nan, -1.0, math.inf, True),
     "unit_interval": (math.nan, -1.0, 0.0, 1.0, math.inf, True),
     "coordinates": (math.nan, -1, 0, 2.5, math.inf, True, specs.MAX_COORDS + 1),
+    "count": (math.nan, -1, 2.5, math.inf, True),
 }
 
 
@@ -271,3 +274,40 @@ def test_values_outside_a_domain_are_rejected_under_the_field(cls, f):
             with pytest.raises(SpecValidationError) as err:
                 obj.validate() if place is None else obj.validate(place)
             assert err.value.field == want, (f.name, bad, place)
+
+
+# where a component of each family sits in a spec, and a spec that puts it there
+_PLACES = {
+    "base": ("base[1]", lambda c: {"kind": "polya", "n_coords": 2,
+                                   "base": [{"kind": "uniform"}, c]}),
+    "weight": ("coupling.dist", lambda c: {"kind": "reinforced", "coupling": {
+        "kind": "common_weight", "dist": c}}),
+    "coupling": ("coupling", lambda c: {"kind": "reinforced", "n_coords": 2, "coupling": c}),
+    "beta": ("beta", lambda c: {"kind": "uniform_coupled", "beta": c}),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_undeclared_spec_key_rejected(kind):
+    doc = specs.SPEC_KINDS[kind]().to_dict()
+    assert spec_from_dict(doc).to_dict() == doc
+    with pytest.raises(SpecValidationError, match="undeclared key") as err:
+        spec_from_dict({**doc, "w_0": 5})
+    assert err.value.field == "w_0"
+
+
+@pytest.mark.parametrize("cls", [c for c in COMPONENT_CLASSES if c is not specs.FeedbackWeight],
+                         ids=lambda c: c.__name__)
+def test_undeclared_component_key_rejected_under_its_place(cls):
+    # FeedbackWeight is no config block: it is broken_feedback_weight's view
+    doc = _valid(cls).to_dict()
+    assert cls.from_dict(doc) == _valid(cls)
+    with pytest.raises(SpecValidationError, match="undeclared key") as err:
+        cls.from_dict({**doc, "bb": 3}, "here")
+    assert err.value.field == "here.bb"
+    if cls.role in _PLACES:
+        place, spec_doc = _PLACES[cls.role]
+        spec_from_dict(spec_doc(doc))    # the place takes the component as it is
+        with pytest.raises(SpecValidationError, match="undeclared key") as err:
+            spec_from_dict(spec_doc({**doc, "bb": 3}))
+        assert err.value.field == f"{place}.bb"

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -377,8 +378,23 @@ def test_stopping_time_bound_validation():
     spec = specs.PolyaSpec(1, (1.0,), (specs.UniformBase(),))
     with pytest.raises(ValueError, match="exceeds horizon"):
         check_stopping_time(spec, 100, 10, 0, tau={"kind": "constant", "n": 10})
-    with pytest.raises(ValueError, match="unknown stopping rule"):
+    with pytest.raises(ValueError, match="tau: unknown kind 'sometimes'"):
         check_stopping_time(spec, 100, 10, 0, tau={"kind": "sometimes"})
+
+
+@pytest.mark.parametrize("tau,key", [
+    ({"kind": "first_exceed", "threshold": float("inf"), "cap": 3}, "threshold must be finite"),
+    ({"kind": "first_exceed", "threshold": -float("inf"), "cap": 3}, "threshold must be finite"),
+    ({"kind": "constant", "n": 3, "cap": 5}, r"tau\.cap: undeclared key"),
+    ({"kind": "constant", "n": -1}, "n must be an integer >= 0"),
+])
+def test_stopping_rule_rejected_before_simulating(monkeypatch, tau, key):
+    # every observation exceeds -inf and none exceeds +inf: tau would be 1,
+    # or the cap, whatever the sequence
+    _forbid_simulation(monkeypatch)
+    spec = specs.PolyaSpec(1, (1.0,), (specs.UniformBase(),))
+    with pytest.raises(ValueError, match=key):
+        check_stopping_time(spec, 100, 10, 0, tau=tau)
 
 
 def test_clt_forecast_errors_refuses_small_horizon():
@@ -554,6 +570,21 @@ def test_verdict_dict_form_is_its_fields():
         "params": {"n": 1},
         "subchecks": [{"name": "s", "kind": "tolerance", "statistic": 0.5,
                        "reference": 0.0, "tolerance": 1.0, "margin": 0.5, "pass": True}]}
+
+
+def test_every_config_argument_has_a_domain():
+    # a check's keyword arguments, threads aside, are what a config's params
+    # may set, so each needs a domain; the table names no argument that no
+    # check takes
+    taken = set()
+    for name, check in verifiers.VERIFIERS.items():
+        params = inspect.signature(check).parameters
+        for arg, p in params.items():
+            if p.kind is p.KEYWORD_ONLY and arg != "threads":
+                assert arg in verifiers.ARG_DOMAINS, (name, arg)
+        taken |= set(params)
+    assert set(verifiers.ARG_DOMAINS) <= taken
+    assert "tau" in verifiers.ARG_DOMAINS
 
 
 @pytest.mark.parametrize("params,key", [
