@@ -294,22 +294,6 @@ class Ensemble:
             return m[:, :, 2] - m[:, :, 1] ** 2
         return self.predictive_var[:, -1, :]
 
-    def terminal_mixture(self, path: int, coord: int) -> processes.ReinforcedCoordState:
-        """Terminal predictive mixture of one path/coordinate (requires
-        recorded observations and weights). Its total weight and power sums
-        are the ensemble's own, so its moments equal `terminal_mean` and
-        `terminal_variance` bit for bit; zero-weight atoms are left out."""
-        rspec = reinforced_view(self.spec)
-        if rspec is None:
-            raise MissingSeriesError("terminal mixtures exist only for reinforced kinds")
-        x = self.observations[path, :, coord]
-        w = self.weights[path, :, coord]
-        keep = w > 0
-        return processes.ReinforcedCoordState(
-            rspec.w0[coord], rspec.base[coord], x[keep].tolist(), w[keep].tolist(),
-            np.cumsum(w[keep]).tolist(), float(self.arrays["total_weight"][path, coord]),
-            self.arrays["weighted_power_sums"][path, coord].tolist())
-
 
 for _name in (*processes.SERIES, "gamma_hat"):
     setattr(Ensemble, _name, property(lambda self, name=_name: self._series(name)))

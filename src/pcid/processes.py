@@ -7,7 +7,9 @@ Two layers live here.
   written directly against the per-coordinate state objects. These are the
   readable reference implementations. A `ReinforcedCoordState` is also a
   reinforced coordinate's predictive mixture: it gives the predictive
-  mean, variance, CDF and component probabilities, and draws from it.
+  mean, variance, CDF and component probabilities, and draws from it. Its
+  CDF is `mixture_cdf`, the one mixture CDF: a row of atoms per mixture,
+  one row for the state and one per path for a batch.
 
 * Batch kernels (`simulate_*_chunk`) that run a whole chunk of paths with
   numpy. They consume pre-generated random inputs and follow the exact same
@@ -86,21 +88,38 @@ def mixture_mean_var(w0, base_m1, base_m2, s1, s2, total_weight):
     return mean, mixture_moment(w0, base_m2, s2, total_weight) - mean * mean
 
 
+def searchsorted_rows(a, v) -> np.ndarray:
+    """np.searchsorted(a[r], v[r], side="right") for each row r of `a`."""
+    return np.array([np.searchsorted(ar, vr, side="right")
+                     for ar, vr in zip(a, v)]).reshape(v.shape)
+
+
+def mixture_cdf(w0, base, values, weights, total, x):
+    """CDF at x[r] of the mixture (w0 * base + sum_k W_k delta_{x_k}) / total[r]
+    of the atoms in row r of `values` and `weights`, for (R, g) points x.
+    Each row's atoms are sorted stably, so the scalar state's `cdf` (one
+    row) and a batch of paths agree bit for bit."""
+    order = np.argsort(values, axis=1, kind="stable")
+    cum = np.cumsum(np.take_along_axis(weights, order, axis=1), axis=1)
+    at = searchsorted_rows(np.take_along_axis(values, order, axis=1), x)
+    atom_mass = np.take_along_axis(np.pad(cum, ((0, 0), (1, 0))), at, axis=1)
+    return (w0 * base.cdf(x) + atom_mass) / np.asarray(total)[:, None]
+
+
 @dataclass
 class ReinforcedCoordState:
     """One reinforced coordinate and its predictive mixture
     (w0 * base + sum_k W_k delta_{x_k}) / total_weight.
 
-    The atom list holds (value, weight) pairs in arrival order together with
-    the running cumulative weights, so a predictive draw is a binary search.
-    Zero-weight atoms are never appended; they do not affect the mixture.
+    The atom list holds (value, weight) pairs in arrival order; a predictive
+    draw is a binary search of their cumulative weights. The steps append
+    no zero-weight atom; one would not affect the mixture.
     """
 
     w0: float
     base: object
     atom_values: list = dc_field(default_factory=list)
     atom_weights: list = dc_field(default_factory=list)
-    cum_weights: list = dc_field(default_factory=list)
     total_weight: float = 0.0
     # running sums of W * x and W * x^2, for exact mixture moments
     power_sums: list = dc_field(default_factory=lambda: [0.0, 0.0])
@@ -114,8 +133,6 @@ class ReinforcedCoordState:
             raise ProcessError(f"atom weight must be non-negative and finite, got {weight}")
         self.atom_values.append(value)
         self.atom_weights.append(weight)
-        prev = self.cum_weights[-1] if self.cum_weights else 0.0
-        self.cum_weights.append(prev + weight)
         self.total_weight = self.total_weight + weight
         self.power_sums[0] += weight * value
         self.power_sums[1] += weight * (value * value)
@@ -141,11 +158,9 @@ class ReinforcedCoordState:
 
     def cdf(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        values = np.asarray(self.atom_values, dtype=float)
-        order = np.argsort(values, kind="stable")
-        cum = np.concatenate(([0.0], np.cumsum(np.asarray(self.atom_weights)[order])))
-        atom_mass = cum[np.searchsorted(values[order], x, side="right")]
-        return (self.w0 * self.base.cdf(x) + atom_mass) / self.total_weight
+        return mixture_cdf(self.w0, self.base, np.array([self.atom_values], float),
+                           np.array([self.atom_weights], float), [self.total_weight],
+                           x.reshape(1, -1))[0].reshape(x.shape)
 
     def recomputed_total(self) -> float:
         return self.w0 + math.fsum(self.atom_weights)
@@ -155,7 +170,7 @@ class ReinforcedCoordState:
         s = rng.random() * self.total_weight
         if s < self.w0:
             return float(self.base.ppf(s / self.w0))
-        k = int(np.searchsorted(np.asarray(self.cum_weights), s - self.w0, side="right"))
+        k = int(np.searchsorted(np.cumsum(self.atom_weights), s - self.w0, side="right"))
         return self.atom_values[min(k, len(self.atom_values) - 1)]
 
 

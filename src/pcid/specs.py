@@ -357,11 +357,8 @@ class DiscreteBase(_DictForm):
         return float(np.dot(np.asarray(self.values, float) ** r, self.probs))
 
     def cdf(self, x):
-        x = np.asarray(x, float)
-        cum = np.cumsum(self.probs)
-        idx = np.searchsorted(self.values, x, side="right")
-        out = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-        return out
+        cum = np.concatenate(([0.0], np.cumsum(self.probs)))
+        return cum[np.searchsorted(self.values, np.asarray(x, float), side="right")]
 
     def ppf(self, q):
         cum = np.cumsum(self.probs)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import processes
 from .engine import Ensemble
+from .specs import reinforced_view
 
 TELESCOPE_RTOL = 1e-9
 
@@ -48,54 +49,49 @@ def slln_running_average(ens: Ensemble, functional: str) -> np.ndarray:
 # Empirical vs predictive distances
 # ---------------------------------------------------------------------------
 
-def _marginal_distance(sorted_obs: np.ndarray, mixture, n_grid: int) -> float:
-    lo = min(sorted_obs[0], mixture.base.support()[0])
-    hi = max(sorted_obs[-1], mixture.base.support()[1])
-    pts = np.sort(np.concatenate([np.linspace(lo, hi, n_grid), mixture.atom_values]))
-    emp = np.searchsorted(sorted_obs, pts, side="right") / len(sorted_obs)
-    return float(np.max(np.abs(emp - mixture.cdf(pts))))
-
-
 def empirical_predictive_distance(ens: Ensemble, n: int | None = None,
                                   n_grid: int = 512) -> dict:
     """Kolmogorov distance between each path's empirical distribution of the
     first n observations and its terminal predictive mixture.
 
-    Returns {"marginal": (P, K), "joint": (P,) or None}. The joint entry
-    (two coordinates only) is the maximum discrepancy between the empirical
-    joint measure and the product of the terminal marginal predictives over
-    the 10 x 10 rectangles anchored at the empirical marginal deciles.
-    """
+    Returns {"marginal": (P, K)}, and for two coordinates also "joint": (P,),
+    the maximum discrepancy between the empirical joint measure and the
+    product of the terminal marginal predictives over the 10 x 10
+    rectangles anchored at the empirical marginal deciles. Each path is a
+    row of the same operations, so this also runs as a chunk reducer."""
     n = ens.horizon if n is None else n
-    if n > ens.horizon:
-        raise StatisticsError(f"n={n} exceeds the recorded horizon {ens.horizon}")
-    x = ens.observations[:, :n, :]
+    if not 1 <= n <= ens.horizon:
+        raise StatisticsError(f"n={n} must lie in [1, {ens.horizon}], the recorded horizon")
+    obs, w, total = ens.observations, ens.weights, ens.arrays["total_weight"]
+    rspec = reinforced_view(ens.spec)
+    x = obs[:, :n]
     n_paths, _, k = x.shape
-    marginal = np.zeros((n_paths, k))
-    joint = np.zeros(n_paths) if k == 2 else None
-    deciles = np.arange(0.1, 0.95, 0.1)
-    for p in range(n_paths):
-        mixtures = [ens.terminal_mixture(p, i) for i in range(k)]
-        for i in range(k):
-            marginal[p, i] = _marginal_distance(np.sort(x[p, :, i]), mixtures[i], n_grid)
-        if k != 2:
-            continue
-        # edges sit just above the empirical deciles so that atoms landing
-        # exactly on a decile fall on the same side in the (left-closed)
-        # histogram and in the (right-continuous) CDF differences
-        edges = [np.nextafter(np.quantile(x[p, :, i], deciles), np.inf) for i in range(2)]
-        cdf_incr = []
-        for i in range(2):
-            c = np.concatenate([[0.0], mixtures[i].cdf(edges[i]), [1.0]])
-            cdf_incr.append(np.diff(c))
-        bins = [np.concatenate([[-np.inf], e, [np.inf]]) for e in edges]
-        counts, _, _ = np.histogram2d(x[p, :, 0], x[p, :, 1], bins=bins)
-        pred = np.outer(cdf_incr[0], cdf_incr[1])
-        joint[p] = float(np.max(np.abs(counts / n - pred)))
-    out = {"marginal": marginal}
-    if joint is not None:
-        out["joint"] = joint
-    return out
+    # each coordinate's terminal mixtures, a row per path, as mixture_cdf takes them
+    mix = [(rspec.w0[i], rspec.base[i], obs[:, :, i], w[:, :, i], total[:, i])
+           for i in range(k)]
+    marginal = np.empty((n_paths, k))
+    for i in range(k):
+        srt = np.sort(x[:, :, i], axis=1)
+        lo = np.minimum(srt[:, 0], rspec.base[i].support()[0])
+        hi = np.maximum(srt[:, -1], rspec.base[i].support()[1])
+        # lo < hi on every row, or on none for a one-point base, so linspace
+        # forms each row as alone; a zero-weight atom is lo, adding no point
+        pts = np.concatenate([np.linspace(lo, hi, n_grid, axis=1),
+                              np.where(w[:, :, i] > 0, obs[:, :, i], lo[:, None])], axis=1)
+        emp = processes.searchsorted_rows(srt, pts) / n
+        marginal[:, i] = np.max(np.abs(emp - processes.mixture_cdf(*mix[i], pts)), axis=1)
+    if k != 2:
+        return {"marginal": marginal}
+    # edges (2, P, 9) just above the empirical deciles: an atom on a decile
+    # falls on one side in the (left-closed) cells and the CDF differences
+    edges = np.nextafter(np.quantile(x, np.arange(0.1, 0.95, 0.1), axis=1), np.inf).T
+    incr = [np.diff(processes.mixture_cdf(*mix[i], edges[i]), axis=1, prepend=0.0,
+                    append=1.0) for i in range(2)]
+    cell = [processes.searchsorted_rows(edges[i], x[:, :, i]) for i in range(2)]
+    flat = np.arange(n_paths)[:, None] * 100 + cell[0] * 10 + cell[1]
+    counts = np.bincount(flat.ravel(), minlength=100 * n_paths).reshape(n_paths, 10, 10)
+    pred = incr[0][:, :, None] * incr[1][:, None, :]
+    return {"marginal": marginal, "joint": np.max(np.abs(counts / n - pred), axis=(1, 2))}
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pcid import oracles, specs
+from pcid import oracles, processes, specs
 from pcid.engine import run_ensemble
 from pcid.oracles import (
     composite_simpson,
@@ -124,10 +124,9 @@ def test_polya_limit_moments_against_urn_simulation():
     # brute force: terminal predictive mass of (0, 1/2] across simulated urns
     spec = specs.PolyaSpec(1, (1.0,), (specs.UniformBase(),))
     ens = run_ensemble(spec, 3000, 1500, 99)
-    masses = np.empty(3000)
-    for p in range(3000):
-        mix = ens.terminal_mixture(p, 0)
-        masses[p] = mix.cdf(np.array([0.5]))[0]
+    masses = processes.mixture_cdf(1.0, specs.UniformBase(), ens.observations[:, :, 0],
+                                   ens.weights[:, :, 0], ens.arrays["total_weight"][:, 0],
+                                   np.full((3000, 1), 0.5))[:, 0]
     ref = polya_limit_moments(1.0, specs.UniformBase(), (0.0, 0.5))
     assert abs(masses.mean() - ref.mean) < 4 * masses.std() / np.sqrt(len(masses))
     assert abs(masses.var() - ref.variance) < 0.01

@@ -69,11 +69,16 @@ def test_mixture_drops_zero_weight_atoms():
               "total_weight": np.array([[3.0]]),
               "weighted_power_sums": np.array([[[0.5, 0.125]]])}
     ens = Ensemble(spec, 1, 2, 0, frozenset({"observations", "weights"}), arrays)
-    mix = ens.terminal_mixture(0, 0)
-    assert mix.atom_values == [0.25]
-    assert mix.atom_weights == [2.0]
-    assert np.allclose(mix.component_probabilities(), [1.0 / 3.0, 2.0 / 3.0])
-    assert mix.predictive_mean() == ens.terminal_mean()[0, 0]
+    state = ReinforcedCoordState(1.0, specs.UniformBase())
+    state.append_atom(0.25, 2.0)    # the scalar step's one atom
+    assert np.allclose(state.component_probabilities(), [1.0 / 3.0, 2.0 / 3.0])
+    _assert_terminal_mixtures_match(ens, 0, [state])
+    # the zero-weight atom at 0.5 adds no mass there
+    grid = np.array([0.0, 0.25, 0.4999, 0.5, 1.0])
+    got = processes.mixture_cdf(1.0, specs.UniformBase(), arrays["observations"][:, :, 0],
+                                arrays["weights"][:, :, 0], [3.0], grid[None])[0]
+    assert np.array_equal(got, state.cdf(grid))
+    assert np.allclose(got, [0.0, 0.75, 2.4999 / 3.0, 2.5 / 3.0, 1.0], rtol=0.0, atol=1e-15)
 
 
 def test_martingale_identity_exact_on_atom_representation():
@@ -99,13 +104,22 @@ def test_martingale_identity_exact_on_atom_representation():
         assert expected == q_n
 
 
-def _assert_terminal_mixtures_match(ens, paths):
+def _assert_terminal_mixtures_match(ens, p, states):
+    """Path p's own scalar states against the ensemble: the terminal mean
+    and variance, and `mixture_cdf` on the path's row over a grid that
+    holds every atom, bit for bit."""
+    rspec = specs.reinforced_view(ens.spec)
     mean, var = ens.terminal_mean(), ens.terminal_variance()
-    for p in paths:
-        for i in range(ens.n_coords):
-            mix = ens.terminal_mixture(p, i)
-            assert mix.predictive_mean() == mean[p, i]
-            assert mix.predictive_var() == var[p, i]
+    for i, st in enumerate(states):
+        assert st.predictive_mean() == mean[p, i]
+        assert st.predictive_var() == var[p, i]
+        lo, hi = st.base.support()
+        grid = np.concatenate([np.linspace(lo - 1.0, hi + 1.0, 41), st.atom_values])
+        row = slice(p, p + 1)
+        got = processes.mixture_cdf(rspec.w0[i], rspec.base[i], ens.observations[row, :, i],
+                                    ens.weights[row, :, i],
+                                    ens.arrays["total_weight"][row, i], grid[None])
+        assert np.array_equal(got[0], st.cdf(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +137,7 @@ def test_common_degenerate_weight_reduces_to_polya(uniform_polya_spec):
     ens = run_ensemble(uniform_polya_spec, 1, 5, 5)
     got = np.array([st.atom_values for st in states]).T
     assert np.array_equal(got, ens.observations[0])
-    _assert_terminal_mixtures_match(ens, [0])
+    _assert_terminal_mixtures_match(ens, 0, states)
 
 
 def test_common_weight_is_shared():
@@ -190,7 +204,9 @@ def test_uniform_coupled_expected_atom_share():
     share = w / tot
     se = share.std() / np.sqrt(len(share))
     assert abs(share.mean() - 1.0 / (n_probe + 1)) < 4 * se
-    _assert_terminal_mixtures_match(ens, range(200))
+    for p in range(200):
+        _, states, _, _ = _scalar_reinforced_path(spec, n_probe, 31, p)
+        _assert_terminal_mixtures_match(ens, p, states)
 
 
 def test_gaussian_step_exact_update():
@@ -362,7 +378,7 @@ def test_scalar_matches_vectorized_reinforced(coupling, w0, horizon):
         assert np.array_equal(ws, ens.weights[p])
         assert np.array_equal(mus, ens.predictive_mean[p])
         assert np.array_equal(sig, ens.predictive_var[p])
-    _assert_terminal_mixtures_match(ens, range(4))
+        _assert_terminal_mixtures_match(ens, p, states)
 
 
 def test_scalar_matches_vectorized_normal_base():

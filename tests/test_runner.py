@@ -161,6 +161,11 @@ def _no_simulation(*args, **kwargs):
     ({"name": "check_stopping_time",
       "params": {"tau": {"kind": "first_exceed", "threshold": -float("inf"), "cap": 3}}},
      "params.tau: threshold must be finite"),
+    # one path: a CLT check once simulated it and wrote a FAIL report
+    ({"name": "check_clt_forecast_errors", "params": {"n_paths": 1, "horizon": 1000}},
+     "n_paths >= 2"),
+    ({"name": "check_clt_sample_mean", "params": {"n_paths": 1, "horizon": 1000}},
+     "n_paths >= 2"),
 ])
 def test_check_params_rejected_before_simulating(test, key, monkeypatch, tmp_path, capsys):
     from pcid import verifiers
@@ -282,9 +287,11 @@ def test_unknown_test_name_exits_2(tmp_path, capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config", ["polya_baseline", "broken_weight_coupling"])
+@pytest.mark.parametrize("config", ["polya_baseline", "broken_weight_coupling",
+                                    "gaussian_last_tick_limit"])
 def test_one_path_run_exits_2(config, tmp_path, capsys):
-    # a two-sample check cannot split one path into two halves
+    # a two-sample check cannot split one path into two halves, and a check
+    # of an ensemble statistic has no spread to take over one path
     out = tmp_path / "o"
     assert main(["run", "--config", config, "--paths", "1", "--out", str(out)]) == EXIT_CONFIG
     assert "n_paths >= 2" in capsys.readouterr().err

@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+from conftest import fixed_chunks
 
 from pcid import engine, processes, specs, statistics
 from pcid.engine import MissingSeriesError, default_record, run_ensemble
@@ -197,8 +200,10 @@ def test_slln_unknown_functional(degenerate_spec):
 
 def test_distance_requires_n_within_horizon(uniform_polya_spec):
     ens = run_ensemble(uniform_polya_spec, 3, 10, 16)
-    with pytest.raises(StatisticsError):
-        empirical_predictive_distance(ens, n=11)
+    # n = -2 once took the first 8 observations and divided their counts by -2
+    for n in (11, 0, -2):
+        with pytest.raises(StatisticsError, match=f"n={n} must lie in"):
+            empirical_predictive_distance(ens, n=n)
 
 
 def test_distances_shrink_with_horizon(uniform_polya_spec):
@@ -210,6 +215,101 @@ def test_distances_shrink_with_horizon(uniform_polya_spec):
     joint = empirical_predictive_distance(large)["joint"]
     assert joint.shape == (30,)
     assert np.all(joint < 0.2)
+
+
+def _distances_path_by_path(ens, n, n_grid=512):
+    """The distances one path and coordinate at a time, each mixture's CDF
+    from its own kept atoms, as a reference."""
+    rspec = specs.reinforced_view(ens.spec)
+    x, k = ens.observations[:, :n], ens.n_coords
+    marginal, joint = np.empty((ens.n_paths, k)), np.empty(ens.n_paths)
+    for p in range(ens.n_paths):
+        cdfs = []
+        for i in range(k):
+            keep = ens.weights[p, :, i] > 0
+            values, w = ens.observations[p, keep, i], ens.weights[p, keep, i]
+            order = np.argsort(values, kind="stable")
+            cum = np.concatenate(([0.0], np.cumsum(w[order])))
+            cdfs.append(lambda t, i=i, v=values[order], c=cum: (
+                rspec.w0[i] * rspec.base[i].cdf(t) + c[np.searchsorted(v, t, side="right")])
+                / ens.arrays["total_weight"][p, i])
+            srt = np.sort(x[p, :, i])
+            lo = min(srt[0], rspec.base[i].support()[0])
+            hi = max(srt[-1], rspec.base[i].support()[1])
+            pts = np.sort(np.concatenate([np.linspace(lo, hi, n_grid), values]))
+            emp = np.searchsorted(srt, pts, side="right") / n
+            marginal[p, i] = np.max(np.abs(emp - cdfs[i](pts)))
+        if k == 2:
+            edges = [np.nextafter(np.quantile(x[p, :, i], np.arange(0.1, 0.95, 0.1)), np.inf)
+                     for i in range(2)]
+            incr = [np.diff(np.concatenate([[0.0], cdfs[i](edges[i]), [1.0]]))
+                    for i in range(2)]
+            bins = [np.concatenate([[-np.inf], e, [np.inf]]) for e in edges]
+            counts, _, _ = np.histogram2d(x[p, :, 0], x[p, :, 1], bins=bins)
+            joint[p] = np.max(np.abs(counts / n - np.outer(incr[0], incr[1])))
+    return {"marginal": marginal, "joint": joint} if k == 2 else {"marginal": marginal}
+
+
+_DISCRETE = specs.DiscreteBase((0.0, 1.0, 2.5), (0.2, 0.5, 0.3))
+
+
+@pytest.mark.parametrize("spec,horizon,n", [
+    pytest.param(specs.PolyaSpec(2, (1.0, 1.0), (specs.UniformBase(),) * 2), 300, 300,
+                 id="polya"),
+    pytest.param(specs.PolyaSpec(2, (1.0, 1.0), (specs.UniformBase(),) * 2), 300, 40,
+                 id="polya_n40"),
+    pytest.param(specs.UniformCoupledSpec(), 200, 200, id="uniform_coupled"),
+    pytest.param(specs.ReinforcedSpec(2, (1.5, 0.7), (specs.NormalBase(0.5, 2.0),) * 2,
+                                      specs.IidWeights(specs.GammaWeight(2.5, 1.0, 0.1))),
+                 100, 60, id="iid_gamma_normal_base"),
+    # ties: every observation is one of three values, and at n = 1 every
+    # decile is that one observation
+    pytest.param(specs.ReinforcedSpec(2, (1.0, 2.0), (_DISCRETE,) * 2, _IID), 40, 1,
+                 id="discrete_n1"),
+    pytest.param(specs.ReinforcedSpec(2, (1.0, 2.0), (_DISCRETE,) * 2, _IID), 40, 40,
+                 id="discrete"),
+    pytest.param(specs.ReinforcedSpec(3, (1.0, 2.0, 0.5), (_DISCRETE,) * 3, _TWO_POINT), 40,
+                 1, id="discrete_k3_n1"),
+    pytest.param(specs.BrokenFeedbackWeightSpec(), 200, 200, id="broken_feedback_weight"),
+])
+def test_distances_match_path_by_path_reference(spec, horizon, n):
+    ens = run_ensemble(spec, 12, horizon, 29, record=frozenset({"observations", "weights"}))
+    got, want = empirical_predictive_distance(ens, n=n), _distances_path_by_path(ens, n)
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes()
+
+
+def test_distances_leave_out_zero_weight_atoms():
+    # a uniform-coupled batch records W = 0 where the scalar step appends
+    # nothing: such an atom adds no grid point and no mass
+    ens = run_ensemble(specs.UniformCoupledSpec(), 12, 100, 31,
+                       record=frozenset({"observations", "weights"}))
+    arrays = dict(ens.arrays, weights=ens.weights.copy())
+    arrays["weights"][:, ::7] = 0.0
+    arrays["weights"][3, :, 0] = 0.0      # a path and coordinate with no atom
+    zeroed = engine.Ensemble(ens.spec, 12, 100, 31, ens.record, arrays)
+    for n in (1, 100):
+        got, want = empirical_predictive_distance(zeroed, n=n), _distances_path_by_path(zeroed, n)
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n", [1, 37, 200])
+def test_distances_as_chunk_reducer_match_whole_ensemble(uniform_polya_spec, threads, n):
+    # a pure map from an Ensemble to per-path rows: chunked runs, in this
+    # process or in forked workers, give the whole ensemble's rows
+    record = frozenset({"observations", "weights"})
+    whole = empirical_predictive_distance(
+        run_ensemble(uniform_polya_spec, 30, 200, 23, record=record), n=n)
+    with fixed_chunks(7):
+        chunked = engine.map_path_chunks(uniform_polya_spec, 30, 200, 23,
+                                         functools.partial(empirical_predictive_distance, n=n),
+                                         record=record, threads=threads)
+    assert sorted(chunked) == ["joint", "marginal"]
+    for key in chunked:
+        assert chunked[key].tobytes() == whole[key].tobytes()
 
 
 def test_clt_path_summaries_match_full_series(rru_two_point_spec):
