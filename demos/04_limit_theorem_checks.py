@@ -17,11 +17,11 @@ from pcid.verifiers import (
 
 def show(v):
     print(f"\n{v.name}: {'PASS' if v.passed else 'FAIL'} "
-          f"(worst margin {v.statistic:.3f}, paths {v.n_paths}, horizon {v.horizon})")
+          f"(worst margin {v.statistic:.4g}, paths {v.n_paths}, horizon {v.horizon})")
     for s in v.subchecks:
         ref = s.reference if isinstance(s.reference, str) else f"{s.reference:.5f}"
-        print(f"  {s.name:24s} {s.kind:11s} stat {s.statistic:+.5f}  ref {ref}  "
-              f"margin {s.margin:.3f}")
+        print(f"  {s.name:24s} {s.kind:11s} stat {s.statistic:+.5g}  ref {ref}  "
+              f"margin {s.margin:.4g}")
 
 
 seed = 20240809
@@ -41,3 +41,8 @@ rru = specs.ReinforcedSpec(2, (25.0, 25.0), (specs.UniformBase(),) * 2,
                            specs.CommonWeight(specs.TwoPointWeight(1.0, 3.0, 0.5)))
 show(check_clt_forecast_errors(rru, 2000, 2000, seed))
 show(check_clt_sample_mean(rru, 2000, 2000, seed))
+
+# the sample-mean identity sees the feedback weight, which the forecast
+# errors cannot; at scale 0 the weight is constant and the pair p-c.i.d.
+show(check_clt_sample_mean(broken, 2000, 1000, seed))
+show(check_clt_sample_mean(specs.BrokenFeedbackWeightSpec(scale=0.0), 2000, 1000, seed))

@@ -1,10 +1,13 @@
 """Reference values computed independently of the simulation engine.
 
-Closed forms used by the verifiers are collected here, each one validated
-against a direct numerical computation (deterministic quadrature, direct
-products, or brute-force enumeration) in the test suite before the
-verifiers are allowed to rely on it. Quadrature uses a fixed composite
-Simpson rule, so every oracle value is deterministic and RNG-free.
+Each closed form is validated against a direct numerical computation
+(deterministic quadrature, direct products, or brute-force enumeration) in
+the test suite. `check_gaussian_limit` uses the gamma-factor limits. No
+verdict uses the CLT limit forms (`rru_clt_variance`,
+`tilde_sigma_components`), which are a few percent off at finite horizons:
+the CLT checks hold each scaled sum against its own quadratic variation.
+Quadrature uses a fixed composite Simpson rule, so every oracle value is
+deterministic and RNG-free.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 CSV_HEADER = "path,step,coordinate,series,value"
 
@@ -181,12 +182,21 @@ def write_series(ens, record: list[str], out_dir: str, series_format: str) -> li
 # Experiment driver
 # ---------------------------------------------------------------------------
 
+def _worst_subcheck(verdict) -> str:
+    """The name of the sub-check that sets the verdict's worst margin: a NaN
+    margin first, as it fails the verdict; "-" for none."""
+    worst = max(verdict.subchecks, key=lambda sub: (math.isnan(sub.margin), sub.margin),
+                default=None)
+    return worst.name if worst else "-"
+
+
 def _summary_table(verdicts: list) -> str:
-    lines = [f"{'check':34s} {'pass':5s} {'worst margin':>12s} {'alpha':>7s} "
-             f"{'paths':>8s} {'horizon':>8s}"]
+    lines = [f"{'check':34s} {'pass':5s} {'worst margin':>12s} {'worst sub-check':28s} "
+             f"{'alpha':>7s} {'paths':>8s} {'horizon':>8s}"]
     for v in verdicts:
         lines.append(f"{v.name:34s} {('PASS' if v.passed else 'FAIL'):5s} "
-                     f"{v.statistic:12.4f} {v.alpha:7.3g} {v.n_paths:8d} {v.horizon:8d}")
+                     f"{v.statistic:12.4f} {_worst_subcheck(v):28s} {v.alpha:7.3g} "
+                     f"{v.n_paths:8d} {v.horizon:8d}")
     ok = all(v.passed for v in verdicts)
     lines.append(f"overall: {'PASS' if ok else 'FAIL'} "
                  f"({sum(v.passed for v in verdicts)}/{len(verdicts)} checks passed)")

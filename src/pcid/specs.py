@@ -551,12 +551,12 @@ class CrossFraction(_DictForm):
 class FeedbackWeight(_DictForm):
     """Weight set by the observation it reinforces, W = scale * x + shift.
 
-    The weight depends on the observation, so the system is not p-c.i.d.
-    This rule is how `broken_feedback_weight` reads as a reinforced system;
-    it is not a config coupling and is left out of COUPLING_RULES.
+    At scale > 0 the weight depends on the observation, so the system is
+    not p-c.i.d. This rule is how `broken_feedback_weight` reads as a
+    reinforced system; it is not a config coupling (not in COUPLING_RULES).
     """
 
-    scale: float = _in("positive", 1.0)
+    scale: float = _in("nonnegative", 1.0)
     shift: float = _in("positive", 0.1)
     kind: ClassVar[str] = "feedback_weight"
     role: ClassVar[str] = "coupling"
@@ -648,12 +648,12 @@ class BrokenFeedbackWeightSpec(_DictForm):
     """Negative control: a reinforced scheme whose weight is a function of the
     observation it reinforces, W_{n,i} = scale * x_{n,i} + shift. This violates
     the independence of weight and observation, so the array is not p-c.i.d.;
-    larger scales make the violation easier to detect."""
+    larger scales make it easier to detect. Scale 0 is the null: Polya urns."""
 
     n_coords: int = _in("coordinates", 2)
     w0: float = _in("positive", 1.0)
     shift: float = _in("positive", 0.1)
-    scale: float = _in("positive", 1.0)
+    scale: float = _in("nonnegative", 1.0)
     kind: ClassVar[str] = "broken_feedback_weight"
 
 

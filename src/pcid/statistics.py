@@ -110,21 +110,23 @@ def _step_sums(a: np.ndarray) -> np.ndarray:
 
 
 def clt_path_summaries(ens: Ensemble) -> dict:
-    """Terminal scaled sums and plug-in moments per path, for CLT verdicts.
-
-    Returns S and S~ at n = horizon, the terminal predictive variance
-    (the plug-in for the directing-measure variance), and, for reinforced
-    kinds, the terminal mixture's raw moments.
+    """Per path, at n = horizon: S = sum U_k / sqrt(H) over the forecast
+    errors U_k, S~ = sqrt(H)(sample mean - predictive mean) = sum xi_k /
+    sqrt(H) over the residuals xi_k = U_k - k dE_k, their quadratic
+    variations QV_S = (1/H) sum U_k^2 and QV_S_tilde = (1/H) sum xi_k^2,
+    for two or more coordinates QV_01 = (1/H) sum xi_k,0 xi_k,1, and the
+    terminal predictive variance (the plug-in for the directing measure's).
 
     Runs over row blocks of about `processes.GENEALOGY_BLOCK_STEPS`
-    path-steps: each block's forecast errors are formed once, summed into
-    S, then turned into the residuals V = U - n dE in place and summed for
-    the telescoping check. So its temporaries are two block-sized arrays
-    (at most 256 KiB each, or one path row if that is longer) whatever the
-    chunk size. Each block sums its steps in the order numpy's reduction
-    over the whole chunk would (`_step_sums`: pairwise for one coordinate,
-    left to right through one accumulate for several), so the results do
-    not depend on the blocks, bit for bit.
+    path-steps: a block's U is formed once, summed and squared into the
+    increment buffer, then turned into xi in place, summed for the
+    telescoping check and squared (or multiplied across coordinates 0 and
+    1) into that buffer. So its temporaries are two block-sized arrays (at
+    most 256 KiB each, or one path row if that is longer). Each block sums
+    its steps in the order numpy's reduction over the whole chunk would
+    (`_step_sums`: pairwise for one coordinate, left to right through one
+    accumulate for several), so the results do not depend on the blocks,
+    bit for bit.
     """
     h = ens.horizon
     x, mu = ens.observations, ens.predictive_mean
@@ -132,6 +134,9 @@ def clt_path_summaries(ens: Ensemble) -> dict:
     n = np.arange(1, h + 1, dtype=float)[None, :, None]
     sqrt_h = float(np.sqrt(h))
     s, s_tilde = np.empty((n_paths, k)), np.empty((n_paths, k))
+    qv = {"QV_S": np.empty((n_paths, k)), "QV_S_tilde": np.empty((n_paths, k))}
+    if k >= 2:
+        qv["QV_01"] = np.empty(n_paths)
     err = 0.0
     rows = max(1, processes.GENEALOGY_BLOCK_STEPS // ((h + 1) * k))
     for lo in range(0, n_paths, rows):
@@ -139,23 +144,26 @@ def clt_path_summaries(ens: Ensemble) -> dict:
         v = x[blk] - mu[blk, :-1]
         s[blk] = _step_sums(v) / sqrt_h
         s_tilde[blk] = (_step_sums(x[blk]) / h - mu[blk, -1]) * sqrt_h
-        de = np.subtract(mu[blk, 1:], mu[blk, :-1])
+        de = np.multiply(v, v)
+        qv["QV_S"][blk] = _step_sums(de) / h
+        np.subtract(mu[blk, 1:], mu[blk, :-1], out=de)
         de *= n
         v -= de
         via_v = _step_sums(v) / sqrt_h
         # np.maximum keeps a NaN from any block
         err = np.maximum(err, np.max(np.abs(s_tilde[blk] - via_v)
                                      / (1.0 + np.abs(s_tilde[blk]))))
+        np.multiply(v, v, out=de)
+        qv["QV_S_tilde"][blk] = _step_sums(de) / h
+        if k >= 2:
+            # the cross products in a contiguous (b, H, 1) head of the buffer
+            cross = de.reshape(-1)[:len(v) * h].reshape(len(v), h, 1)
+            np.multiply(v[:, :, :1], v[:, :, 1:2], out=cross)
+            qv["QV_01"][blk] = _step_sums(cross)[:, 0] / h
     if not err <= TELESCOPE_RTOL:   # also catches NaN from corrupt inputs
         raise StatisticsError(f"telescoping identity violated at the terminal step: "
                               f"max relative error {err:.3e} > {TELESCOPE_RTOL}")
-    if "weighted_power_sums" not in ens.arrays:
-        return {"S": s, "S_tilde": s_tilde, "sigma2_alpha": ens.terminal_variance()}
-    # the mixture moments once, and the variance from them as
-    # Ensemble.terminal_variance forms it
-    m = ens.terminal_moments()
-    return {"S": s, "S_tilde": s_tilde, "sigma2_alpha": m[:, :, 2] - m[:, :, 1] ** 2,
-            "terminal_moments": m}
+    return {"S": s, "S_tilde": s_tilde, **qv, "sigma2_alpha": ens.terminal_variance()}
 
 
 def gaussian_path_summaries(ens: Ensemble) -> dict:

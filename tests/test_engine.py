@@ -346,7 +346,8 @@ def test_clt_summaries_do_not_depend_on_the_plan():
     planned = verifiers._clt_summaries(spec, 600, 1000, 3, threads=2)
     with fixed_chunks(250):
         fixed = verifiers._clt_summaries(spec, 600, 1000, 3, threads=1)
-    assert planned.keys() == fixed.keys() >= {"S", "S_tilde", "terminal_moments"}
+    assert planned.keys() == fixed.keys() == {"S", "S_tilde", "QV_S", "QV_S_tilde", "QV_01",
+                                              "sigma2_alpha"}
     for key in planned:
         assert np.array_equal(planned[key], fixed[key]), key
 

@@ -303,12 +303,30 @@ def test_positive_control_config_passes(tmp_path, capsys):
     assert main(["run", "--config", "polya_baseline", "--out", str(out)]) == EXIT_OK
     report = json.loads(read(out / "report.json"))
     assert report["all_pass"] is True
-    assert report["report_schema"] == 1
+    assert report["report_schema"] == 2
     assert report["library_version"]
     assert report["master_seed"] == 2024
     assert report["config"]["spec"]["kind"] == "polya"
     assert len(report["verdicts"]) == 3
     assert "overall: PASS" in read(out / "summary.txt")
+
+
+def test_summary_names_the_worst_subcheck(tmp_path, capsys):
+    from pcid import verifiers
+
+    def verdict(*margins):
+        subs = [verifiers.SubCheck(f"s{i}", "tolerance", 0.0, 0.0, 1.0, m)
+                for i, m in enumerate(margins)]
+        return verifiers._verdict("check", subs, 0.01, 10, 10, 1, {})
+
+    rows = runner._summary_table([verdict(0.3, 0.9, 0.2), verdict(0.3, float("nan")),
+                                  verdict()]).splitlines()[1:4]
+    assert [row.split()[3] for row in rows] == ["s1", "s1", "-"]
+    out = tmp_path / "out"
+    assert main(["run", "--config", "broken_weight_coupling", "--out", str(out)]) == 1
+    line = read(out / "summary.txt").splitlines()[1]
+    assert line.split()[:4] == ["check_pcid", "FAIL", "2.0000", "energy_distance_p"]
+    assert line in capsys.readouterr().out
 
 
 def test_negative_control_config_fails(tmp_path):

@@ -136,18 +136,25 @@ _IID = specs.IidWeights(specs.UniformWeight(0.5, 1.5))
 ])
 def test_clt_path_summaries_do_not_depend_on_blocks(monkeypatch, k, coupling, n_paths):
     # blocks of one path, of three (not dividing the ten paths) and of all
-    # of them give the whole-chunk sums of .sum(axis=1) and .mean(axis=1)
-    # bit for bit: K = 1 sums each row pairwise, K >= 2 sequentially, and a
-    # block keeps that order
+    # of them give the whole-chunk sums of .sum(axis=1) and .mean(axis=1),
+    # for the sums and for their quadratic variations, bit for bit: K = 1
+    # sums each row pairwise, K >= 2 sequentially, and a block keeps that
+    # order
     spec = specs.ReinforcedSpec(k, (1.0,) * k, (specs.UniformBase(),) * k, coupling)
     h = 300
     ens = run_ensemble(spec, n_paths, h, 19)
     x, mu = ens.observations, ens.predictive_mean
-    want = {"S": (x - mu[:, :-1]).sum(axis=1) / np.sqrt(h),
-            "S_tilde": (x.mean(axis=1) - mu[:, -1]) * np.sqrt(h)}
+    u = x - mu[:, :-1]
+    xi = u - (mu[:, 1:] - mu[:, :-1]) * np.arange(1, h + 1, dtype=float)[None, :, None]
+    want = {"S": u.sum(axis=1) / np.sqrt(h),
+            "S_tilde": (x.mean(axis=1) - mu[:, -1]) * np.sqrt(h),
+            "QV_S": (u * u).sum(axis=1) / h, "QV_S_tilde": (xi * xi).sum(axis=1) / h}
+    if k >= 2:
+        want["QV_01"] = (xi[:, :, 0] * xi[:, :, 1]).sum(axis=1) / h
     for rows in (1, 3, 10):
         monkeypatch.setattr(processes, "GENEALOGY_BLOCK_STEPS", rows * (h + 1) * k)
         summ = statistics.clt_path_summaries(ens)
+        assert summ.keys() == want.keys() | {"sigma2_alpha"}
         for key, value in want.items():
             assert np.array_equal(summ[key], value), (rows, key)
 
@@ -324,6 +331,16 @@ def test_clt_path_summaries_match_full_series(rru_two_point_spec):
     assert np.allclose(summ["S"], s[:, -1, :], rtol=1e-12, atol=1e-12)
     assert np.allclose(summ["S_tilde"], s_tilde[:, -1, :], rtol=1e-12, atol=1e-12)
     assert np.allclose(summ["sigma2_alpha"], ens.terminal_variance())
+    # quadratic variations of the forecast errors U_k and of the residuals
+    # xi_k = U_k - k dE_k, whose sum is sqrt(H) S~
+    u, de = errors_and_increments(ens)
+    xi = u - n * de
+    h = ens.horizon
+    assert np.allclose(xi.sum(axis=1) / np.sqrt(h), s_tilde[:, -1, :], rtol=1e-9, atol=1e-12)
+    assert np.allclose(summ["QV_S"], np.mean(u ** 2, axis=1), rtol=1e-12, atol=0)
+    assert np.allclose(summ["QV_S_tilde"], np.mean(xi ** 2, axis=1), rtol=1e-12, atol=0)
+    assert np.allclose(summ["QV_01"], np.mean(xi[:, :, 0] * xi[:, :, 1], axis=1),
+                       rtol=1e-12, atol=1e-15)
 
 
 def test_chunk_reducers_return_only_what_verdicts_read(monkeypatch, rru_two_point_spec):
@@ -333,13 +350,13 @@ def test_chunk_reducers_return_only_what_verdicts_read(monkeypatch, rru_two_poin
                         lambda self: calls.append(1) or moments(self))
     ens = run_ensemble(rru_two_point_spec, 6, 20, 3)
     summ = statistics.clt_path_summaries(ens)
-    assert set(summ) == {"S", "S_tilde", "sigma2_alpha", "terminal_moments"}
+    assert set(summ) == {"S", "S_tilde", "QV_S", "QV_S_tilde", "QV_01", "sigma2_alpha"}
     assert len(calls) == 1   # the mixture moments once per chunk
     # the variance as Ensemble.terminal_variance forms it, bit for bit
     assert np.array_equal(summ["sigma2_alpha"], ens.terminal_variance())
-    assert np.array_equal(summ["terminal_moments"], ens.terminal_moments())
     ar1 = run_ensemble(specs.Ar1DriftSpec(), 6, 20, 3)
-    assert set(statistics.clt_path_summaries(ar1)) == {"S", "S_tilde", "sigma2_alpha"}
+    assert set(statistics.clt_path_summaries(ar1)) == {"S", "S_tilde", "QV_S", "QV_S_tilde",
+                                                       "sigma2_alpha"}
     gauss = run_ensemble(specs.GaussianLastTickSpec(), 6, 20, 3)
     assert set(statistics.gaussian_path_summaries(gauss)) == {"gamma_hat", "terminal_mu"}
     state = specs.StateSpaceCidSpec()

@@ -1,11 +1,12 @@
 import inspect
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from pcid import engine, kolmogorov, specs, verifiers
+from pcid import engine, kolmogorov, runner, specs, verifiers
 from pcid.engine import run_ensemble
 from pcid.verifiers import (
     check_clt_forecast_errors,
@@ -15,6 +16,8 @@ from pcid.verifiers import (
     check_stopping_time,
     energy_permutation_test,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_energy_test_level_and_power():
@@ -412,12 +415,21 @@ def test_clt_forecast_errors_iid_normal():
     assert "normal_fit_coord0" in names and "variance_coord0" in names
 
 
+def _layout(v):
+    return [(sub.name, sub.kind) for sub in v.subchecks], sorted(v.params)
+
+
+_SAMPLE_MEAN_PAIR = ([("variance_coord0", "p_value"), ("variance_coord1", "p_value"),
+                      ("cross_covariance", "p_value")], [])
+
+
 def test_clt_sample_mean_degenerate_weight():
+    # Polya: one coordinate, so one z-test at the whole level
     spec = specs.PolyaSpec(1, (1.0,), (specs.UniformBase(),))
     v = check_clt_sample_mean(spec, 1500, 2000, 5)
     assert v.passed
-    assert v.subchecks[0].kind == "upper_bound"
-    assert v.params["weight_variance_ratio"] == 0.0
+    assert _layout(v) == ([("variance_coord0", "p_value")], [])
+    assert v.subchecks[0].tolerance == 0.01
 
 
 def test_clt_sample_mean_iid():
@@ -427,56 +439,90 @@ def test_clt_sample_mean_iid():
     assert v.passed
 
 
-def test_clt_sample_mean_no_reference_form(monkeypatch):
-    # the form is checked before anything is simulated
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("simulated a spec without a reference form")
-
-    monkeypatch.setattr(verifiers, "map_path_chunks", no_simulation)
+def test_clt_sample_mean_every_kind_has_a_reference():
+    # each S~ against its own quadratic variation: the kinds that once had
+    # no closed-form reference run the same sub-checks
     gamma = specs.GammaWeight(2.5, 1.0, 0.1)
     for spec in (specs.StateSpaceCidSpec(),
                  specs.ReinforcedSpec(2, (1.0, 2.0), (specs.UniformBase(),) * 2,
                                       specs.IidWeights(gamma)),
-                 specs.UniformCoupledSpec(beta=specs.BetaSchedule("constant_one")),
-                 specs.Ar1DriftSpec(phi=0.5, drift=0.3)):
-        with pytest.raises(ValueError, match="no reference form"):
-            check_clt_sample_mean(spec, 100, 100, 0)
-
-
-def _layout(v):
-    return [(sub.name, sub.kind) for sub in v.subchecks], sorted(v.params)
+                 specs.UniformCoupledSpec(beta=specs.BetaSchedule("geometric")),
+                 specs.GaussianLastTickSpec(n_coords=2, mu1=(0.0, 0.0), sigma2_1=(1.0, 1.0))):
+        v = check_clt_sample_mean(spec, 300, 200, 0)
+        names = [f"variance_coord{i}" for i in range(spec.n_coords)]
+        if spec.n_coords >= 2:
+            names.append("cross_covariance")
+        assert _layout(v) == ([(name, "p_value") for name in names], []), spec.kind
+        assert v.subchecks[0].tolerance == 0.01 / len(names)
 
 
 def test_clt_sample_mean_common_weight_layout(rru_two_point_spec):
-    # layout only: the 10% variance band's pass rate is not asserted here
     v = check_clt_sample_mean(rru_two_point_spec, 300, 200, 3)
-    assert _layout(v) == ([("normal_fit_coord0", "p_value"), ("normal_fit_coord1", "p_value"),
-                           ("variance_coord0", "tolerance"), ("variance_coord1", "tolerance")],
-                          ["weight_variance_ratio"])
-    assert v.params["weight_variance_ratio"] > 0
-    assert v.subchecks[0].tolerance == 0.01 / 2
+    assert _layout(v) == _SAMPLE_MEAN_PAIR
+    assert v.subchecks[0].tolerance == 0.01 / 3
 
 
 def test_clt_sample_mean_uniform_coupled_layout():
     v = check_clt_sample_mean(specs.UniformCoupledSpec(), 300, 200, 3)
-    assert _layout(v) == ([("normal_fit_coord0", "p_value"), ("normal_fit_coord1", "p_value"),
-                           ("variance_coord0", "tolerance"), ("variance_coord1", "tolerance"),
-                           ("cross_covariance", "tolerance"),
-                           ("cross_correlation", "tolerance")],
-                          ["reference_correlation"])
-    assert v.subchecks[0].tolerance == 0.01 / 2
+    assert _layout(v) == _SAMPLE_MEAN_PAIR
+    assert v.subchecks[0].tolerance == 0.01 / 3
 
 
-def test_clt_sample_mean_iid_reference_is_the_noise_variance():
-    # the reference is noise_var itself, not the mean of a column of copies
-    # (np.full(4000, 1.7).mean() is 1.6999999999999995)
+def test_clt_sample_mean_iid_layout():
     spec = specs.Ar1DriftSpec(phi=0.0, drift=0.0, noise_var=1.7,
                               init_mean=0.0, init_var=1.7)
     v = check_clt_sample_mean(spec, 4000, 50, 8)
-    assert _layout(v) == ([("normal_fit_coord0", "p_value"),
-                           ("variance_coord0", "tolerance")], [])
-    assert v.subchecks[1].reference == 1.7
-    assert v.subchecks[1].tolerance == 0.10 * 1.7
+    assert _layout(v) == ([("variance_coord0", "p_value")], [])
+    assert v.subchecks[0].tolerance == 0.01
+
+
+def test_qv_check_zero_spread():
+    # no spread: the mean decides, p = 1 at 0 and 0 otherwise, never NaN
+    zeros = np.zeros(50)
+    sub = verifiers._qv_check("v", zeros, zeros, 0.01)
+    assert sub.passed and sub.statistic == 1.0
+    sub = verifiers._qv_check("v", zeros + 1e-3, zeros, 0.01)
+    assert not sub.passed and sub.statistic == 0.0
+    # a one-point base at a point the predictive mean keeps exactly: every
+    # forecast error and residual is 0 on every path
+    spec = specs.PolyaSpec(2, (1.0, 1.0), (specs.DiscreteBase(values=(0.5,), probs=(1.0,)),) * 2)
+    v = check_clt_sample_mean(spec, 200, 100, 4)
+    assert v.passed and [s.statistic for s in v.subchecks] == [1.0, 1.0, 1.0]
+
+
+def test_qv_check_is_a_z_test_of_the_mean_difference():
+    rng = np.random.default_rng(3)
+    values, qv = rng.normal(0.1, 1.0, 400), rng.normal(0.0, 1.0, 400)
+    d = values - qv
+    z = d.mean() / (d.std(ddof=1) / np.sqrt(400))
+    sub = verifiers._qv_check("v", values, qv, 0.01)
+    assert sub.statistic == pytest.approx(2.0 * kolmogorov.ndtr(-abs(z)), rel=1e-12)
+    assert sub.margin == pytest.approx(0.01 / sub.statistic)
+
+
+@pytest.mark.parametrize("spec,passes", [
+    pytest.param(specs.BrokenFeedbackWeightSpec(scale=0.0), True, id="broken-scale0"),
+    pytest.param(specs.BrokenFeedbackWeightSpec(scale=4.0), False, id="broken-scale4"),
+    pytest.param(specs.Ar1DriftSpec(phi=0.8, drift=0.3), False, id="ar1-drift"),
+])
+def test_clt_sample_mean_sees_the_negative_controls(spec, passes):
+    # at scale 0 the feedback weight is the constant shift, a p-c.i.d.
+    # urn; the bundled scale 4 and a drifting AR(1) break the S~ identity
+    v = check_clt_sample_mean(spec, 1000, 1000, 1, threads=2)
+    assert v.passed == passes, [(s.name, s.statistic) for s in v.subchecks]
+
+
+@pytest.mark.parametrize("seed", [1, 18])
+def test_clt_long_passes_where_the_variance_band_failed(seed):
+    # the benchmark's positive control: a 5% band on var(S) failed these
+    # seeds; S^2 against QV_S is exact at every horizon
+    config = runner.load_config(os.path.join(ROOT, "perfbench", "configs", "clt_long.json"))
+    v = check_clt_forecast_errors(config.spec, config.n_paths, config.horizon, seed, threads=2)
+    assert v.passed, [(s.name, s.statistic, s.margin) for s in v.subchecks]
+    assert _layout(v) == ([("normal_fit_coord0", "p_value"), ("normal_fit_coord1", "p_value"),
+                           ("variance_coord0", "p_value"), ("variance_coord1", "p_value"),
+                           ("cross_corr_01", "upper_bound")], [])
+    assert v.subchecks[0].tolerance == 0.01 / 4
 
 
 def test_gaussian_limit_requires_gaussian_kind():
