@@ -19,8 +19,7 @@ def show(v):
     print(f"\n{v.name}: {'PASS' if v.passed else 'FAIL'} "
           f"(worst margin {v.statistic:.4g}, paths {v.n_paths}, horizon {v.horizon})")
     for s in v.subchecks:
-        ref = s.reference if isinstance(s.reference, str) else f"{s.reference:.5f}"
-        print(f"  {s.name:24s} {s.kind:11s} stat {s.statistic:+.5g}  ref {ref}  "
+        print(f"  {s.name:24s} p {s.statistic:.4g}  level {s.tolerance:.4g}  "
               f"margin {s.margin:.4g}")
 
 

@@ -2,7 +2,9 @@
 
 Each closed form is validated against a direct numerical computation
 (deterministic quadrature, direct products, or brute-force enumeration) in
-the test suite. `check_gaussian_limit` uses the gamma-factor limits. No
+the test suite. `check_gaussian_limit` holds the variance factor gamma
+against its exact mean and second moment at the horizon run
+(`gamma_partial_product_closed`, `gamma_second_moment_partial`). No
 verdict uses the CLT limit forms (`rru_clt_variance`,
 `tilde_sigma_components`), which are a few percent off at finite horizons:
 the CLT checks hold each scaled sum against its own quadratic variation.
@@ -53,11 +55,12 @@ def corr_uniform_step2(panels: int = QUADRATURE_PANELS) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# The limiting predictive-variance factor gamma under Poisson arrivals
+# The predictive-variance factor gamma under Poisson arrivals
 # ---------------------------------------------------------------------------
 
 def gamma_partial_product(n: int) -> float:
-    """prod_{k=1..n} (1 - 2 / ((k+1)(k+2))) computed as a direct product."""
+    """prod_{k=1..n} (1 - 2 / ((k+1)(k+2))), E[gamma] after n steps under
+    Poisson arrivals, computed as a direct product."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     k = np.arange(1, n + 1, dtype=float)
@@ -72,25 +75,13 @@ def gamma_partial_product_closed(n: int) -> float:
 
 
 def gamma_mean_limit() -> float:
-    """Limit of the partial products: E[gamma] = 1/3."""
+    """Limit of the partial products: E[gamma] -> 1/3 as n -> infinity."""
     return 1.0 / 3.0
 
 
-def gamma_variance_lower_bound() -> float:
-    """One-sided lower bound for Var(gamma) under unit-rate Poisson arrivals.
-
-    The first factor of E[gamma^2] exceeds the first squared-mean factor by
-    4/45, and every later factor dominates its squared-mean counterpart, so
-    Var(gamma) >= (4/45) * (prod_{k>=2} (1 - 2/((k+1)(k+2))))^2. The tail
-    product telescopes to (1/3) / (2/3) = 1/2, giving 1/45.
-    """
-    tail = gamma_mean_limit() / (1.0 - 2.0 / 6.0)
-    return (4.0 / 45.0) * tail * tail
-
-
 def gamma_second_moment_partial(n: int) -> float:
-    """prod_{k=1..n} E[(1 - lambda_k^2)^2] for Beta(1, k) fractions, the
-    direct product used to brute-force Var(gamma) estimates."""
+    """prod_{k=1..n} E[(1 - lambda_k^2)^2] for independent Beta(1, k)
+    fractions: E[gamma^2] after n steps under Poisson arrivals."""
     k = np.arange(1, n + 1, dtype=float)
     e2 = 2.0 / ((k + 1.0) * (k + 2.0))
     e4 = 24.0 / ((k + 1.0) * (k + 2.0) * (k + 3.0) * (k + 4.0))

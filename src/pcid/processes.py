@@ -615,6 +615,10 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
             if np.any(a >= 1.0):
                 raise ProcessError("degenerate reinforcement: fraction A reached 1")
             w_step = tot * a / (1.0 - a)
+        finite = np.isfinite(w_step)
+        if not finite.all():    # as ReinforcedCoordState.append_atom does
+            raise ProcessError(f"atom weight must be non-negative and finite, got "
+                               f"{w_step[~finite][0]} at step {n}")
 
         if weights_out is not None:
             weights_out[:, n - 1, :] = w_step

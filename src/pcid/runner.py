@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from importlib import resources
 
 from . import __version__
 from .engine import check_record, run_ensemble
-from .processes import SERIES
+from .processes import SERIES, ProcessError
 from .specs import (SPEC_KINDS, SpecValidationError, _check_domain, _check_keys, _DictForm,
                     _in, _int, _list, _require, list_spec_kinds, spec_from_dict)
 from .verifiers import VERIFIERS, fit_params, list_verifier_names
@@ -36,7 +35,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 
 CSV_HEADER = "path,step,coordinate,series,value"
 
@@ -183,11 +182,8 @@ def write_series(ens, record: list[str], out_dir: str, series_format: str) -> li
 # ---------------------------------------------------------------------------
 
 def _worst_subcheck(verdict) -> str:
-    """The name of the sub-check that sets the verdict's worst margin: a NaN
-    margin first, as it fails the verdict; "-" for none."""
-    worst = max(verdict.subchecks, key=lambda sub: (math.isnan(sub.margin), sub.margin),
-                default=None)
-    return worst.name if worst else "-"
+    """The name of the sub-check that sets the verdict's worst margin."""
+    return max(verdict.subchecks, key=lambda sub: sub.margin).name
 
 
 def _summary_table(verdicts: list) -> str:
@@ -228,7 +224,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str, *, seed: int,
         try:
             verdicts.append(VERIFIERS[test["name"]](config.spec, master_seed=seed,
                                                     threads=threads, **args))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ProcessError) as exc:
             raise ConfigError(f"check {test['name']!r}: {exc}") from exc
 
     report = {

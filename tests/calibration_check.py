@@ -1,20 +1,22 @@
-"""Size and power of the two CLT verdicts, measured over many seeds.
+"""Size and power of the CLT and Gaussian verdicts, measured over many seeds.
 
 Opt-in: pytest does not collect this file (its name does not match
 `test_*.py`). It runs `check_clt_forecast_errors` and
 `check_clt_sample_mean` on positive controls, which are c.i.d. or i.i.d.,
 and on the negative-control families `broken_feedback_weight` (its null
-at scale 0, then scales 0.25, 1 and 4) and `ar1_drift` with drift, each
-over seeds 1..N at small sizes. For every sub-check it counts the seeds
-that reject, with a 95% Clopper-Pearson interval, and writes the counts to
+at scale 0, then scales 0.25, 1 and 4) and `ar1_drift` with drift; and
+`check_gaussian_limit` on the last-tick Gaussian system with Poisson
+arrivals (K = 2 and K = 1) and with a fixed t0 (K = 2). Each runs over
+seeds 1..N at small sizes. For every sub-check it counts the seeds that
+reject, with a 95% Clopper-Pearson interval, and writes the counts to
 CALIBRATION_clt.json at the repository root.
 
     PYTHONPATH=src python tests/calibration_check.py [--seeds 100] [--paths 500]
 
-A z-test holds its size on a positive control when the interval's lower
-end is at most the sub-check's level (its Bonferroni-adjusted alpha); the
-"size_ok" entry of each p-value sub-check says whether it does. The
-harness reports; it does not fail on what it measures.
+Every sub-check is a p-value. It holds its size on a positive control when
+the interval's lower end is at most its level (its Bonferroni-adjusted
+alpha); its "size_ok" entry says whether it does. The harness reports; it
+does not fail on what it measures.
 """
 
 from __future__ import annotations
@@ -31,13 +33,16 @@ from pcid import specs, verifiers
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HORIZON, ALPHA = 1000, 0.1
-CHECKS = ("check_clt_forecast_errors", "check_clt_sample_mean")
+CLT = ("check_clt_forecast_errors", "check_clt_sample_mean")
+GAUSSIAN = ("check_gaussian_limit",)
 
 
-def _controls() -> list[tuple[str, str, object]]:
-    """(label, role, spec): role "positive" for a kind whose CLT identities
-    hold, "negative" for one that breaks the sample-mean identity."""
+def _controls() -> list[tuple[str, str, object, tuple]]:
+    """(label, role, spec, checks): role "positive" for a kind whose
+    identities hold, "negative" for one that breaks the sample-mean
+    identity."""
     uniform2 = (specs.UniformBase(),) * 2
+    gaussian2 = specs.GaussianLastTickSpec(n_coords=2, mu1=(0.0, 0.0), sigma2_1=(1.0, 1.0))
     positive = [
         ("common_two_point (clt_long)", specs.ReinforcedSpec(
             2, (25.0, 25.0), uniform2, specs.CommonWeight(specs.TwoPointWeight(1.0, 3.0, 0.5)))),
@@ -46,16 +51,22 @@ def _controls() -> list[tuple[str, str, object]]:
             2, (1.0, 2.0), uniform2, specs.IidWeights(specs.GammaWeight(2.5, 1.0, 0.1)))),
         ("uniform_coupled", specs.UniformCoupledSpec()),
         ("state_space_cid", specs.StateSpaceCidSpec()),
-        ("gaussian_last_tick_k2", specs.GaussianLastTickSpec(
-            n_coords=2, mu1=(0.0, 0.0), sigma2_1=(1.0, 1.0))),
+        ("gaussian_last_tick_k2", gaussian2),
         ("iid_ar1", specs.Ar1DriftSpec(phi=0.0, drift=0.0)),
         ("broken_feedback_weight scale 0", specs.BrokenFeedbackWeightSpec(scale=0.0)),
     ]
     negative = [(f"broken_feedback_weight scale {s:g}", specs.BrokenFeedbackWeightSpec(scale=s))
                 for s in (0.25, 1.0, 4.0)]
     negative.append(("ar1_drift phi 0.8 drift 0.3", specs.Ar1DriftSpec(phi=0.8, drift=0.3)))
-    return ([(label, "positive", spec) for label, spec in positive]
-            + [(label, "negative", spec) for label, spec in negative])
+    gaussian = [
+        ("gaussian_last_tick_k2", gaussian2),
+        ("gaussian_last_tick_k1", specs.GaussianLastTickSpec()),
+        ("gaussian_last_tick_k2 t0 1", specs.GaussianLastTickSpec(
+            n_coords=2, mu1=(0.0, 0.0), sigma2_1=(1.0, 1.0), t0=1.0)),
+    ]
+    return ([(label, "positive", spec, CLT) for label, spec in positive]
+            + [(label, "negative", spec, CLT) for label, spec in negative]
+            + [(label, "positive", spec, GAUSSIAN) for label, spec in gaussian])
 
 
 def clopper_pearson(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
@@ -88,12 +99,10 @@ def _tally(verdicts: list, positive: bool) -> dict:
     for i, sub in enumerate(verdicts[0].subchecks):
         k = sum(not v.subchecks[i].passed for v in verdicts)
         lo, hi = clopper_pearson(k, n)
-        record = {"kind": sub.kind, "rejections": k, "interval": [lo, hi]}
-        if sub.kind == "p_value":
-            record["level"] = sub.tolerance
-            record["smallest_p"] = min(v.subchecks[i].statistic for v in verdicts)
-            if positive:
-                record["size_ok"] = lo <= sub.tolerance
+        record = {"rejections": k, "interval": [lo, hi], "level": sub.tolerance,
+                  "smallest_p": min(v.subchecks[i].statistic for v in verdicts)}
+        if positive:
+            record["size_ok"] = lo <= sub.tolerance
         entry["subchecks"][sub.name] = record
     return entry
 
@@ -107,21 +116,22 @@ def main(argv=None) -> int:
     _share_simulations()
     seeds = range(1, args.seeds + 1)
     results = {}
-    for label, role, spec in _controls():
+    for label, role, spec, checks in _controls():
         start = time.perf_counter()
-        verdicts = {check: [] for check in CHECKS}
+        verdicts = {check: [] for check in checks}
         for seed in seeds:
-            for check in CHECKS:
+            for check in checks:
                 verdicts[check].append(verifiers.VERIFIERS[check](
                     spec, args.paths, HORIZON, seed, alpha=ALPHA))
-        results[label] = {"role": role, "spec": spec.to_dict()}
-        for check in CHECKS:
-            tally = results[label][check] = _tally(verdicts[check], role == "positive")
+        entry = results.setdefault(label, {"role": role, "spec": spec.to_dict()})
+        for check in checks:
+            tally = entry[check] = _tally(verdicts[check], role == "positive")
             subs = ", ".join(f"{name} {s['rejections']}" for name, s in tally["subchecks"].items())
             print(f"{label:34s} {check:26s} {tally['rejections']:3d}/{len(seeds)} "
                   f"rejected ({subs})", file=sys.stderr)
         print(f"  {time.perf_counter() - start:.1f} s", file=sys.stderr)
-    doc = {"what": "rejections of the CLT verdicts and of each sub-check over seeds 1..N",
+    doc = {"what": "rejections of the CLT and Gaussian verdicts and of each sub-check "
+                   "over seeds 1..N",
            "n_paths": args.paths, "horizon": HORIZON, "alpha": ALPHA, "seeds": len(seeds),
            "interval": "Clopper-Pearson, 95%", "results": results}
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,5 +1,6 @@
-"""Smoke test: the demos that call the reinforced-mixture API run cleanly,
-and demo 05 prints the distances and strong-law gaps it has always printed."""
+"""Smoke test: every demo runs cleanly; demo 03 prints the Gaussian
+system's moments against their exact values at its horizon, and demo 05
+the distances and strong-law gaps it has always printed."""
 
 import os
 import subprocess
@@ -9,8 +10,24 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.endswith(".py"))
+
 # the text is a pure function of the demo's spec, sizes and seed
-STDOUT = {"05_predictions_vs_frequencies.py": """\
+STDOUT = {"03_gaussian_last_tick.py": """\
+gamma_hat over 30k paths, horizon 1000, against its exact moments:
+  mean    0.33460   exact 0.33400   (limit 0.33333)
+  E[g^2]  0.14930   exact 0.14901
+  var     0.03735   exact 0.03746
+
+terminal predictive mean, coordinate 0:
+  mean (mu_H - mu_1)^2       0.66534
+  exact (1 - E[gamma]) s2_1  0.66600
+
+shared arrival times couple the coordinates:
+  mean (A_0 A_1)^2           0.48910
+  exact E[(1 - gamma)^2]     0.48101
+  against independent coordinates, (1 - E[gamma])^2 = 0.44356
+""", "05_predictions_vs_frequencies.py": """\
 Kolmogorov distance |empirical - terminal predictive| per path
   n =   100: marginal mean 0.0472 max 0.1134 | joint rectangles mean 0.0556 max 0.1117
   n =  1000: marginal mean 0.0136 max 0.0321 | joint rectangles mean 0.0168 max 0.0276
@@ -22,8 +39,7 @@ strong law for the coordinate product:
 """}
 
 
-@pytest.mark.parametrize("demo", ["01_reinforced_predictives.py",
-                                  "05_predictions_vs_frequencies.py"])
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")

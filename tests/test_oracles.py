@@ -12,7 +12,6 @@ from pcid.oracles import (
     gamma_partial_product,
     gamma_partial_product_closed,
     gamma_second_moment_partial,
-    gamma_variance_lower_bound,
     polya_limit_moments,
     rru_clt_variance,
     tilde_sigma_components,
@@ -48,13 +47,15 @@ def test_gamma_product_matches_telescoped_form():
     assert gamma_mean_limit() == pytest.approx(1.0 / 3.0)
 
 
-def test_gamma_variance_bound_value_and_consistency():
-    bound = gamma_variance_lower_bound()
-    assert bound == pytest.approx(1.0 / 45.0)
-    # brute-force: the variance of the partial product at large n exceeds it
-    n = 5000
-    var_partial = gamma_second_moment_partial(n) - gamma_partial_product(n) ** 2
-    assert var_partial > bound
+def test_gamma_second_moment_matches_beta_quadrature():
+    # E[(1 - lambda^2)^2] under the Beta(1, k) density k (1 - x)^(k - 1),
+    # one factor per step, by quadrature
+    factors = [composite_simpson(lambda x, k=k: (1.0 - x * x) ** 2 * k * (1.0 - x) ** (k - 1),
+                                 0.0, 1.0) for k in range(1, 9)]
+    for n in range(1, 9):
+        assert gamma_second_moment_partial(n) == pytest.approx(math.prod(factors[:n]), rel=1e-12)
+    # E[gamma^2] > E[gamma]^2: the factor keeps a spread as n grows
+    assert gamma_second_moment_partial(5000) > gamma_partial_product(5000) ** 2 + 0.02
 
 
 @pytest.mark.parametrize("dist,expected_inv2", [

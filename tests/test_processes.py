@@ -193,6 +193,19 @@ def test_uniform_coupled_degenerate_fraction_raises():
         uniform_coupled_step(states, 1.0, 2, streams)
 
 
+def test_overflowing_weight_raises_in_both_layers():
+    # beta = 1 grows the total weight until an atom weight overflows to inf:
+    # on path 104 of seed 0 first, at step 116; the batch kernel refuses it
+    # at that step, as the scalar step does
+    spec = specs.UniformCoupledSpec(beta=specs.BetaSchedule("constant_one"))
+    _scalar_reinforced_path(spec, 115, 0, 104)
+    with pytest.raises(ProcessError, match=r"non-negative and finite, got inf$"):
+        _scalar_reinforced_path(spec, 116, 0, 104)
+    run_ensemble(spec, 300, 115, 0, threads=1)
+    with pytest.raises(ProcessError, match=r"non-negative and finite, got inf at step 116$"):
+        run_ensemble(spec, 300, 200, 0, threads=1)
+
+
 def test_uniform_coupled_expected_atom_share():
     # with beta_n = 2/(n+1) the expected share of the newest atom in the
     # next predictive is 1/(n+1)

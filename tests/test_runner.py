@@ -61,7 +61,7 @@ def test_malformed_spec_value_exits_2(tmp_path, capsys):
                                "n_paths": 10, "horizon": 5}))
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
     assert "coupling.dist" in capsys.readouterr().err
-    # json reads NaN; a NaN initial mean gives a NaN margin, not a verdict
+    # json reads NaN; a NaN initial mean is a config error, not a failed verdict
     cfg.write_text(json.dumps({"spec": {"kind": "gaussian_last_tick", "mu1": [float("nan")]},
                                "n_paths": 10, "horizon": 1000,
                                "tests": [{"name": "check_gaussian_limit"}]}))
@@ -303,7 +303,7 @@ def test_positive_control_config_passes(tmp_path, capsys):
     assert main(["run", "--config", "polya_baseline", "--out", str(out)]) == EXIT_OK
     report = json.loads(read(out / "report.json"))
     assert report["all_pass"] is True
-    assert report["report_schema"] == 2
+    assert report["report_schema"] == 3
     assert report["library_version"]
     assert report["master_seed"] == 2024
     assert report["config"]["spec"]["kind"] == "polya"
@@ -314,19 +314,33 @@ def test_positive_control_config_passes(tmp_path, capsys):
 def test_summary_names_the_worst_subcheck(tmp_path, capsys):
     from pcid import verifiers
 
-    def verdict(*margins):
-        subs = [verifiers.SubCheck(f"s{i}", "tolerance", 0.0, 0.0, 1.0, m)
-                for i, m in enumerate(margins)]
-        return verifiers._verdict("check", subs, 0.01, 10, 10, 1, {})
+    def verdict(*p_values):
+        return verifiers._verdict("check", {f"s{i}": p for i, p in enumerate(p_values)},
+                                  0.01, 10, 10, 1, {})
 
-    rows = runner._summary_table([verdict(0.3, 0.9, 0.2), verdict(0.3, float("nan")),
-                                  verdict()]).splitlines()[1:4]
-    assert [row.split()[3] for row in rows] == ["s1", "s1", "-"]
+    rows = runner._summary_table([verdict(0.3, 0.01, 0.5), verdict(0.3, float("nan"))]
+                                 ).splitlines()[1:3]
+    assert [row.split()[3] for row in rows] == ["s1", "s1"]
     out = tmp_path / "out"
     assert main(["run", "--config", "broken_weight_coupling", "--out", str(out)]) == 1
     line = read(out / "summary.txt").splitlines()[1]
     assert line.split()[:4] == ["check_pcid", "FAIL", "2.0000", "energy_distance_p"]
     assert line in capsys.readouterr().out
+
+
+def test_overflowing_weights_exit_2(tmp_path, capsys):
+    # the cross fraction beta = 1 grows the total weight until a step's atom
+    # weight overflows: the kernel refuses it, as the scalar step does
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({"spec": {"kind": "uniform_coupled",
+                                        "beta": {"kind": "constant_one"}},
+                               "n_paths": 300, "horizon": 1000, "master_seed": 0,
+                               "tests": [{"name": "check_clt_sample_mean"}]}))
+    args = ["run", "--config", str(cfg), "--threads", "1", "--out", str(tmp_path / "o")]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: check 'check_clt_sample_mean': atom weight must be non-negative and "
+        "finite, got inf at step 116\n")
 
 
 def test_negative_control_config_fails(tmp_path):

@@ -1,4 +1,5 @@
 import inspect
+import math
 import os
 import tracemalloc
 
@@ -330,8 +331,7 @@ def _stopping_verdict_from_whole_observations(spec, n_paths, horizon, seed, tau,
         tau_idx = np.where(exceeded.any(axis=1),
                            np.minimum(exceeded.argmax(axis=1) + 1, tau["cap"]), tau["cap"])
     ks_statistic, p = kolmogorov.ks_two_sample(obs[:half, 0], block[np.arange(half), tau_idx])
-    return verifiers._verdict("check_stopping_time", [verifiers._p_value_check("ks_p", p, 0.01)],
-                              0.01, n_paths, horizon, seed,
+    return verifiers._verdict("check_stopping_time", {"ks_p": p}, 0.01, n_paths, horizon, seed,
                               {"tau": tau, "coord": coord, "ks_statistic": ks_statistic})
 
 
@@ -416,11 +416,13 @@ def test_clt_forecast_errors_iid_normal():
 
 
 def _layout(v):
-    return [(sub.name, sub.kind) for sub in v.subchecks], sorted(v.params)
+    """The sub-check names and the params of verdict `v`, after asserting
+    that every sub-check is held at alpha over their number."""
+    assert all(sub.tolerance == v.alpha / len(v.subchecks) for sub in v.subchecks)
+    return [sub.name for sub in v.subchecks], sorted(v.params)
 
 
-_SAMPLE_MEAN_PAIR = ([("variance_coord0", "p_value"), ("variance_coord1", "p_value"),
-                      ("cross_covariance", "p_value")], [])
+_SAMPLE_MEAN_PAIR = (["variance_coord0", "variance_coord1", "cross_covariance"], [])
 
 
 def test_clt_sample_mean_degenerate_weight():
@@ -428,7 +430,7 @@ def test_clt_sample_mean_degenerate_weight():
     spec = specs.PolyaSpec(1, (1.0,), (specs.UniformBase(),))
     v = check_clt_sample_mean(spec, 1500, 2000, 5)
     assert v.passed
-    assert _layout(v) == ([("variance_coord0", "p_value")], [])
+    assert _layout(v) == (["variance_coord0"], [])
     assert v.subchecks[0].tolerance == 0.01
 
 
@@ -452,7 +454,7 @@ def test_clt_sample_mean_every_kind_has_a_reference():
         names = [f"variance_coord{i}" for i in range(spec.n_coords)]
         if spec.n_coords >= 2:
             names.append("cross_covariance")
-        assert _layout(v) == ([(name, "p_value") for name in names], []), spec.kind
+        assert _layout(v) == (names, []), spec.kind
         assert v.subchecks[0].tolerance == 0.01 / len(names)
 
 
@@ -472,17 +474,17 @@ def test_clt_sample_mean_iid_layout():
     spec = specs.Ar1DriftSpec(phi=0.0, drift=0.0, noise_var=1.7,
                               init_mean=0.0, init_var=1.7)
     v = check_clt_sample_mean(spec, 4000, 50, 8)
-    assert _layout(v) == ([("variance_coord0", "p_value")], [])
+    assert _layout(v) == (["variance_coord0"], [])
     assert v.subchecks[0].tolerance == 0.01
 
 
 def test_qv_check_zero_spread():
     # no spread: the mean decides, p = 1 at 0 and 0 otherwise, never NaN
     zeros = np.zeros(50)
-    sub = verifiers._qv_check("v", zeros, zeros, 0.01)
-    assert sub.passed and sub.statistic == 1.0
-    sub = verifiers._qv_check("v", zeros + 1e-3, zeros, 0.01)
-    assert not sub.passed and sub.statistic == 0.0
+    assert verifiers._z_test_p(zeros, zeros) == 1.0
+    assert verifiers._z_test_p(zeros + 1e-3, zeros) == 0.0
+    v = verifiers._verdict("check", {"v": 0.0}, 0.01, 50, 10, 1, {})
+    assert not v.passed and v.statistic == math.inf
     # a one-point base at a point the predictive mean keeps exactly: every
     # forecast error and residual is 0 on every path
     spec = specs.PolyaSpec(2, (1.0, 1.0), (specs.DiscreteBase(values=(0.5,), probs=(1.0,)),) * 2)
@@ -495,9 +497,12 @@ def test_qv_check_is_a_z_test_of_the_mean_difference():
     values, qv = rng.normal(0.1, 1.0, 400), rng.normal(0.0, 1.0, 400)
     d = values - qv
     z = d.mean() / (d.std(ddof=1) / np.sqrt(400))
-    sub = verifiers._qv_check("v", values, qv, 0.01)
-    assert sub.statistic == pytest.approx(2.0 * kolmogorov.ndtr(-abs(z)), rel=1e-12)
-    assert sub.margin == pytest.approx(0.01 / sub.statistic)
+    p = verifiers._z_test_p(values, qv)
+    assert p == pytest.approx(2.0 * kolmogorov.ndtr(-abs(z)), rel=1e-12)
+    # a constant reference is the same test
+    assert verifiers._z_test_p(d, 0.0) == pytest.approx(p, rel=1e-12)
+    sub = verifiers._verdict("check", {"v": p}, 0.01, 400, 10, 1, {}).subchecks[0]
+    assert sub.margin == 0.01 / p
 
 
 @pytest.mark.parametrize("spec,passes", [
@@ -519,27 +524,60 @@ def test_clt_long_passes_where_the_variance_band_failed(seed):
     config = runner.load_config(os.path.join(ROOT, "perfbench", "configs", "clt_long.json"))
     v = check_clt_forecast_errors(config.spec, config.n_paths, config.horizon, seed, threads=2)
     assert v.passed, [(s.name, s.statistic, s.margin) for s in v.subchecks]
-    assert _layout(v) == ([("normal_fit_coord0", "p_value"), ("normal_fit_coord1", "p_value"),
-                           ("variance_coord0", "p_value"), ("variance_coord1", "p_value"),
-                           ("cross_corr_01", "upper_bound")], [])
-    assert v.subchecks[0].tolerance == 0.01 / 4
+    assert _layout(v) == (["normal_fit_coord0", "normal_fit_coord1", "variance_coord0",
+                           "variance_coord1", "cross_covariance_01"], [])
+    assert v.subchecks[0].tolerance == 0.01 / 5
 
 
 def test_gaussian_limit_requires_gaussian_kind():
     with pytest.raises(ValueError, match="gaussian_last_tick"):
         check_gaussian_limit(specs.StateSpaceCidSpec(), 100, 2000, 0)
-    with pytest.raises(ValueError, match="horizon"):
-        check_gaussian_limit(specs.GaussianLastTickSpec(), 100, 100, 0)
+
+
+_GAUSSIAN_PAIR = specs.GaussianLastTickSpec(n_coords=2, mu1=(0.0, 0.0), sigma2_1=(1.0, 1.0))
+
+
+def test_gaussian_limit_bundled_layout():
+    # the bundled config: five z-tests at alpha / 5
+    config = runner.load_config("gaussian_last_tick_limit")
+    v = check_gaussian_limit(config.spec, 2000, 100, config.master_seed, threads=2)
+    assert v.passed, [(s.name, s.statistic) for s in v.subchecks]
+    assert _layout(v) == (["gamma_mean", "gamma_second_moment", "terminal_mu_variance_coord0",
+                           "terminal_mu_variance_coord1", "mu_squared_cross"],
+                          ["poisson_arrivals"])
+    assert v.subchecks[0].tolerance == 0.01 / 5 and v.params["poisson_arrivals"]
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(_GAUSSIAN_PAIR, id="poisson-k2"),
+    pytest.param(specs.GaussianLastTickSpec(), id="poisson-k1"),
+    pytest.param(specs.GaussianLastTickSpec(n_coords=2, mu1=(1.0, -2.0), sigma2_1=(0.5, 3.0),
+                                            rate=2.5, t0=1.0), id="t0-k2"),
+])
+def test_gaussian_limit_is_exact_at_a_short_horizon(spec):
+    # every reference is the exact moment at the horizon run, so 20 steps
+    # are as good as 1000
+    v = check_gaussian_limit(spec, 4000, 20, 5, threads=2)
+    assert v.passed, [(s.name, s.statistic) for s in v.subchecks]
+
+
+def test_gaussian_limit_sees_a_wrong_reference(monkeypatch):
+    # the limit 1/3 in place of the exact mean at H = 20, (20 + 3) / 63
+    monkeypatch.setattr(verifiers.oracles, "gamma_partial_product_closed",
+                        lambda n: verifiers.oracles.gamma_mean_limit())
+    v = check_gaussian_limit(_GAUSSIAN_PAIR, 4000, 20, 5, threads=2)
+    assert not v.passed and v.subchecks[0].name == "gamma_mean"
+    assert v.subchecks[0].statistic < 1e-12
 
 
 def test_gaussian_limit_fixed_t0_skips_closed_forms():
     spec = specs.GaussianLastTickSpec(n_coords=2, mu1=(0.0, 0.0),
                                       sigma2_1=(1.0, 1.0), t0=1.0)
     v = check_gaussian_limit(spec, 4000, 1000, 3)
-    names = [s.name for s in v.subchecks]
-    assert "gamma_mean" not in names and "gamma_variance_bound" not in names
-    assert not v.params["poisson_arrivals"]
-    assert any(n.startswith("terminal_mu_variance") for n in names)
+    assert v.passed, [(s.name, s.statistic) for s in v.subchecks]
+    assert _layout(v) == (["terminal_mu_variance_coord0", "terminal_mu_variance_coord1",
+                           "mu_squared_cross"], ["poisson_arrivals"])
+    assert v.subchecks[0].tolerance == 0.01 / 3 and not v.params["poisson_arrivals"]
 
 
 def test_verdict_margin_convention():
@@ -552,12 +590,10 @@ def test_verdict_margin_convention():
 
 
 def test_verdict_fails_on_a_nan_margin():
-    # Python's max() skips a NaN that is not its first argument
-    for margins in ((0.3, float("nan")), (float("nan"), 0.3)):
-        subchecks = [verifiers.SubCheck(f"s{i}", "tolerance", 0.0, 0.0, 1.0, m)
-                     for i, m in enumerate(margins)]
-        v = verifiers._verdict("check", subchecks, 0.01, 10, 10, 1, {})
-        assert not v.passed and np.isnan(v.statistic), margins
+    # a NaN p-value (a NaN statistic) fails its sub-check and the verdict
+    for p_values in ({"s0": 0.3, "s1": float("nan")}, {"s0": float("nan"), "s1": 0.3}):
+        v = verifiers._verdict("check", p_values, 0.01, 10, 10, 1, {})
+        assert not v.passed and v.statistic == math.inf, p_values
 
 
 def test_list_verifier_names():
@@ -608,14 +644,13 @@ def test_non_integral_n_paths_rejected_before_simulating(monkeypatch, name, n_pa
 
 
 def test_verdict_dict_form_is_its_fields():
-    sub = verifiers.SubCheck("s", "tolerance", 0.5, 0.0, 1.0, 0.5)
-    v = verifiers._verdict("check", [sub], 0.01, 10, 20, 3, {"n": 1})
+    v = verifiers._verdict("check", {"s": 0.5}, 0.25, 10, 20, 3, {"n": 1})
     assert v.to_dict() == {
         "name": "check", "statistic": 0.5, "reference": 1.0, "tolerance": 1.0,
-        "alpha": 0.01, "pass": True, "n_paths": 10, "horizon": 20, "seed": 3,
+        "alpha": 0.25, "pass": True, "n_paths": 10, "horizon": 20, "seed": 3,
         "params": {"n": 1},
-        "subchecks": [{"name": "s", "kind": "tolerance", "statistic": 0.5,
-                       "reference": 0.0, "tolerance": 1.0, "margin": 0.5, "pass": True}]}
+        "subchecks": [{"name": "s", "statistic": 0.5, "tolerance": 0.25, "margin": 0.5,
+                       "pass": True}]}
 
 
 def test_every_config_argument_has_a_domain():
