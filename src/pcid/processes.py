@@ -614,11 +614,11 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
             a = coupling.beta.value(n) * x_step[:, ::-1]
             if np.any(a >= 1.0):
                 raise ProcessError("degenerate reinforcement: fraction A reached 1")
-            w_step = tot * a / (1.0 - a)
-        finite = np.isfinite(w_step)
-        if not finite.all():    # as ReinforcedCoordState.append_atom does
+            with np.errstate(over="ignore"):    # refused below, with the kernel's own error
+                w_step = tot * a / (1.0 - a)
+        if not np.isfinite(w_step).all():   # as append_atom does; no step: it depends on the plan
             raise ProcessError(f"atom weight must be non-negative and finite, got "
-                               f"{w_step[~finite][0]} at step {n}")
+                               f"{w_step[~np.isfinite(w_step)][0]}")
 
         if weights_out is not None:
             weights_out[:, n - 1, :] = w_step

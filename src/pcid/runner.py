@@ -2,9 +2,9 @@
 
 An experiment config is a single JSON document: a process spec, ensemble
 sizes, a master seed, the verifier checks to run (with per-check
-overrides), and the series to persist. The runner executes the checks,
-prints a summary table, and writes report.json, summary.txt, and one
-series_<name>.csv per requested series into the output directory.
+overrides), and the series to persist. The runner starts every check, runs
+them and the series on one ensemble per size, prints a summary table, and
+writes report.json, summary.txt and a series_<name>.csv per series.
 
 Reports are byte-identical across reruns with the same seed and across
 worker counts: they contain the config, resolved seed, sizes, verdicts,
@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from . import __version__
-from .engine import check_record, run_ensemble
+from .engine import Ensemble, check_record
 from .processes import SERIES, ProcessError
 from .specs import (SPEC_KINDS, SpecValidationError, _check_domain, _check_keys, _DictForm,
                     _in, _int, _list, _require, list_spec_kinds, spec_from_dict)
-from .verifiers import VERIFIERS, fit_params, list_verifier_names
+from .verifiers import STARTERS, VERIFIERS, fit_params, list_verifier_names, run_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -218,14 +218,24 @@ def run_experiment(config: ExperimentConfig, out_dir: str, *, seed: int,
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    verdicts = []
+    started = []    # every check, its relations checked, before anything is simulated
     for test in config.tests:
         args = {"n_paths": paths, "horizon": steps, **test.get("params", {})}
         try:
-            verdicts.append(VERIFIERS[test["name"]](config.spec, master_seed=seed,
-                                                    threads=threads, **args))
-        except (ValueError, TypeError, ProcessError) as exc:
+            started.append(STARTERS[test["name"]](config.spec, master_seed=seed, **args))
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"check {test['name']!r}: {exc}") from exc
+    if config.record:
+        def recorder():     # a check body whose result is the recorded series
+            yield (yield paths, steps, frozenset(config.record),
+                   lambda ens: {name: ens.arrays[name] for name in config.record})
+        body = recorder()
+        started.append(("record", body, next(body)))
+    try:
+        results = run_checks(config.spec, seed, started, threads)
+    except (ValueError, TypeError, ProcessError) as exc:
+        raise ConfigError(f"check {', '.join(map(repr, exc.checks))}: {exc}") from exc
+    verdicts = results[:len(config.tests)]
 
     report = {
         "report_schema": REPORT_SCHEMA,
@@ -246,8 +256,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str, *, seed: int,
         with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
             fh.write(table + "\n")
         if config.record:
-            ens = run_ensemble(config.spec, paths, steps, seed,
-                               record=frozenset(config.record), threads=threads)
+            ens = Ensemble(config.spec, paths, steps, seed, frozenset(config.record), results[-1])
             write_series(ens, config.record, out_dir, config.series_format)
     except OSError as exc:
         print(f"error: failed to write outputs: {exc}", file=sys.stderr)

@@ -1,11 +1,12 @@
 """Statistical verdicts: limit-theorem consequences as pass/fail tests.
 
-Every check reduces its ensemble to named p-values: z-tests of a statistic
-against its exact expectation at the sizes run, KS tests and a permutation
-test. Each is one sub-check, held at the check's alpha over its number of
-p-values (Bonferroni), with margin level / p, which is <= 1 exactly when it
-passes. The verdict's headline statistic is the worst margin, so "pass iff
-statistic <= tolerance (= 1)" holds for every verdict.
+Each check states the ensemble it reads, and `run_checks` simulates one
+for all the checks of equal (n_paths, horizon). A check reduces its
+arrays to named p-values: z-tests of a statistic against its exact
+expectation at the sizes run, KS tests and a permutation test, each one
+sub-check at the check's alpha over their number (Bonferroni), with
+margin level / p, <= 1 exactly when it passes. The verdict's statistic is
+the worst margin, so "pass iff statistic <= tolerance (= 1)" holds.
 
 Verdicts are bit-reproducible from (spec, sizes, master seed): ensembles
 are deterministic, and the permutation test draws from a reserved verifier
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import kolmogorov, oracles, statistics
-from .engine import derive_stream, map_path_chunks, run_ensemble
+from .engine import derive_stream, map_path_chunks
 from .specs import (
     GaussianLastTickSpec,
     STOPPING_RULES,
@@ -131,22 +132,56 @@ def fit_params(check, params, where: str = "") -> dict:
     return fitted
 
 
-def _fitted(check):
-    """`check`, its arguments fitted by fit_params and one path refused
-    first (every check compares paths), so that a bad one is rejected
-    before anything is simulated, as it is in a config."""
-    signature = inspect.signature(check)
+VERIFIERS, STARTERS = {}, {}   # name -> check; name -> its starter, apart: checks may be wrapped
 
-    @functools.wraps(check)
-    def fitted(*args, **kwargs):
+
+def _check(body):
+    """Register the check whose body is the generator `body`; return it as a
+    run of one. The body checks its parameters against the spec and sizes,
+    yields its demand (n_paths, horizon, record, chunk reducer), is sent the
+    reducer's arrays and yields its verdict. Its starter fits the arguments
+    (fit_params), refuses one path and runs the body to its demand."""
+    signature = inspect.signature(body)
+
+    def start(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         bound.arguments.update(fit_params(
-            check, {k: v for k, v in bound.arguments.items() if k in ARG_DOMAINS}))
+            body, {k: v for k, v in bound.arguments.items() if k in ARG_DOMAINS}))
         n_paths = bound.arguments["n_paths"]
-        if n_paths < 2:
+        if n_paths < 2:     # every check compares paths
             raise ValueError(f"need n_paths >= 2 to compare paths, got {n_paths}")
-        return check(*bound.args, **bound.kwargs)
-    return fitted
+        started = body(*bound.args, **bound.kwargs)
+        return body.__name__, started, next(started)
+
+    @functools.wraps(body)
+    def check(spec, n_paths, horizon, master_seed, *, threads=None, **params):
+        started = start(spec, n_paths, horizon, master_seed, **params)
+        return run_checks(spec, master_seed, [started], threads)[0]
+
+    STARTERS[body.__name__], VERIFIERS[body.__name__] = start, check
+    return check
+
+
+def run_checks(spec, master_seed: int, started: list, threads: int | None = None) -> list:
+    """The results of the started checks, (name, body, demand), in order.
+    Those of equal (n_paths, horizon) share one ensemble, which records the
+    union of their series and runs each distinct reducer once per chunk;
+    each body is sent its reducer's arrays. An error lists them in `checks`."""
+    results = {}
+    for size in dict.fromkeys(demand[:2] for _, _, demand in started):
+        group = [entry for entry in started if entry[2][:2] == size]
+        reducers = list(dict.fromkeys(demand[3] for _, _, demand in group))
+        try:
+            reduced = map_path_chunks(spec, *size, master_seed, lambda ens: {
+                (j, k): v for j, reduce in enumerate(reducers) for k, v in reduce(ens).items()},
+                record=frozenset().union(*(d[2] for _, _, d in group)), threads=threads)
+            for _, body, d in group:
+                results[body] = body.send({k: v for (j, k), v in reduced.items()
+                                           if reducers[j] is d[3]})
+        except Exception as exc:
+            exc.checks = [name for name, _, _ in group]
+            raise
+    return [results[body] for _, body, _ in started]
 
 
 def _verifier_rng(master_seed: int, label: str) -> np.random.Generator:
@@ -268,11 +303,10 @@ def energy_permutation_test(sample_a: np.ndarray, sample_b: np.ndarray,
 # p-c.i.d. joint-law check
 # ---------------------------------------------------------------------------
 
-@_fitted
+@_check
 def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
                n: int = 1, coord: int = 0, alpha: float = 0.01,
-               threads: int | None = None, n_permutations: int = 199,
-               max_group: int = 5000) -> TestVerdict:
+               n_permutations: int = 199, max_group: int = 5000):
     """Permutation test of the defining joint-law identity: conditioning
     history and concomitant coordinates fixed, the next and the
     next-but-one observations of one coordinate share a joint law.
@@ -282,13 +316,13 @@ def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
     halves of the ensemble with a two-sample energy-distance test.
 
     Each half holds at most `max_group` paths, and only those 2 * half
-    paths are simulated (a smaller ensemble is the prefix of a larger one),
-    so the test pools N <= 2 * max_group points. Its memory is the
-    N x (n_permutations + 1) labels, 16 MB at the defaults, plus one
-    distance row block of at most ENERGY_BLOCK_BYTES, one tile of at most
-    ENERGY_TILE_ROWS rows, two buffers of a block's rows and the (d, N)
-    transposed sample; no N x N matrix. The verdict reports the configured
-    n_paths.
+    paths are simulated (a smaller ensemble is the prefix of a larger one)
+    and cut to their first n + 2 steps in the workers, so the test pools
+    N <= 2 * max_group points. Its memory is the N x (n_permutations + 1)
+    labels, 16 MB at the defaults, plus one distance row block of at most
+    ENERGY_BLOCK_BYTES, one tile of at most ENERGY_TILE_ROWS rows, two
+    buffers of a block's rows and the (d, N) transposed sample; no N x N
+    matrix. The verdict reports the configured n_paths.
     """
     k = spec.n_coords
     if k < 2:
@@ -300,8 +334,8 @@ def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
     if coord >= k:
         raise ValueError(f"coord must lie in [0, {k}) for {k} coordinates, got {coord}")
     half = min(n_paths // 2, max_group)
-    obs = run_ensemble(spec, 2 * half, horizon, master_seed,
-                       record=frozenset({"observations"}), threads=threads).observations
+    obs = (yield 2 * half, horizon, frozenset({"observations"}),
+           lambda ens: {"head": ens.observations[:, :n + 2]})["head"]
     others = [i for i in range(k) if i != coord]
 
     def features(block: np.ndarray, step_j: int) -> np.ndarray:
@@ -314,9 +348,9 @@ def check_pcid(spec, n_paths: int, horizon: int | None, master_seed: int, *,
     sample_b = features(obs[half:2 * half], n + 1)  # X_{n+2,j}
     rng = _verifier_rng(master_seed, f"check_pcid:{n}:{coord}")
     stat, p = energy_permutation_test(sample_a, sample_b, rng, n_permutations)
-    return _verdict("check_pcid", {"energy_distance_p": p}, alpha, n_paths, horizon, master_seed,
-                    {"n": n, "coord": coord, "n_permutations": n_permutations,
-                     "group_size": half, "statistic_value": stat})
+    yield _verdict("check_pcid", {"energy_distance_p": p}, alpha, n_paths, horizon, master_seed,
+                   {"n": n, "coord": coord, "n_permutations": n_permutations,
+                    "group_size": half, "statistic_value": stat})
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +375,9 @@ def _stopped_pair(coord: int, bound: int, threshold):
     return reduce
 
 
-@_fitted
+@_check
 def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
-                        tau: dict, coord: int = 0, alpha: float = 0.01,
-                        threads: int | None = None) -> TestVerdict:
+                        tau: dict, coord: int = 0, alpha: float = 0.01):
     """Two-sample KS test of X_{tau+1} against X_1 across independent path
     halves, for a bounded stopping rule tau.
 
@@ -365,14 +398,10 @@ def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
         raise ValueError(f"coord must lie in [0, {spec.n_coords}) for {spec.n_coords} "
                          f"coordinates, got {coord}")
     half = n_paths // 2
-    reduced = map_path_chunks(spec, 2 * half, horizon, master_seed,
-                              _stopped_pair(coord, bound, thr),
-                              record=frozenset({"observations"}), threads=threads)
-    first_obs = reduced["first"][:half]
-    stopped = reduced["stopped"][half:]
-    ks_statistic, p = kolmogorov.ks_two_sample(first_obs, stopped)
-    return _verdict("check_stopping_time", {"ks_p": p}, alpha, n_paths, horizon, master_seed,
-                    {"tau": tau, "coord": coord, "ks_statistic": ks_statistic})
+    reduced = yield 2 * half, horizon, frozenset({"observations"}), _stopped_pair(coord, bound, thr)
+    ks_statistic, p = kolmogorov.ks_two_sample(reduced["first"][:half], reduced["stopped"][half:])
+    yield _verdict("check_stopping_time", {"ks_p": p}, alpha, n_paths, horizon, master_seed,
+                   {"tau": tau, "coord": coord, "ks_statistic": ks_statistic})
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +414,9 @@ def _clt_record(spec) -> frozenset:
     return frozenset({"observations", "predictive_mean", "predictive_var"})
 
 
-def _clt_summaries(spec, n_paths: int, horizon: int, master_seed: int,
-                   threads: int | None) -> dict:
-    return map_path_chunks(spec, n_paths, horizon, master_seed,
-                           statistics.clt_path_summaries,
-                           record=_clt_record(spec), threads=threads)
-
-
-@_fitted
+@_check
 def check_clt_forecast_errors(spec, n_paths: int, horizon: int, master_seed: int, *,
-                              alpha: float = 0.01, threads: int | None = None) -> TestVerdict:
+                              alpha: float = 0.01):
     """Sub-checks on S = (scaled) cumulative forecast errors at n = horizon:
     per coordinate, a KS fit of S / plug-in sigma to N(0, 1)
     (`normal_fit_coord{i}`) and a z-test of S^2 against its quadratic
@@ -412,7 +434,7 @@ def check_clt_forecast_errors(spec, n_paths: int, horizon: int, master_seed: int
     rejects the feedback weight, but some c.i.d. kinds too (README)."""
     if horizon < 1000:
         raise ValueError(f"asymptotic regime not reached: need horizon >= 1000, got {horizon}")
-    summaries = _clt_summaries(spec, n_paths, horizon, master_seed, threads)
+    summaries = yield n_paths, horizon, _clt_record(spec), statistics.clt_path_summaries
     s = summaries["S"]
     sig2 = summaries["sigma2_alpha"]
     if np.any(sig2 <= 0):
@@ -424,17 +446,17 @@ def check_clt_forecast_errors(spec, n_paths: int, horizon: int, master_seed: int
                      for i in range(k)})
     p_values.update({f"cross_covariance_{i}{j}": _z_test_p(s[:, i] * s[:, j], 0.0)
                      for i in range(k) for j in range(i + 1, k)})
-    return _verdict("check_clt_forecast_errors", p_values, alpha, n_paths, horizon,
-                    master_seed, {})
+    yield _verdict("check_clt_forecast_errors", p_values, alpha, n_paths, horizon,
+                   master_seed, {})
 
 
 # ---------------------------------------------------------------------------
 # CLT for the scaled sample-mean deviation
 # ---------------------------------------------------------------------------
 
-@_fitted
+@_check
 def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
-                          alpha: float = 0.01, threads: int | None = None) -> TestVerdict:
+                          alpha: float = 0.01):
     """Z-tests, for every kind, of S~ = sqrt(H)(sample mean - predictive
     mean) at n = horizon against its own quadratic variation: S~_i^2
     against QV_S~_i (`variance_coord{i}`) and, for two or more coordinates,
@@ -445,24 +467,24 @@ def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
     forecast-error check, it sees a drifting `ar1_drift` and
     `broken_feedback_weight` at scale > 0. No normal fit of S~: for Polya
     sequences S~ is dominated by its first steps and has no normal limit."""
-    summaries = _clt_summaries(spec, n_paths, horizon, master_seed, threads)
+    summaries = yield n_paths, horizon, _clt_record(spec), statistics.clt_path_summaries
     s_tilde = summaries["S_tilde"]
     k = s_tilde.shape[1]
     p_values = {f"variance_coord{i}": _z_test_p(s_tilde[:, i] ** 2, summaries["QV_S_tilde"][:, i])
                 for i in range(k)}
     if k >= 2:
         p_values["cross_covariance"] = _z_test_p(s_tilde[:, 0] * s_tilde[:, 1], summaries["QV_01"])
-    return _verdict("check_clt_sample_mean", p_values, alpha, n_paths, horizon,
-                    master_seed, {})
+    yield _verdict("check_clt_sample_mean", p_values, alpha, n_paths, horizon,
+                   master_seed, {})
 
 
 # ---------------------------------------------------------------------------
 # Gaussian arrival-time limit
 # ---------------------------------------------------------------------------
 
-@_fitted
+@_check
 def check_gaussian_limit(spec, n_paths: int, horizon: int, master_seed: int, *,
-                         alpha: float = 0.01, threads: int | None = None) -> TestVerdict:
+                         alpha: float = 0.01):
     """Z-tests of the last-tick Gaussian system against its exact moments at
     the horizon run, for any horizon.
 
@@ -479,9 +501,7 @@ def check_gaussian_limit(spec, n_paths: int, horizon: int, master_seed: int, *,
     arrival times induce."""
     if not isinstance(spec, GaussianLastTickSpec):
         raise ValueError("check_gaussian_limit applies to the gaussian_last_tick kind")
-    reduced = map_path_chunks(spec, n_paths, horizon, master_seed,
-                              statistics.gaussian_path_summaries,
-                              record=frozenset(), threads=threads)
+    reduced = yield n_paths, horizon, frozenset(), statistics.gaussian_path_summaries
     gamma = reduced["gamma_hat"]
     moves = reduced["terminal_mu"] - np.asarray(spec.mu1)
     sigma2 = spec.sigma2_1
@@ -497,17 +517,8 @@ def check_gaussian_limit(spec, n_paths: int, horizon: int, master_seed: int, *,
     if spec.n_coords >= 2:
         p_values["mu_squared_cross"] = _z_test_p((moves[:, 0] * moves[:, 1]) ** 2,
                                                  sigma2[0] * sigma2[1] * (1.0 - gamma) ** 2)
-    return _verdict("check_gaussian_limit", p_values, alpha, n_paths, horizon,
-                    master_seed, {"poisson_arrivals": poisson})
-
-
-VERIFIERS = {
-    "check_pcid": check_pcid,
-    "check_stopping_time": check_stopping_time,
-    "check_clt_forecast_errors": check_clt_forecast_errors,
-    "check_clt_sample_mean": check_clt_sample_mean,
-    "check_gaussian_limit": check_gaussian_limit,
-}
+    yield _verdict("check_gaussian_limit", p_values, alpha, n_paths, horizon,
+                   master_seed, {"poisson_arrivals": poisson})
 
 
 def list_verifier_names() -> list[str]:

@@ -77,19 +77,6 @@ def clopper_pearson(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
     return lo, hi
 
 
-def _share_simulations() -> None:
-    """Both CLT checks read the same chunk summaries of the same ensemble:
-    keep the last one, so each (spec, seed) is simulated once."""
-    simulate = verifiers._clt_summaries
-    last: dict = {}
-
-    def summaries(*args):
-        if last.get("key") != args:
-            last.update(key=args, value=simulate(*args))
-        return last["value"]
-    verifiers._clt_summaries = summaries
-
-
 def _tally(verdicts: list, positive: bool) -> dict:
     """One check's rejections over the seeds, for the verdict and for each
     of its sub-checks."""
@@ -113,16 +100,17 @@ def main(argv=None) -> int:
     parser.add_argument("--paths", type=int, default=500, help="paths per ensemble")
     parser.add_argument("--out", default=os.path.join(ROOT, "CALIBRATION_clt.json"))
     args = parser.parse_args(argv)
-    _share_simulations()
     seeds = range(1, args.seeds + 1)
     results = {}
     for label, role, spec, checks in _controls():
         start = time.perf_counter()
         verdicts = {check: [] for check in checks}
         for seed in seeds:
-            for check in checks:
-                verdicts[check].append(verifiers.VERIFIERS[check](
-                    spec, args.paths, HORIZON, seed, alpha=ALPHA))
+            # a control's checks read one ensemble per seed
+            started = [verifiers.STARTERS[check](spec, args.paths, HORIZON, seed, alpha=ALPHA)
+                       for check in checks]
+            for check, verdict in zip(checks, verifiers.run_checks(spec, seed, started)):
+                verdicts[check].append(verdict)
         entry = results.setdefault(label, {"role": role, "spec": spec.to_dict()})
         for check in checks:
             tally = entry[check] = _tally(verdicts[check], role == "positive")

@@ -342,10 +342,13 @@ def test_clt_summaries_do_not_depend_on_the_plan():
     # at 600 x 1000 the cap plans four chunks of 150 paths at two threads,
     # against 250, 250 and 100 below
     spec = _CLT_SPECS["clt_long"]
-    assert len(engine._chunk_bounds(spec, 600, 1000, verifiers._clt_record(spec), 2)) == 4
-    planned = verifiers._clt_summaries(spec, 600, 1000, 3, threads=2)
+    record = verifiers._clt_record(spec)
+    assert len(engine._chunk_bounds(spec, 600, 1000, record, 2)) == 4
+    planned = engine.map_path_chunks(spec, 600, 1000, 3, statistics.clt_path_summaries,
+                                     record=record, threads=2)
     with fixed_chunks(250):
-        fixed = verifiers._clt_summaries(spec, 600, 1000, 3, threads=1)
+        fixed = engine.map_path_chunks(spec, 600, 1000, 3, statistics.clt_path_summaries,
+                                       record=record, threads=1)
     assert planned.keys() == fixed.keys() == {"S", "S_tilde", "QV_S", "QV_S_tilde", "QV_01",
                                               "sigma2_alpha"}
     for key in planned:

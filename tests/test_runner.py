@@ -169,7 +169,6 @@ def _no_simulation(*args, **kwargs):
 ])
 def test_check_params_rejected_before_simulating(test, key, monkeypatch, tmp_path, capsys):
     from pcid import verifiers
-    monkeypatch.setattr(verifiers, "run_ensemble", _no_simulation)
     monkeypatch.setattr(verifiers, "map_path_chunks", _no_simulation)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"spec": {"kind": "polya", "n_coords": 2}, "n_paths": 10,
@@ -201,7 +200,8 @@ _GOOD_CHECK = {"name": "check_stopping_time", "params": {"tau": {"kind": "consta
 ])
 def test_undeclared_key_exits_2_at_every_level(doc, key, monkeypatch, tmp_path, capsys):
     # each of these keys was once dropped: the run went on with the default
-    monkeypatch.setattr(runner, "run_ensemble", _no_simulation)
+    from pcid import verifiers
+    monkeypatch.setattr(verifiers, "map_path_chunks", _no_simulation)
     cfg = tmp_path / "cfg.json"
     base = {"spec": {"kind": "polya", "n_coords": 2}, "n_paths": 10, "horizon": 6,
             "record": ["observations"]}
@@ -228,9 +228,7 @@ def test_later_check_rejected_before_anything_simulates(bad, key, monkeypatch, t
         calls.append(args)
         raise AssertionError("simulated before every check's parameters were checked")
 
-    monkeypatch.setattr(verifiers, "run_ensemble", spy)
     monkeypatch.setattr(verifiers, "map_path_chunks", spy)
-    monkeypatch.setattr(runner, "run_ensemble", spy)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"spec": {"kind": "gaussian_last_tick", "n_coords": 2},
                                "n_paths": 20000, "horizon": 1000,
@@ -240,6 +238,81 @@ def test_later_check_rejected_before_anything_simulates(bad, key, monkeypatch, t
     assert key in capsys.readouterr().err
     assert calls == []
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("n_coords,bad,key", [
+    (2, {"name": "check_pcid", "params": {"coord": 2}}, "coord must lie in [0, 2)"),
+    (2, {"name": "check_stopping_time", "params": {"tau": {"kind": "constant", "n": 3},
+                                                   "coord": 2}}, "coord must lie in [0, 2)"),
+    (2, {"name": "check_pcid", "params": {"n": 5}}, "need horizon >= n + 2 = 7, got 6"),
+    (2, {"name": "check_stopping_time", "params": {"tau": {"kind": "constant", "n": 6}}},
+     "stopping rule bound 6 exceeds horizon - 1 = 5"),
+    (2, {"name": "check_stopping_time",
+         "params": {"tau": {"kind": "first_exceed", "threshold": 0.5, "cap": 6}}},
+     "stopping rule bound 6 exceeds horizon - 1 = 5"),
+    (2, {"name": "check_clt_forecast_errors", "params": {"horizon": 500}},
+     "need horizon >= 1000, got 500"),
+    (2, {"name": "check_gaussian_limit"}, "applies to the gaussian_last_tick kind"),
+    (1, {"name": "check_pcid"}, "requires at least 2 coordinates"),
+    (2, {"name": "check_clt_sample_mean", "params": {"n_paths": 1}}, "n_paths >= 2"),
+])
+def test_later_relation_error_exits_2_before_anything_simulates(n_coords, bad, key,
+                                                                 monkeypatch, tmp_path, capsys):
+    # a check's parameters against the spec and the sizes: the valid first
+    # check once simulated before the second one's were looked at
+    from pcid import verifiers
+    monkeypatch.setattr(verifiers, "map_path_chunks", _no_simulation)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": {"kind": "polya", "n_coords": n_coords},
+                               "n_paths": 10, "horizon": 6, "tests": [_GOOD_CHECK, bad],
+                               "record": ["observations"]}))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: check {bad['name']!r}: ") and key in err
+    assert os.listdir(out) == []
+
+
+def _spy_on_simulation(monkeypatch) -> list:
+    """The (n_paths, horizon) of every ensemble simulated from now on."""
+    from pcid import verifiers
+    real_map, calls = verifiers.map_path_chunks, []
+
+    def spy(spec, n_paths, horizon, *args, **kwargs):
+        calls.append((n_paths, horizon))
+        return real_map(spec, n_paths, horizon, *args, **kwargs)
+    monkeypatch.setattr(verifiers, "map_path_chunks", spy)
+    return calls
+
+
+def test_checks_of_equal_size_share_one_ensemble(monkeypatch, tmp_path):
+    # the two stopping-time checks read one 4000 x 24 ensemble, the
+    # joint-law check its own 4000 x 3
+    calls = _spy_on_simulation(monkeypatch)
+    assert main(["run", "--config", "polya_baseline", "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert calls == [(4000, 3), (4000, 24)]
+
+
+def test_clt_checks_and_record_share_one_ensemble(monkeypatch, tmp_path):
+    from pcid import specs, verifiers
+    from pcid.engine import run_ensemble
+    doc = {"kind": "polya", "n_coords": 2}
+    spec = specs.spec_from_dict(doc)
+    alone = [verifiers.check_clt_forecast_errors(spec, 40, 1000, 5).to_dict(),
+             verifiers.check_clt_sample_mean(spec, 40, 1000, 5).to_dict()]
+    runner.write_series(run_ensemble(spec, 40, 1000, 5, record=frozenset({"observations"})),
+                        ["observations"], str(tmp_path), "csv")
+    calls = _spy_on_simulation(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": doc, "n_paths": 40, "horizon": 1000, "master_seed": 5,
+                               "tests": [{"name": "check_clt_forecast_errors"},
+                                         {"name": "check_clt_sample_mean"}],
+                               "record": ["observations"]}))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert calls == [(40, 1000)]
+    assert json.loads(read(out / "report.json"))["verdicts"] == alone
+    assert read(out / "series_observations.csv") == read(tmp_path / "series_observations.csv")
 
 
 def test_out_of_range_seed_flag_exits_2(tmp_path, capsys):
@@ -269,9 +342,7 @@ def test_threads_below_one_exits_2(config, tmp_path, capsys):
 def test_size_override_below_one_exits_2_before_simulating(flag, value, monkeypatch,
                                                            tmp_path, capsys):
     from pcid import verifiers
-    monkeypatch.setattr(verifiers, "run_ensemble", _no_simulation)
     monkeypatch.setattr(verifiers, "map_path_chunks", _no_simulation)
-    monkeypatch.setattr(runner, "run_ensemble", _no_simulation)
     out = tmp_path / "o"
     args = ["run", "--config", "uniform_coupled_demo", flag, value, "--out", str(out)]
     assert main(args) == EXIT_CONFIG
@@ -328,19 +399,27 @@ def test_summary_names_the_worst_subcheck(tmp_path, capsys):
     assert line in capsys.readouterr().out
 
 
-def test_overflowing_weights_exit_2(tmp_path, capsys):
+def test_overflowing_weights_exit_2(tmp_path):
     # the cross fraction beta = 1 grows the total weight until a step's atom
-    # weight overflows: the kernel refuses it, as the scalar step does
+    # weight overflows: the kernel refuses it, as the scalar step does. The
+    # first failing chunk, and so its step, depends on the plan: the error
+    # names no step, and nothing else (no numpy warning from a worker) is
+    # written, so stderr is the same at every thread count
     cfg = tmp_path / "overflow.json"
     cfg.write_text(json.dumps({"spec": {"kind": "uniform_coupled",
                                         "beta": {"kind": "constant_one"}},
                                "n_paths": 300, "horizon": 1000, "master_seed": 0,
                                "tests": [{"name": "check_clt_sample_mean"}]}))
-    args = ["run", "--config", str(cfg), "--threads", "1", "--out", str(tmp_path / "o")]
-    assert main(args) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        "error: check 'check_clt_sample_mean': atom weight must be non-negative and "
-        "finite, got inf at step 116\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for threads in (1, 2, 3):
+        proc = subprocess.run([sys.executable, "-m", "pcid.runner", "run", "--config", str(cfg),
+                               "--threads", str(threads), "--out", str(tmp_path / "o")],
+                              env=env, capture_output=True, timeout=300)
+        assert proc.returncode == EXIT_CONFIG, threads
+        assert proc.stderr == (b"error: check 'check_clt_sample_mean': atom weight must be "
+                               b"non-negative and finite, got inf\n"), threads
 
 
 def test_negative_control_config_fails(tmp_path):

@@ -275,21 +275,21 @@ def test_pcid_simulates_only_the_paths_it_compares(monkeypatch, n_paths, max_gro
     # the compared paths are the prefix of the configured ensemble, so the
     # verdict is the one the whole ensemble gives, field for field
     spec = specs.UniformCoupledSpec()
-    real_run = verifiers.run_ensemble
+    real_map = verifiers.map_path_chunks
     asked = []
 
     def spy(spec, n, *args, **kwargs):
         asked.append(n)
-        return real_run(spec, n, *args, **kwargs)
+        return real_map(spec, n, *args, **kwargs)
 
     def whole(spec, n, *args, **kwargs):
-        return real_run(spec, n_paths, *args, **kwargs)
+        return real_map(spec, n_paths, *args, **kwargs)
 
-    monkeypatch.setattr(verifiers, "run_ensemble", spy)
+    monkeypatch.setattr(verifiers, "map_path_chunks", spy)
     got = check_pcid(spec, n_paths, None, 13, n=1, max_group=max_group, n_permutations=49)
     half = min(n_paths // 2, max_group)
     assert asked == [2 * half]
-    monkeypatch.setattr(verifiers, "run_ensemble", whole)
+    monkeypatch.setattr(verifiers, "map_path_chunks", whole)
     want = check_pcid(spec, n_paths, None, 13, n=1, max_group=max_group, n_permutations=49)
     assert got.to_dict() == want.to_dict()
     assert got.n_paths == n_paths and got.params["group_size"] == half
@@ -357,19 +357,16 @@ def test_stopping_time_reduces_each_path_to_two_values(monkeypatch, tau):
     real_map = verifiers.map_path_chunks
     reduced_rows = []
 
-    def no_ensemble(*args, **kwargs):
-        raise AssertionError("check_stopping_time took a whole ensemble")
-
     def spy(spec, n_paths, horizon, seed, reducer, **kwargs):
         def checked(ens):
             out = reducer(ens)
-            assert sorted(out) == ["first", "stopped"]
+            # the one reducer's arrays, keyed by its index (run_checks)
+            assert sorted(out) == [(0, "first"), (0, "stopped")]
             assert all(np.shape(v) == (ens.n_paths,) for v in out.values())
             reduced_rows.append(ens.n_paths)
             return out
         return real_map(spec, n_paths, horizon, seed, checked, **kwargs)
 
-    monkeypatch.setattr(verifiers, "run_ensemble", no_ensemble)
     monkeypatch.setattr(verifiers, "map_path_chunks", spy)
     monkeypatch.setattr(engine, "CHUNK_BUDGET_BYTES", 1 << 18)
     spec = specs.PolyaSpec(2, (1.0, 1.0), (specs.UniformBase(),) * 2)
@@ -607,7 +604,6 @@ def _forbid_simulation(monkeypatch):
         raise AssertionError("simulated an ensemble for a misconfigured check")
 
     monkeypatch.setattr(verifiers, "map_path_chunks", no_simulation)
-    monkeypatch.setattr(verifiers, "run_ensemble", no_simulation)
 
 
 # each check with arguments it would otherwise run on
