@@ -28,7 +28,7 @@ print(f"  mean    {gamma.mean():.5f}   exact {mean_h:.5f}   (limit {gamma_mean_l
 print(f"  E[g^2]  {(gamma ** 2).mean():.5f}   exact {second_h:.5f}")
 print(f"  var     {gamma.var():.5f}   exact {second_h - mean_h ** 2:.5f}")
 
-moves = ens.arrays["terminal_mu"] - np.asarray(spec.mu1)
+moves = ens.terminal_mean - np.asarray(spec.mu1)
 print("\nterminal predictive mean, coordinate 0:")
 print(f"  mean (mu_H - mu_1)^2       {(moves[:, 0] ** 2).mean():.5f}")
 print(f"  exact (1 - E[gamma]) s2_1  {1.0 - mean_h:.5f}")

@@ -236,11 +236,14 @@ class _StreamFiller:
 
 @dataclass
 class Ensemble:
-    """Recorded output of `run_ensemble`: per-path series plus cheap per-path
-    terminal summaries (always present where the kind defines them).
+    """Recorded output of `run_ensemble`: per-path series plus what every
+    kernel returns besides, the terminal predictive's mean and variance
+    (`terminal_mean`, `terminal_var`, (P, K)), and the kind's own per-path
+    summaries (`gamma_hat`, `total_weight`).
 
-    Each series of `processes.SERIES`, and gamma_hat, has an accessor of
-    that name; one that was not recorded raises MissingSeriesError.
+    Each series of `processes.SERIES`, gamma_hat, terminal_mean and
+    terminal_var has an accessor of that name; one that is absent raises
+    MissingSeriesError.
     """
 
     spec: object
@@ -260,42 +263,8 @@ class Ensemble:
     def n_coords(self) -> int:
         return self.spec.n_coords
 
-    def terminal_moments(self) -> np.ndarray:
-        """(paths, coords, 3) raw moments m_0..m_2 of the terminal predictive
-        mixture of each reinforced coordinate."""
-        if "weighted_power_sums" not in self.arrays:
-            raise MissingSeriesError("terminal mixture moments exist only for reinforced kinds")
-        psums = self.arrays["weighted_power_sums"]
-        tot = self.arrays["total_weight"]
-        rspec = reinforced_view(self.spec)
-        base_m = np.array([[b.raw_moment(1), b.raw_moment(2)] for b in rspec.base])
-        m = np.ones(psums.shape[:2] + (3,))
-        m[:, :, 1:] = processes.mixture_moment(np.asarray(rspec.w0)[:, None], base_m,
-                                               psums, tot[:, :, None])
-        return m
 
-    def terminal_mean(self) -> np.ndarray:
-        """(paths, coords) mean of the terminal predictive distribution: the
-        kind's terminal record, else the reinforced mixture moments, else the
-        last predictive mean."""
-        if "terminal_mu" in self.arrays:
-            return self.arrays["terminal_mu"]
-        if "weighted_power_sums" in self.arrays:
-            return self.terminal_moments()[:, :, 1]
-        return self.predictive_mean[:, -1, :]
-
-    def terminal_variance(self) -> np.ndarray:
-        """(paths, coords) variance of the terminal predictive distribution,
-        found in the same order as `terminal_mean`."""
-        if "terminal_sigma2" in self.arrays:
-            return self.arrays["terminal_sigma2"]
-        if "weighted_power_sums" in self.arrays:
-            m = self.terminal_moments()
-            return m[:, :, 2] - m[:, :, 1] ** 2
-        return self.predictive_var[:, -1, :]
-
-
-for _name in (*processes.SERIES, "gamma_hat"):
+for _name in (*processes.SERIES, "gamma_hat", "terminal_mean", "terminal_var"):
     setattr(Ensemble, _name, property(lambda self, name=_name: self._series(name)))
 
 
@@ -356,14 +325,16 @@ _KINDS = {
         "simulate_state_space_chunk",
         (("z", 1, lambda spec, h: (h, 2), "standard_normal"),),
         _PREDICTIVE | {"theta"},
-        # the level, the filter's mean and variance and each step's
-        # temporaries (traced: under 9)
+        # the level, the filter's mean and variance, each step's
+        # temporaries and the terminal predictive (traced over every
+        # record, H 5 and 1000: under 9)
         held=lambda h, k: 12),
     "ar1_drift": _Kind(
         "simulate_ar1_chunk",
         (("z", 1, lambda spec, h: (h,), "standard_normal"),),
         _PREDICTIVE,
-        # the state and each step's temporaries (traced: under 5)
+        # the state, each step's temporaries and the terminal predictive's
+        # two (P, 1) arrays (traced over every record, H 5 and 1000: under 5)
         held=lambda h, k: 6),
 }
 

@@ -14,7 +14,10 @@ Two layers live here.
 * Batch kernels (`simulate_*_chunk`) that run a whole chunk of paths with
   numpy. They consume pre-generated random inputs and follow the exact same
   draw layout as the scalar layer, so for matching streams the two layers
-  produce bit-identical paths (asserted in the test suite).
+  produce bit-identical paths (asserted in the test suite). Every kernel
+  returns, whatever it records, the mean and variance of each path's
+  terminal predictive, `terminal_mean` and `terminal_var`, (P, K), with
+  the bits of the last entries of the predictive series.
 
 Sampling from an atomic-plus-base mixture uses a single uniform per draw:
 with s = u * total_weight, the draw is from the base measure when s < w0
@@ -74,8 +77,9 @@ def mixture_moment(w0, base_moment, power_sum, total_weight):
     """Raw moment (w0 * nu_r + S_r) / total of the predictive mixture, where
     nu_r is the base measure's r-th raw moment and S_r = sum_k W_k x_k^r.
 
-    Scalars and arrays alike. The scalar state, the batch kernel and
-    `Ensemble.terminal_moments` all call it, so they agree bit for bit."""
+    Scalars and arrays alike. The scalar state and the batch kernels, for
+    their series and their terminal predictive, all call it, so they agree
+    bit for bit."""
     return (w0 * base_moment + power_sum) / total_weight
 
 
@@ -88,10 +92,22 @@ def mixture_mean_var(w0, base_m1, base_m2, s1, s2, total_weight):
     return mean, mixture_moment(w0, base_m2, s2, total_weight) - mean * mean
 
 
-def searchsorted_rows(a, v) -> np.ndarray:
-    """np.searchsorted(a[r], v[r], side="right") for each row r of `a`."""
-    return np.array([np.searchsorted(ar, vr, side="right")
-                     for ar, vr in zip(a, v)]).reshape(v.shape)
+def searchsorted_rows(a, v, sort_keys: bool = False) -> np.ndarray:
+    """np.searchsorted(a[r], v[r], side="right") for each row r of `a`.
+
+    With `sort_keys`, each row is searched over its keys in ascending order:
+    the index found for a key does not depend on the order of the keys, and
+    numpy's search keeps the previous key's bracket when keys ascend, which
+    pays for the sort on long rows of keys spread over all of a[r] (the
+    genealogy kernel's); on short or few keys the sort costs more."""
+    out = np.empty(v.shape, dtype=np.int64)
+    for r in range(len(a)):
+        if sort_keys:
+            order = np.argsort(v[r])
+            out[r, order] = np.searchsorted(a[r], v[r, order], side="right")
+        else:
+            out[r] = np.searchsorted(a[r], v[r], side="right")
+    return out
 
 
 def mixture_cdf(w0, base, values, weights, total, x):
@@ -237,7 +253,9 @@ def uniform_coupled_step(states, beta_n: float, n: int, streams):
             raise ProcessError("degenerate reinforcement: fraction A reached 1")
         if a == 0.0:
             continue
-        st.append_atom(float(x[i]), st.total_weight * a / (1.0 - a))
+        with np.errstate(over="ignore"):    # refused by append_atom, with its own error
+            w = st.total_weight * a / (1.0 - a)
+        st.append_atom(float(x[i]), w)
     return x
 
 
@@ -376,7 +394,7 @@ GENEALOGY_BLOCK_STEPS = 1 << 15
 GENEALOGY_CHUNK_STEPS = 1 << 18
 # Below this horizon the kernel finds every step's atom by one flattened
 # bisection (`_row_first_greater`), at and above it by one `np.searchsorted`
-# per path row over that row's queries sorted by `np.argsort`: the crossover
+# per path row over that row's sorted queries (`searchsorted_rows`): the crossover
 # measured in BENCH_short_rows.json and again in BENCH_long_rows.json.
 GENEALOGY_FLAT_SEARCH_BELOW = 32
 # Steps per tile of the Gaussian kernel, and paths per block of the copy
@@ -453,13 +471,7 @@ def _genealogy_values(base, w0: float, u: np.ndarray, cumw: np.ndarray,
         atom = _row_first_greater(cumw, horizon - 1, q.ravel(),
                                   np.repeat(np.arange(b), horizon)).reshape(b, horizon)
     else:
-        # one search per row over its queries in ascending order: the index
-        # found for a query does not depend on the order of the keys, and
-        # numpy's search keeps the previous key's bracket when keys ascend
-        atom = np.empty((b, horizon), dtype=np.int64)
-        for r in range(b):
-            order = np.argsort(q[r])
-            atom[r, order] = np.searchsorted(cumw[r], q[r, order], side="right")
+        atom = searchsorted_rows(cumw, q, sort_keys=True)
     steps = np.arange(horizon)
     # parents as flat indices into the block's (b, H) arrays
     parent = (np.where(from_base, steps, np.minimum(atom, steps - 1))
@@ -521,8 +533,8 @@ def _genealogy_chunk(rspec, horizon: int, coord_u: np.ndarray, weight_u,
     m1, m2 = base_moments(rspec)
     dist = rspec.coupling.dist
     out = series_buffers(record, n_paths, horizon, k)
-    out.update(total_weight=np.empty((n_paths, k)),
-               weighted_power_sums=np.empty((n_paths, k, 2)))
+    out.update({name: np.empty((n_paths, k))
+                for name in ("total_weight", "terminal_mean", "terminal_var")})
 
     # weights without a coordinate axis (common or constant ones) are one
     # row for every coordinate: the coordinates share its cumulative weights,
@@ -549,8 +561,8 @@ def _genealogy_chunk(rspec, horizon: int, coord_u: np.ndarray, weight_u,
                 s1, s2, mean, var = predictive_series(w0[i], m1[i], m2[i], x, wi, tot,
                                                       with_var="predictive_var" in out)
                 out["total_weight"][blk, i] = tot[:, -1]
-                out["weighted_power_sums"][blk, i, 0] = s1[:, -1]
-                out["weighted_power_sums"][blk, i, 1] = s2[:, -1]
+                out["terminal_mean"][blk, i], out["terminal_var"][blk, i] = mixture_mean_var(
+                    w0[i], m1[i], m2[i], s1[:, -1], s2[:, -1], tot[:, -1])
                 for name, values in (("observations", x), ("predictive_mean", mean),
                                      ("predictive_var", var)):
                     if name in out:
@@ -637,7 +649,9 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
 
     if "observations" not in record:
         del out["observations"]
-    out.update(total_weight=tot, weighted_power_sums=psums)
+    out["total_weight"] = tot
+    out["terminal_mean"], out["terminal_var"] = mixture_mean_var(
+        w0, base_m1, base_m2, psums[:, :, 0], psums[:, :, 1], tot)
     return out
 
 
@@ -726,8 +740,8 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
 
     # free the step and tile buffers before the terminal copies
     del x, shrink, lam, z_tile, lam_tile, arr_tile
-    out.update(gamma_hat=gamma_hat, terminal_mu=np.ascontiguousarray(mu.T),
-               terminal_sigma2=np.ascontiguousarray(s2.T))
+    out.update(gamma_hat=gamma_hat, terminal_mean=np.ascontiguousarray(mu.T),
+               terminal_var=np.ascontiguousarray(s2.T))
     return out
 
 
@@ -764,6 +778,8 @@ def simulate_state_space_chunk(spec: StateSpaceCidSpec, horizon: int,
         if var_out is not None:
             # predictive Var(X_{n+1} | X_{1:n}) = P_n + (b_{n+1}-b_n) + (c-b_{n+1})
             var_out[:, n, 0] = p_var + (spec.c - b_n)
+    out.update(terminal_mean=m[:, None],
+               terminal_var=(p_var + (spec.c - spec.b(horizon)))[:, None])
     return out
 
 
@@ -785,4 +801,6 @@ def simulate_ar1_chunk(spec: Ar1DriftSpec, horizon: int, z: np.ndarray,
             mean_out[:, n, 0] = spec.drift + spec.phi * x
         if var_out is not None:
             var_out[:, n, 0] = spec.noise_var
+    out.update(terminal_mean=(spec.drift + spec.phi * x)[:, None],
+               terminal_var=np.full((n_paths, 1), spec.noise_var))
     return out

@@ -59,11 +59,13 @@ def empirical_predictive_distance(ens: Ensemble, n: int | None = None,
     product of the terminal marginal predictives over the 10 x 10
     rectangles anchored at the empirical marginal deciles. Each path is a
     row of the same operations, so this also runs as a chunk reducer."""
+    rspec = reinforced_view(ens.spec)
+    if rspec is None:
+        raise StatisticsError("empirical_predictive_distance applies to reinforced kinds")
     n = ens.horizon if n is None else n
     if not 1 <= n <= ens.horizon:
         raise StatisticsError(f"n={n} must lie in [1, {ens.horizon}], the recorded horizon")
     obs, w, total = ens.observations, ens.weights, ens.arrays["total_weight"]
-    rspec = reinforced_view(ens.spec)
     x = obs[:, :n]
     n_paths, _, k = x.shape
     # each coordinate's terminal mixtures, a row per path, as mixture_cdf takes them
@@ -115,7 +117,9 @@ def clt_path_summaries(ens: Ensemble) -> dict:
     sqrt(H) over the residuals xi_k = U_k - k dE_k, their quadratic
     variations QV_S = (1/H) sum U_k^2 and QV_S_tilde = (1/H) sum xi_k^2,
     for two or more coordinates QV_01 = (1/H) sum xi_k,0 xi_k,1, and the
-    terminal predictive variance (the plug-in for the directing measure's).
+    terminal predictive variance the kernel returned (`sigma2_alpha`, the
+    plug-in for the directing measure's). It reads the observations and
+    the predictive means, and no predictive variance series.
 
     Runs over row blocks of about `processes.GENEALOGY_BLOCK_STEPS`
     path-steps: a block's U is formed once, summed and squared into the
@@ -163,8 +167,8 @@ def clt_path_summaries(ens: Ensemble) -> dict:
     if not err <= TELESCOPE_RTOL:   # also catches NaN from corrupt inputs
         raise StatisticsError(f"telescoping identity violated at the terminal step: "
                               f"max relative error {err:.3e} > {TELESCOPE_RTOL}")
-    return {"S": s, "S_tilde": s_tilde, **qv, "sigma2_alpha": ens.terminal_variance()}
+    return {"S": s, "S_tilde": s_tilde, **qv, "sigma2_alpha": ens.terminal_var}
 
 
 def gaussian_path_summaries(ens: Ensemble) -> dict:
-    return {"gamma_hat": ens.gamma_hat, "terminal_mu": ens.arrays["terminal_mu"]}
+    return {"gamma_hat": ens.gamma_hat, "terminal_mean": ens.terminal_mean}

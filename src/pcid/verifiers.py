@@ -32,7 +32,6 @@ from .specs import (
     _check_keys,
     _read_nested,
     _require,
-    reinforced_view,
 )
 
 VERIFIER_SUBSTREAM = 0xFFFF  # reserved; engine paths use substreams 0..K <= specs.MAX_COORDS
@@ -408,10 +407,9 @@ def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
 # CLT for scaled forecast-error sums
 # ---------------------------------------------------------------------------
 
-def _clt_record(spec) -> frozenset:
-    if reinforced_view(spec) is not None:
-        return frozenset({"observations", "predictive_mean"})
-    return frozenset({"observations", "predictive_mean", "predictive_var"})
+# what `statistics.clt_path_summaries` reads: the terminal predictive
+# variance comes with every kernel's output
+CLT_RECORD = frozenset({"observations", "predictive_mean"})
 
 
 @_check
@@ -434,7 +432,7 @@ def check_clt_forecast_errors(spec, n_paths: int, horizon: int, master_seed: int
     rejects the feedback weight, but some c.i.d. kinds too (README)."""
     if horizon < 1000:
         raise ValueError(f"asymptotic regime not reached: need horizon >= 1000, got {horizon}")
-    summaries = yield n_paths, horizon, _clt_record(spec), statistics.clt_path_summaries
+    summaries = yield n_paths, horizon, CLT_RECORD, statistics.clt_path_summaries
     s = summaries["S"]
     sig2 = summaries["sigma2_alpha"]
     if np.any(sig2 <= 0):
@@ -467,7 +465,7 @@ def check_clt_sample_mean(spec, n_paths: int, horizon: int, master_seed: int, *,
     forecast-error check, it sees a drifting `ar1_drift` and
     `broken_feedback_weight` at scale > 0. No normal fit of S~: for Polya
     sequences S~ is dominated by its first steps and has no normal limit."""
-    summaries = yield n_paths, horizon, _clt_record(spec), statistics.clt_path_summaries
+    summaries = yield n_paths, horizon, CLT_RECORD, statistics.clt_path_summaries
     s_tilde = summaries["S_tilde"]
     k = s_tilde.shape[1]
     p_values = {f"variance_coord{i}": _z_test_p(s_tilde[:, i] ** 2, summaries["QV_S_tilde"][:, i])
@@ -503,7 +501,7 @@ def check_gaussian_limit(spec, n_paths: int, horizon: int, master_seed: int, *,
         raise ValueError("check_gaussian_limit applies to the gaussian_last_tick kind")
     reduced = yield n_paths, horizon, frozenset(), statistics.gaussian_path_summaries
     gamma = reduced["gamma_hat"]
-    moves = reduced["terminal_mu"] - np.asarray(spec.mu1)
+    moves = reduced["terminal_mean"] - np.asarray(spec.mu1)
     sigma2 = spec.sigma2_1
     poisson = spec.t0 is None
     p_values = {}

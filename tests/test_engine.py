@@ -191,7 +191,7 @@ def test_gaussian_chunk_holds_only_tiles_besides_draws_and_series(k):
 
 _PEAK_CASES = ([(kind, horizon, "default") for horizon in (5, 1000)
                 for kind in ("polya", "reinforced", "uniform_coupled",
-                             "broken_feedback_weight", "state_space_cid")]
+                             "broken_feedback_weight", "state_space_cid", "ar1_drift")]
                + [(kind, 5, "small") for kind in ("polya", "reinforced", "uniform_coupled")]
                + [(kind, 1000, "small") for kind in ("polya", "reinforced")])
 
@@ -229,7 +229,7 @@ def test_clt_reducer_peak_within_estimate(spec):
     # a chunk's outputs stay alive while the CLT reducer runs on them, so
     # the kernel and then the reducer must both fit the chunk's budget
     n_paths, horizon = 250, 2000
-    record = verifiers._clt_record(spec)
+    record = verifiers.CLT_RECORD
     # a one-path chunk first: the first chunk a process draws imports
     # numpy.random (~740 KB traced), which no chunk holds
     engine._run_chunk(spec, horizon, 1, 0, 1, record)
@@ -300,7 +300,7 @@ def test_clt_long_chunk_plan():
     # the genealogy kernel works a chunk one row block at a time, so its
     # chunks stop at GENEALOGY_CHUNK_STEPS path-steps, far under the
     # budget: 16 chunks of 125 paths at any thread count up to 16
-    spec, record = _CLT_SPECS["clt_long"], verifiers._clt_record(_CLT_SPECS["clt_long"])
+    spec, record = _CLT_SPECS["clt_long"], verifiers.CLT_RECORD
     for threads in (1, 2):
         bounds = engine._chunk_bounds(spec, 2000, 2000, record, threads)
         assert [hi - lo for lo, hi in bounds] == [125] * 16, threads
@@ -342,7 +342,7 @@ def test_clt_summaries_do_not_depend_on_the_plan():
     # at 600 x 1000 the cap plans four chunks of 150 paths at two threads,
     # against 250, 250 and 100 below
     spec = _CLT_SPECS["clt_long"]
-    record = verifiers._clt_record(spec)
+    record = verifiers.CLT_RECORD
     assert len(engine._chunk_bounds(spec, 600, 1000, record, 2)) == 4
     planned = engine.map_path_chunks(spec, 600, 1000, 3, statistics.clt_path_summaries,
                                      record=record, threads=2)
@@ -388,8 +388,7 @@ def test_array_shapes(rru_two_point_spec):
     assert ens.predictive_mean.shape == (p, h + 1, k)
     assert ens.predictive_var.shape == (p, h + 1, k)
     assert ens.weights.shape == (p, h, k)
-    assert ens.arrays["weighted_power_sums"].shape == (p, k, 2)
-    assert ens.terminal_moments().shape == (p, k, 3)
+    assert ens.terminal_mean.shape == ens.terminal_var.shape == (p, k)
     gspec = specs.GaussianLastTickSpec(n_coords=3, mu1=(0.0,) * 3, sigma2_1=(1.0,) * 3)
     gens = run_ensemble(gspec, p, h, 3)
     assert gens.arrivals.shape == (p, h + 1)
@@ -398,6 +397,47 @@ def test_array_shapes(rru_two_point_spec):
     sens = run_ensemble(specs.StateSpaceCidSpec(), p, h, 3)
     assert sens.theta.shape == (p, h)
     assert sens.observations.shape == (p, h, 1)
+
+
+_TERMINAL_SPECS = {
+    "polya": specs.PolyaSpec(2, (1.0, 2.0), (specs.UniformBase(),) * 2),
+    "reinforced_common": specs.ReinforcedSpec(
+        2, (1.0, 2.0), (specs.UniformBase(), specs.NormalBase(0.5, 2.0)),
+        specs.CommonWeight(specs.TwoPointWeight(1.0, 3.0, 0.5))),
+    "reinforced_iid": specs.ReinforcedSpec(
+        2, (1.5, 0.7), (specs.NormalBase(0.5, 2.0),) * 2,
+        specs.IidWeights(specs.GammaWeight(2.5, 1.0, 0.1))),
+    "uniform_coupled": specs.UniformCoupledSpec(),
+    "broken_feedback_weight": specs.BrokenFeedbackWeightSpec(),
+    "gaussian_last_tick": specs.GaussianLastTickSpec(),
+    "state_space_cid": specs.StateSpaceCidSpec(),
+    "ar1_drift": specs.Ar1DriftSpec(),
+}
+
+
+@pytest.mark.parametrize("horizon", [5, 40])
+@pytest.mark.parametrize("kind", _TERMINAL_SPECS)
+def test_every_kernel_returns_its_terminal_predictive(kind, horizon):
+    # the last entries of the predictive series, bit for bit, returned
+    # whatever is recorded, at any thread count and chunking; horizons on
+    # both sides of the genealogy kernel's choice of atom search
+    spec = _TERMINAL_SPECS[kind]
+    full = run_ensemble(spec, 9, horizon, 11, threads=1)
+    mean, var = full.terminal_mean, full.terminal_var
+    assert mean.shape == var.shape == (9, spec.n_coords)
+    assert np.array_equal(mean, full.predictive_mean[:, -1])
+    assert np.array_equal(var, full.predictive_var[:, -1])
+    extra = ({"gamma_hat"} if kind == "gaussian_last_tick"
+             else {"total_weight"} if specs.reinforced_view(spec) is not None else set())
+    assert set(full.arrays) == full.record | {"terminal_mean", "terminal_var"} | extra
+    runs = [run_ensemble(spec, 9, horizon, 11, record=record, threads=threads)
+            for record in (frozenset(), verifiers.CLT_RECORD) for threads in (1, 2)]
+    with fixed_chunks(2):
+        runs += [run_ensemble(spec, 9, horizon, 11, record=frozenset(), threads=threads)
+                 for threads in (1, 2)]
+    for ens in runs:
+        assert np.array_equal(ens.terminal_mean, mean)
+        assert np.array_equal(ens.terminal_var, var)
 
 
 def test_missing_series_raises(uniform_polya_spec):

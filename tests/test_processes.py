@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -64,10 +65,15 @@ def test_mixture_normalization_invariant():
 def test_mixture_drops_zero_weight_atoms():
     # a uniform-coupled batch records W = 0 where the scalar step appends nothing
     spec = specs.PolyaSpec(1, (1.0,), (specs.UniformBase(),))
+    # the terminal predictive from the atoms' power sums 2 * 0.25 and
+    # 2 * 0.25^2, as the kernel forms it
+    base = specs.UniformBase()
+    mean, var = processes.mixture_mean_var(1.0, base.raw_moment(1), base.raw_moment(2),
+                                           0.5, 0.125, 3.0)
     arrays = {"observations": np.array([[[0.5], [0.25]]]),
               "weights": np.array([[[0.0], [2.0]]]),
               "total_weight": np.array([[3.0]]),
-              "weighted_power_sums": np.array([[[0.5, 0.125]]])}
+              "terminal_mean": np.array([[mean]]), "terminal_var": np.array([[var]])}
     ens = Ensemble(spec, 1, 2, 0, frozenset({"observations", "weights"}), arrays)
     state = ReinforcedCoordState(1.0, specs.UniformBase())
     state.append_atom(0.25, 2.0)    # the scalar step's one atom
@@ -109,7 +115,7 @@ def _assert_terminal_mixtures_match(ens, p, states):
     and variance, and `mixture_cdf` on the path's row over a grid that
     holds every atom, bit for bit."""
     rspec = specs.reinforced_view(ens.spec)
-    mean, var = ens.terminal_mean(), ens.terminal_variance()
+    mean, var = ens.terminal_mean, ens.terminal_var
     for i, st in enumerate(states):
         assert st.predictive_mean() == mean[p, i]
         assert st.predictive_var() == var[p, i]
@@ -199,8 +205,11 @@ def test_overflowing_weight_raises_in_both_layers():
     # at that step, as the scalar step does
     spec = specs.UniformCoupledSpec(beta=specs.BetaSchedule("constant_one"))
     _scalar_reinforced_path(spec, 115, 0, 104)
-    with pytest.raises(ProcessError, match=r"non-negative and finite, got inf$"):
-        _scalar_reinforced_path(spec, 116, 0, 104)
+    # the kernel's own error only: no numpy overflow warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ProcessError, match=r"non-negative and finite, got inf$"):
+            _scalar_reinforced_path(spec, 116, 0, 104)
     run_ensemble(spec, 300, 115, 0, threads=1)
     with pytest.raises(ProcessError, match=r"non-negative and finite, got inf$"):
         run_ensemble(spec, 300, 116, 0, threads=1)
@@ -445,13 +454,13 @@ def test_scalar_matches_vectorized_gaussian(monkeypatch):
             scalar = {"observations": xs, "predictive_mean": mus, "predictive_var": s2s,
                       "arrivals": arrivals, "lambdas": lambdas}
             for ens in ensembles:
-                assert set(ens.arrays) == ens.record | {"gamma_hat", "terminal_mu",
-                                                        "terminal_sigma2"}
+                assert set(ens.arrays) == ens.record | {"gamma_hat", "terminal_mean",
+                                                        "terminal_var"}
                 for name in ens.record:
                     assert np.array_equal(np.array(scalar[name]), ens.arrays[name][p]), name
                 assert ens.gamma_hat[p] == gamma
-                assert np.array_equal(np.array(mus[-1]), ens.arrays["terminal_mu"][p])
-                assert np.array_equal(np.array(s2s[-1]), ens.arrays["terminal_sigma2"][p])
+                assert np.array_equal(np.array(mus[-1]), ens.terminal_mean[p])
+                assert np.array_equal(np.array(s2s[-1]), ens.terminal_var[p])
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,7 @@ def test_clt_path_summaries_match_full_series(rru_two_point_spec):
     s_tilde = (np.cumsum(x, axis=1) / n - mu[:, 1:]) * np.sqrt(n)
     assert np.allclose(summ["S"], s[:, -1, :], rtol=1e-12, atol=1e-12)
     assert np.allclose(summ["S_tilde"], s_tilde[:, -1, :], rtol=1e-12, atol=1e-12)
-    assert np.allclose(summ["sigma2_alpha"], ens.terminal_variance())
+    assert np.array_equal(summ["sigma2_alpha"], ens.terminal_var)
     # quadratic variations of the forecast errors U_k and of the residuals
     # xi_k = U_k - k dE_k, whose sum is sqrt(H) S~
     u, de = errors_and_increments(ens)
@@ -343,21 +343,26 @@ def test_clt_path_summaries_match_full_series(rru_two_point_spec):
                        rtol=1e-12, atol=1e-15)
 
 
-def test_chunk_reducers_return_only_what_verdicts_read(monkeypatch, rru_two_point_spec):
-    calls = []
-    moments = engine.Ensemble.terminal_moments
-    monkeypatch.setattr(engine.Ensemble, "terminal_moments",
-                        lambda self: calls.append(1) or moments(self))
+def test_chunk_reducers_return_only_what_verdicts_read(rru_two_point_spec):
     ens = run_ensemble(rru_two_point_spec, 6, 20, 3)
     summ = statistics.clt_path_summaries(ens)
     assert set(summ) == {"S", "S_tilde", "QV_S", "QV_S_tilde", "QV_01", "sigma2_alpha"}
-    assert len(calls) == 1   # the mixture moments once per chunk
-    # the variance as Ensemble.terminal_variance forms it, bit for bit
-    assert np.array_equal(summ["sigma2_alpha"], ens.terminal_variance())
+    # the kernel's terminal variance, bit for bit
+    assert np.array_equal(summ["sigma2_alpha"], ens.terminal_var)
     ar1 = run_ensemble(specs.Ar1DriftSpec(), 6, 20, 3)
     assert set(statistics.clt_path_summaries(ar1)) == {"S", "S_tilde", "QV_S", "QV_S_tilde",
                                                        "sigma2_alpha"}
     gauss = run_ensemble(specs.GaussianLastTickSpec(), 6, 20, 3)
-    assert set(statistics.gaussian_path_summaries(gauss)) == {"gamma_hat", "terminal_mu"}
+    assert set(statistics.gaussian_path_summaries(gauss)) == {"gamma_hat", "terminal_mean"}
     state = specs.StateSpaceCidSpec()
-    assert set(run_ensemble(state, 6, 20, 3).arrays) == default_record(state)
+    assert set(run_ensemble(state, 6, 20, 3).arrays) == default_record(state) | {
+        "terminal_mean", "terminal_var"}
+
+
+@pytest.mark.parametrize("spec", [specs.GaussianLastTickSpec(), specs.Ar1DriftSpec()],
+                         ids=["gaussian_last_tick", "ar1_drift"])
+def test_distance_refuses_non_reinforced_kinds(spec):
+    # up front, not as a missing 'weights' series
+    ens = run_ensemble(spec, 3, 10, 5)
+    with pytest.raises(StatisticsError, match="applies to reinforced kinds"):
+        empirical_predictive_distance(ens)
