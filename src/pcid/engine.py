@@ -314,10 +314,10 @@ _KINDS = {
         _PREDICTIVE | {"arrivals", "lambdas"},
         # 2(H + 1): room for the recorded arrivals and lambdas, counted
         # whether they are recorded or not, since it sets the chunk plan
-        # (ROADMAP item 7). mu, sigma^2 and the step's draws, K each; a step
-        # buffer; gamma_hat and the terminal copies of mu and sigma^2; the
-        # tile's normals and lambdas, K + 1 per step of a tile, and its
-        # arrivals, one more
+        # (ROADMAP, "Leftover kernel costs"). mu, sigma^2 and the step's
+        # draws, K each; a step buffer; gamma_hat and the terminal copies
+        # of mu and sigma^2; the tile's normals and lambdas, K + 1 per step
+        # of a tile, and its arrivals, one more
         held=lambda h, k: (2 * (h + 1) + 5 * k + 3
                            + (k + 2) * min(h, processes.GAUSSIAN_TILE_STEPS)),
         views=frozenset({"arrivals", "lambdas"})),

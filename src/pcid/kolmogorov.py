@@ -11,16 +11,20 @@ and the Pelz-Good expansion.
 This is the survival-function path of scipy.stats._ksstats._kolmogn
 (scipy, BSD 3-Clause License, notice below), with each branch's
 arithmetic, operand types and long-double scaling kept as scipy has them,
-so `kstwo_sf`, `ks_normal` and `ks_two_sample` give the bits of
-`scipy.stats.kstwo.sf`, `kstest(x, "norm")` and
-`ks_2samp(a, b, method="asymp")`. Importing scipy.stats would cost more
-than half of a `pcid run` start-up.
+so `kstwo_sf` and `ks_two_sample` give the bits of `scipy.stats.kstwo.sf`
+and `ks_2samp(a, b, method="asymp")`. Importing scipy.stats would cost
+more than half of a `pcid run` start-up.
+
+`ks_two_sample` is the test of `verifiers.check_stopping_time`. pcid
+makes no one-sample fit of a sample to N(0, 1): the normal shape of the
+CLT limits is not reached at the sizes the checks run (README).
 
 `ndtr` is the standard normal cdf of the Cephes library (notice below),
 the routine behind `scipy.special.ndtr`, carried over with its rational
 approximations of erf and erfc, so that importing this module loads no
-scipy at all. Only the 2 * smirnov branches import `scipy.special`, when
-they are first reached.
+scipy at all. It gives the verdicts' z-test p-values and the normal
+base measure's cdf. Only the 2 * smirnov branches import `scipy.special`,
+when they are first reached.
 """
 
 # Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
@@ -448,21 +452,6 @@ def kstwo_sf(d: float, n: float) -> float:
     # d as the 0-d array that scipy's np.nditer hands its _kolmogn, so that
     # every operation below runs on the operand types it has there
     return float(_kolmogn_sf(int(n), np.array(d, dtype=np.float64)))
-
-
-def ks_normal(x) -> tuple[float, float]:
-    """(statistic, p-value) of the two-sided exact Kolmogorov-Smirnov test
-    of the sample x against N(0, 1): `scipy.stats.kstest(x, "norm")` bit for
-    bit. A sample that is empty or holds a NaN gives (NaN, NaN)."""
-    x = np.sort(np.asarray(x, dtype=np.float64))
-    n = x.shape[-1]
-    if n == 0 or np.isnan(x).any():
-        return math.nan, math.nan
-    cdfvals = ndtr(x)
-    d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
-    d_minus = (cdfvals - np.arange(0.0, n) / n).max()
-    d = float(d_plus if d_plus > d_minus else d_minus)
-    return d, kstwo_sf(d, n)
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:

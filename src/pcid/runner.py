@@ -35,7 +35,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-REPORT_SCHEMA = 3
+REPORT_SCHEMA = 4
 
 CSV_HEADER = "path,step,coordinate,series,value"
 

@@ -116,10 +116,9 @@ def clt_path_summaries(ens: Ensemble) -> dict:
     errors U_k, S~ = sqrt(H)(sample mean - predictive mean) = sum xi_k /
     sqrt(H) over the residuals xi_k = U_k - k dE_k, their quadratic
     variations QV_S = (1/H) sum U_k^2 and QV_S_tilde = (1/H) sum xi_k^2,
-    for two or more coordinates QV_01 = (1/H) sum xi_k,0 xi_k,1, and the
-    terminal predictive variance the kernel returned (`sigma2_alpha`, the
-    plug-in for the directing measure's). It reads the observations and
-    the predictive means, and no predictive variance series.
+    and for two or more coordinates QV_01 = (1/H) sum xi_k,0 xi_k,1. It
+    reads the observations and the predictive means, and no predictive
+    variance series.
 
     Runs over row blocks of about `processes.GENEALOGY_BLOCK_STEPS`
     path-steps: a block's U is formed once, summed and squared into the
@@ -167,7 +166,7 @@ def clt_path_summaries(ens: Ensemble) -> dict:
     if not err <= TELESCOPE_RTOL:   # also catches NaN from corrupt inputs
         raise StatisticsError(f"telescoping identity violated at the terminal step: "
                               f"max relative error {err:.3e} > {TELESCOPE_RTOL}")
-    return {"S": s, "S_tilde": s_tilde, **qv, "sigma2_alpha": ens.terminal_var}
+    return {"S": s, "S_tilde": s_tilde, **qv}
 
 
 def gaussian_path_summaries(ens: Ensemble) -> dict:

@@ -3,10 +3,11 @@
 Each check states the ensemble it reads, and `run_checks` simulates one
 for all the checks of equal (n_paths, horizon). A check reduces its
 arrays to named p-values: z-tests of a statistic against its exact
-expectation at the sizes run, KS tests and a permutation test, each one
-sub-check at the check's alpha over their number (Bonferroni), with
-margin level / p, <= 1 exactly when it passes. The verdict's statistic is
-the worst margin, so "pass iff statistic <= tolerance (= 1)" holds.
+expectation at the sizes run, a two-sample KS test and a permutation
+test, each one sub-check at the check's alpha over their number
+(Bonferroni), with margin level / p, <= 1 exactly when it passes. The
+verdict's statistic is the worst margin, so "pass iff statistic <=
+tolerance (= 1)" holds.
 
 Verdicts are bit-reproducible from (spec, sizes, master seed): ensembles
 are deterministic, and the permutation test draws from a reserved verifier
@@ -407,41 +408,31 @@ def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
 # CLT for scaled forecast-error sums
 # ---------------------------------------------------------------------------
 
-# what `statistics.clt_path_summaries` reads: the terminal predictive
-# variance comes with every kernel's output
+# the series `statistics.clt_path_summaries` reads
 CLT_RECORD = frozenset({"observations", "predictive_mean"})
 
 
 @_check
 def check_clt_forecast_errors(spec, n_paths: int, horizon: int, master_seed: int, *,
                               alpha: float = 0.01):
-    """Sub-checks on S = (scaled) cumulative forecast errors at n = horizon:
-    per coordinate, a KS fit of S / plug-in sigma to N(0, 1)
-    (`normal_fit_coord{i}`) and a z-test of S^2 against its quadratic
-    variation QV_S = (1/H) sum U_k^2 (`variance_coord{i}`); per pair, a
-    z-test of S_i S_j against 0 (`cross_covariance_{i}{j}`). The z-tests
-    are exact at every horizon, the cross ones whenever the coordinates
-    draw conditionally independently given the past, as every
-    multi-coordinate kind does.
+    """Z-tests of S = (scaled) cumulative forecast errors at n = horizon:
+    per coordinate, S^2 against its quadratic variation QV_S = (1/H) sum
+    U_k^2 (`variance_coord{i}`); per pair, S_i S_j against 0
+    (`cross_covariance_{i}{j}`). Both are exact at every horizon, the cross
+    ones whenever the coordinates draw conditionally independently given
+    the past, as every multi-coordinate kind does.
 
     What it cannot see: forecast errors are martingale differences under
     any model's own predictive, so the S identity holds for every kind,
     c.i.d. or not. It tests the simulator and the CLT's normalisation, not
     the p-c.i.d. property: at 2000 x 1000 it rejected 0 of 20 seeds of
-    `broken_feedback_weight` and 0 of 10 of `ar1_drift`. The normal fit
-    rejects the feedback weight, but some c.i.d. kinds too (README)."""
-    if horizon < 1000:
-        raise ValueError(f"asymptotic regime not reached: need horizon >= 1000, got {horizon}")
+    `broken_feedback_weight` and 0 of 10 of `ar1_drift`. Nor does it test
+    the normal shape of the limit, which these sizes do not reach (README)."""
     summaries = yield n_paths, horizon, CLT_RECORD, statistics.clt_path_summaries
     s = summaries["S"]
-    sig2 = summaries["sigma2_alpha"]
-    if np.any(sig2 <= 0):
-        raise ValueError("plug-in predictive variances must be positive")
     k = s.shape[1]
-    p_values = {f"normal_fit_coord{i}": kolmogorov.ks_normal(s[:, i] / np.sqrt(sig2[:, i]))[1]
+    p_values = {f"variance_coord{i}": _z_test_p(s[:, i] ** 2, summaries["QV_S"][:, i])
                 for i in range(k)}
-    p_values.update({f"variance_coord{i}": _z_test_p(s[:, i] ** 2, summaries["QV_S"][:, i])
-                     for i in range(k)})
     p_values.update({f"cross_covariance_{i}{j}": _z_test_p(s[:, i] * s[:, j], 0.0)
                      for i in range(k) for j in range(i + 1, k)})
     yield _verdict("check_clt_forecast_errors", p_values, alpha, n_paths, horizon,

@@ -349,8 +349,7 @@ def test_clt_summaries_do_not_depend_on_the_plan():
     with fixed_chunks(250):
         fixed = engine.map_path_chunks(spec, 600, 1000, 3, statistics.clt_path_summaries,
                                        record=record, threads=1)
-    assert planned.keys() == fixed.keys() == {"S", "S_tilde", "QV_S", "QV_S_tilde", "QV_01",
-                                              "sigma2_alpha"}
+    assert planned.keys() == fixed.keys() == {"S", "S_tilde", "QV_S", "QV_S_tilde", "QV_01"}
     for key in planned:
         assert np.array_equal(planned[key], fixed[key]), key
 

@@ -250,8 +250,7 @@ def test_later_check_rejected_before_anything_simulates(bad, key, monkeypatch, t
     (2, {"name": "check_stopping_time",
          "params": {"tau": {"kind": "first_exceed", "threshold": 0.5, "cap": 6}}},
      "stopping rule bound 6 exceeds horizon - 1 = 5"),
-    (2, {"name": "check_clt_forecast_errors", "params": {"horizon": 500}},
-     "need horizon >= 1000, got 500"),
+    (2, {"name": "check_clt_forecast_errors", "params": {"n_paths": 1}}, "n_paths >= 2"),
     (2, {"name": "check_gaussian_limit"}, "applies to the gaussian_last_tick kind"),
     (1, {"name": "check_pcid"}, "requires at least 2 coordinates"),
     (2, {"name": "check_clt_sample_mean", "params": {"n_paths": 1}}, "n_paths >= 2"),
@@ -374,7 +373,7 @@ def test_positive_control_config_passes(tmp_path, capsys):
     assert main(["run", "--config", "polya_baseline", "--out", str(out)]) == EXIT_OK
     report = json.loads(read(out / "report.json"))
     assert report["all_pass"] is True
-    assert report["report_schema"] == 3
+    assert report["report_schema"] == 4
     assert report["library_version"]
     assert report["master_seed"] == 2024
     assert report["config"]["spec"]["kind"] == "polya"
@@ -647,26 +646,21 @@ def test_import_loads_no_scipy():
     assert _run_fresh("import sys\nimport pcid, pcid.runner\n" + _SCIPY_LOADED) == "[]"
 
 
-# Runs the CLT check, whose normal fits take KS p-values, with a spy in place
-# of 2 * smirnov, the one KS branch that needs scipy (reached only by p-values
-# of a few percent or less), and the Gaussian check.
-_RUN_NORMAL_FIT_CHECKS = """
+# Runs the forecast-error CLT check where S is far from N(0, 1), so that a
+# KS fit of S would reach the 2 * smirnov branch and load scipy.special,
+# and the Gaussian check.
+_RUN_CLT_AND_GAUSSIAN_CHECKS = """
 import sys
-from pcid import kolmogorov, specs
+from pcid import specs
 from pcid.verifiers import check_clt_forecast_errors, check_gaussian_limit
-def no_smirnov(n, x):
-    raise AssertionError(f"2 * smirnov reached at n = {n}, d = {float(x)}")
-kolmogorov._twice_smirnov = no_smirnov
-urn = specs.ReinforcedSpec(2, (25.0, 25.0), (specs.UniformBase(),) * 2,
-                           specs.CommonWeight(specs.TwoPointWeight(1.0, 3.0, 0.5)))
 gauss = specs.GaussianLastTickSpec(n_coords=2, mu1=(0.0, 0.0), sigma2_1=(1.0, 1.0))
-check_clt_forecast_errors(urn, 400, 1000, 3, threads=1)
+check_clt_forecast_errors(specs.UniformCoupledSpec(), 500, 1000, 2, threads=1)
 check_gaussian_limit(gauss, 400, 1000, 3, threads=1)
 """
 
 
 def test_clt_and_gaussian_checks_load_no_scipy():
-    assert _run_fresh(_RUN_NORMAL_FIT_CHECKS + _SCIPY_LOADED) == "[]"
+    assert _run_fresh(_RUN_CLT_AND_GAUSSIAN_CHECKS + _SCIPY_LOADED) == "[]"
 
 
 # The joint-law check builds its energy-test distances in numpy.

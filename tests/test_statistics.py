@@ -154,7 +154,7 @@ def test_clt_path_summaries_do_not_depend_on_blocks(monkeypatch, k, coupling, n_
     for rows in (1, 3, 10):
         monkeypatch.setattr(processes, "GENEALOGY_BLOCK_STEPS", rows * (h + 1) * k)
         summ = statistics.clt_path_summaries(ens)
-        assert summ.keys() == want.keys() | {"sigma2_alpha"}
+        assert summ.keys() == want.keys()
         for key, value in want.items():
             assert np.array_equal(summ[key], value), (rows, key)
 
@@ -330,7 +330,6 @@ def test_clt_path_summaries_match_full_series(rru_two_point_spec):
     s_tilde = (np.cumsum(x, axis=1) / n - mu[:, 1:]) * np.sqrt(n)
     assert np.allclose(summ["S"], s[:, -1, :], rtol=1e-12, atol=1e-12)
     assert np.allclose(summ["S_tilde"], s_tilde[:, -1, :], rtol=1e-12, atol=1e-12)
-    assert np.array_equal(summ["sigma2_alpha"], ens.terminal_var)
     # quadratic variations of the forecast errors U_k and of the residuals
     # xi_k = U_k - k dE_k, whose sum is sqrt(H) S~
     u, de = errors_and_increments(ens)
@@ -346,12 +345,9 @@ def test_clt_path_summaries_match_full_series(rru_two_point_spec):
 def test_chunk_reducers_return_only_what_verdicts_read(rru_two_point_spec):
     ens = run_ensemble(rru_two_point_spec, 6, 20, 3)
     summ = statistics.clt_path_summaries(ens)
-    assert set(summ) == {"S", "S_tilde", "QV_S", "QV_S_tilde", "QV_01", "sigma2_alpha"}
-    # the kernel's terminal variance, bit for bit
-    assert np.array_equal(summ["sigma2_alpha"], ens.terminal_var)
+    assert set(summ) == {"S", "S_tilde", "QV_S", "QV_S_tilde", "QV_01"}
     ar1 = run_ensemble(specs.Ar1DriftSpec(), 6, 20, 3)
-    assert set(statistics.clt_path_summaries(ar1)) == {"S", "S_tilde", "QV_S", "QV_S_tilde",
-                                                       "sigma2_alpha"}
+    assert set(statistics.clt_path_summaries(ar1)) == {"S", "S_tilde", "QV_S", "QV_S_tilde"}
     gauss = run_ensemble(specs.GaussianLastTickSpec(), 6, 20, 3)
     assert set(statistics.gaussian_path_summaries(gauss)) == {"gamma_hat", "terminal_mean"}
     state = specs.StateSpaceCidSpec()
