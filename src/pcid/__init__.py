@@ -7,7 +7,6 @@ from .engine import Ensemble, RngStream, derive_stream, map_path_chunks, run_ens
 from .processes import (
     ReinforcedCoordState,
     gaussian_last_tick_step,
-    poisson_arrivals,
     reinforced_step,
     state_space_cid_step,
     uniform_coupled_step,

@@ -237,13 +237,12 @@ class _StreamFiller:
 @dataclass
 class Ensemble:
     """Recorded output of `run_ensemble`: per-path series plus what every
-    kernel returns besides, the terminal predictive's mean and variance
-    (`terminal_mean`, `terminal_var`, (P, K)), and the kind's own per-path
-    summaries (`gamma_hat`, `total_weight`).
+    kernel returns besides, the terminal predictive's mean (`terminal_mean`,
+    (P, K)), and the kind's own per-path summaries (`gamma_hat`,
+    `total_weight`).
 
-    Each series of `processes.SERIES`, gamma_hat, terminal_mean and
-    terminal_var has an accessor of that name; one that is absent raises
-    MissingSeriesError.
+    Each series of `processes.SERIES`, gamma_hat and terminal_mean has an
+    accessor of that name; one that is absent raises MissingSeriesError.
     """
 
     spec: object
@@ -264,7 +263,7 @@ class Ensemble:
         return self.spec.n_coords
 
 
-for _name in (*processes.SERIES, "gamma_hat", "terminal_mean", "terminal_var"):
+for _name in (*processes.SERIES, "gamma_hat", "terminal_mean"):
     setattr(Ensemble, _name, property(lambda self, name=_name: self._series(name)))
 
 
@@ -300,7 +299,7 @@ _KINDS = {
         _PREDICTIVE | {"weights"},
         # the stepping kernel's observations and cumulative weights, and
         # at most 20 (P,) arrays per coordinate besides: its state, the
-        # terminal summaries and each step's temporaries (traced: under 16)
+        # terminal mean and each step's temporaries (traced: under 16)
         held=lambda h, k: 2 * h * k + 20 * k,
         views=frozenset({"observations"}),
         blocks=processes.genealogy_block_bytes,
@@ -315,9 +314,9 @@ _KINDS = {
         # 2(H + 1): room for the recorded arrivals and lambdas, counted
         # whether they are recorded or not, since it sets the chunk plan
         # (ROADMAP, "Leftover kernel costs"). mu, sigma^2 and the step's
-        # draws, K each; a step buffer; gamma_hat and the terminal copies
-        # of mu and sigma^2; the tile's normals and lambdas, K + 1 per step
-        # of a tile, and its arrivals, one more
+        # draws, K each; a step buffer; gamma_hat and the terminal copy
+        # of mu, counted with room for a second; the tile's normals and
+        # lambdas, K + 1 per step of a tile, and its arrivals, one more
         held=lambda h, k: (2 * (h + 1) + 5 * k + 3
                            + (k + 2) * min(h, processes.GAUSSIAN_TILE_STEPS)),
         views=frozenset({"arrivals", "lambdas"})),
@@ -326,15 +325,16 @@ _KINDS = {
         (("z", 1, lambda spec, h: (h, 2), "standard_normal"),),
         _PREDICTIVE | {"theta"},
         # the level, the filter's mean and variance, each step's
-        # temporaries and the terminal predictive (traced over every
-        # record, H 5 and 1000: under 9)
+        # temporaries and the terminal mean (traced over every record,
+        # H 5 and 1000: under 9)
         held=lambda h, k: 12),
     "ar1_drift": _Kind(
         "simulate_ar1_chunk",
         (("z", 1, lambda spec, h: (h,), "standard_normal"),),
         _PREDICTIVE,
-        # the state, each step's temporaries and the terminal predictive's
-        # two (P, 1) arrays (traced over every record, H 5 and 1000: under 5)
+        # the state, each step's temporaries and the terminal mean, one
+        # (P, 1) array, with room for a second (traced over every record,
+        # H 5 and 1000: under 5)
         held=lambda h, k: 6),
 }
 
@@ -608,6 +608,5 @@ def recompute_predictive_series(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     w0 = np.asarray(rspec.w0)
     m1, m2 = processes.base_moments(rspec)
     w = ens.weights
-    _, _, mean, var = processes.predictive_series(w0, m1, m2, ens.observations, w,
-                                                  processes.total_weights(w0, w))
-    return mean, var
+    return processes.predictive_series(w0, m1, m2, ens.observations, w,
+                                       processes.total_weights(w0, w))

@@ -3,9 +3,9 @@
 Two layers live here.
 
 * Scalar, single-path operations (`reinforced_step`, `uniform_coupled_step`,
-  `gaussian_last_tick_step`, `state_space_cid_step`, `poisson_arrivals`)
-  written directly against the per-coordinate state objects. These are the
-  readable reference implementations. A `ReinforcedCoordState` is also a
+  `gaussian_last_tick_step`, `state_space_cid_step`) written directly
+  against the per-coordinate state objects. These are the readable
+  reference implementations. A `ReinforcedCoordState` is also a
   reinforced coordinate's predictive mixture: it gives the predictive
   mean, variance, CDF and component probabilities, and draws from it. Its
   CDF is `mixture_cdf`, the one mixture CDF: a row of atoms per mixture,
@@ -15,9 +15,9 @@ Two layers live here.
   numpy. They consume pre-generated random inputs and follow the exact same
   draw layout as the scalar layer, so for matching streams the two layers
   produce bit-identical paths (asserted in the test suite). Every kernel
-  returns, whatever it records, the mean and variance of each path's
-  terminal predictive, `terminal_mean` and `terminal_var`, (P, K), with
-  the bits of the last entries of the predictive series.
+  returns, whatever it records, the mean of each path's terminal
+  predictive, `terminal_mean`, (P, K), with the bits of the last entry of
+  the predictive mean series.
 
 Sampling from an atomic-plus-base mixture uses a single uniform per draw:
 with s = u * total_weight, the draw is from the base measure when s < w0
@@ -287,17 +287,6 @@ def gaussian_last_tick_step(states, t_n: float, streams):
     return x
 
 
-def poisson_arrivals(rate: float, horizon: int, rng) -> np.ndarray:
-    """Arrival times T_1 < ... < T_horizon of a Poisson process."""
-    if not (rate > 0):
-        raise ProcessError(f"rate must be positive, got {rate}")
-    gaps = rng.standard_exponential(horizon) / rate
-    arrivals = np.cumsum(gaps)
-    if np.any(np.diff(arrivals) <= 0) or arrivals[0] <= 0:
-        raise ProcessError("arrival times must be strictly increasing")
-    return arrivals
-
-
 @dataclass
 class StateSpaceCidState:
     """Latent level of the damped-random-walk model."""
@@ -423,24 +412,23 @@ def total_weights(w0, w: np.ndarray) -> np.ndarray:
 
 def predictive_series(w0, base_m1, base_m2, x: np.ndarray, w: np.ndarray,
                       tot: np.ndarray, with_var: bool = True) -> tuple:
-    """Power sums S_1 = cumsum(W x) and S_2 = cumsum(W x^2), (P, H, ...), and
-    the predictive mean and (if `with_var`, else None) variance series,
+    """The predictive mean and (if `with_var`, else None) variance series,
     (P, H+1, ...) prior first, of reinforced paths with observations x,
-    weights w and totals tot = total_weights(w0, w). The sums run in step
-    order, so each entry equals a running sum updated once per step, bit
-    for bit."""
+    weights w and totals tot = total_weights(w0, w), from the power sums
+    S_1 = cumsum(W x) and S_2 = cumsum(W x^2). The sums run in step order,
+    so each entry equals a running sum updated once per step, bit for bit."""
     s1 = np.cumsum(w * x, axis=1)
-    s2 = np.cumsum(w * (x * x), axis=1)
     shape = (x.shape[0], x.shape[1] + 1) + x.shape[2:]
     mean = np.empty(shape)
     mean[:, 0] = base_m1
     if not with_var:
         mean[:, 1:] = mixture_moment(w0, base_m1, s1, tot[:, 1:])
-        return s1, s2, mean, None
+        return mean, None
+    s2 = np.cumsum(w * (x * x), axis=1)
     var = np.empty(shape)
     var[:, 0] = base_m2 - base_m1 * base_m1
     mean[:, 1:], var[:, 1:] = mixture_mean_var(w0, base_m1, base_m2, s1, s2, tot[:, 1:])
-    return s1, s2, mean, var
+    return mean, var
 
 
 def _forest_roots(parent: np.ndarray) -> np.ndarray:
@@ -534,7 +522,7 @@ def _genealogy_chunk(rspec, horizon: int, coord_u: np.ndarray, weight_u,
     dist = rspec.coupling.dist
     out = series_buffers(record, n_paths, horizon, k)
     out.update({name: np.empty((n_paths, k))
-                for name in ("total_weight", "terminal_mean", "terminal_var")})
+                for name in ("total_weight", "terminal_mean")})
 
     # weights without a coordinate axis (common or constant ones) are one
     # row for every coordinate: the coordinates share its cumulative weights,
@@ -558,11 +546,10 @@ def _genealogy_chunk(rspec, horizon: int, coord_u: np.ndarray, weight_u,
             tot = total_weights(w0[group[0]], wi)
             for i in group:
                 x = _genealogy_values(rspec.base[i], w0[i], coord_u[blk, :, i], cumw, tot)
-                s1, s2, mean, var = predictive_series(w0[i], m1[i], m2[i], x, wi, tot,
-                                                      with_var="predictive_var" in out)
+                mean, var = predictive_series(w0[i], m1[i], m2[i], x, wi, tot,
+                                              with_var="predictive_var" in out)
                 out["total_weight"][blk, i] = tot[:, -1]
-                out["terminal_mean"][blk, i], out["terminal_var"][blk, i] = mixture_mean_var(
-                    w0[i], m1[i], m2[i], s1[:, -1], s2[:, -1], tot[:, -1])
+                out["terminal_mean"][blk, i] = mean[:, -1]
                 for name, values in (("observations", x), ("predictive_mean", mean),
                                      ("predictive_var", var)):
                     if name in out:
@@ -650,8 +637,7 @@ def simulate_reinforced_chunk(spec, horizon: int, coord_u: np.ndarray,
     if "observations" not in record:
         del out["observations"]
     out["total_weight"] = tot
-    out["terminal_mean"], out["terminal_var"] = mixture_mean_var(
-        w0, base_m1, base_m2, psums[:, :, 0], psums[:, :, 1], tot)
+    out["terminal_mean"] = mixture_moment(w0, base_m1, psums[:, :, 0], tot)
     return out
 
 
@@ -738,10 +724,9 @@ def simulate_gaussian_chunk(spec: GaussianLastTickSpec, horizon: int, exp_draws:
             if var_out is not None:
                 var_out[:, n, :] = s2.T
 
-    # free the step and tile buffers before the terminal copies
+    # free the step and tile buffers before the terminal copy
     del x, shrink, lam, z_tile, lam_tile, arr_tile
-    out.update(gamma_hat=gamma_hat, terminal_mean=np.ascontiguousarray(mu.T),
-               terminal_var=np.ascontiguousarray(s2.T))
+    out.update(gamma_hat=gamma_hat, terminal_mean=np.ascontiguousarray(mu.T))
     return out
 
 
@@ -778,8 +763,7 @@ def simulate_state_space_chunk(spec: StateSpaceCidSpec, horizon: int,
         if var_out is not None:
             # predictive Var(X_{n+1} | X_{1:n}) = P_n + (b_{n+1}-b_n) + (c-b_{n+1})
             var_out[:, n, 0] = p_var + (spec.c - b_n)
-    out.update(terminal_mean=m[:, None],
-               terminal_var=(p_var + (spec.c - spec.b(horizon)))[:, None])
+    out["terminal_mean"] = m[:, None]
     return out
 
 
@@ -801,6 +785,5 @@ def simulate_ar1_chunk(spec: Ar1DriftSpec, horizon: int, z: np.ndarray,
             mean_out[:, n, 0] = spec.drift + spec.phi * x
         if var_out is not None:
             var_out[:, n, 0] = spec.noise_var
-    out.update(terminal_mean=(spec.drift + spec.phi * x)[:, None],
-               terminal_var=np.full((n_paths, 1), spec.noise_var))
+    out["terminal_mean"] = (spec.drift + spec.phi * x)[:, None]
     return out

@@ -35,7 +35,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-REPORT_SCHEMA = 4
+REPORT_SCHEMA = 5
 
 CSV_HEADER = "path,step,coordinate,series,value"
 
@@ -69,19 +69,19 @@ class ExperimentConfig(_DictForm):
     master_seed: int | None = _in("seed", None)
     tests: list = field(default_factory=list, metadata={"read": _read_tests})
     record: list = field(default_factory=list)
-    series_format: str = field(default="csv", metadata={"key": "format"})
     raw: dict = field(default_factory=dict, init=False)   # the JSON object, for the report
 
     def _relations(self, where: str) -> None:
-        _require(self.series_format in ("csv", "json"), "format",
-                 f"must be 'csv' or 'json', got {self.series_format!r}")
         check_record(self.spec, self.record)
 
 
 def _load_config_text(path_or_name: str) -> str:
     if os.path.exists(path_or_name):
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(path_or_name, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path_or_name}: cannot read the config: {exc}") from exc
     bundled = resources.files("pcid").joinpath("configs", path_or_name + ".json")
     if bundled.is_file():
         return bundled.read_text(encoding="utf-8")
@@ -139,40 +139,24 @@ def _series_index(name: str, array) -> list[tuple[int, int]]:
     return [(s + first, c) for s in range(array.shape[1]) for c in coords]
 
 
-def write_series(ens, record: list[str], out_dir: str, series_format: str) -> list[str]:
-    """One file per series: CSV lines "path,step,coordinate,name,value" (each
-    value's repr joined to its precomputed "step,coordinate,name," tail), or a
-    JSON list of the same rows."""
+def write_series(ens, record: list[str], out_dir: str) -> list[str]:
+    """One CSV file per series, of lines "path,step,coordinate,name,value":
+    each value's repr joined to its precomputed "step,coordinate,name," tail."""
     written = []
     for name in record:
         array = ens.arrays[name]
         index = _series_index(name, array)
-        # (path, values) a path row at a time; tolist() yields the Python
-        # floats that float(v) would
-        rows = enumerate(row.tolist() for row in
-                         array.reshape(len(array), len(index)).astype(float, copy=False))
-        path = os.path.join(out_dir, f"series_{name}.{series_format}")
+        tails = [f"{s},{c},{name}," for s, c in index]
+        path = os.path.join(out_dir, f"series_{name}.csv")
         with open(path, "w", encoding="utf-8") as fh:
-            if series_format == "csv":
-                fh.write(CSV_HEADER + "\n")
-                tails = [f"{s},{c},{name}," for s, c in index]
-                for p, values in rows:
-                    head = f"{p},"
-                    fh.write(head + ("\n" + head).join(map(str.__add__, tails,
-                                                           map(repr, values))) + "\n")
-            else:
-                # the bytes of json.dump(rows as dicts, indent=1, sort_keys=True),
-                # written a path row at a time: each value as json's encoder
-                # writes it (NaN, Infinity), taken from its one-line list form
-                fields = [(f' {{\n  "coordinate": {c},\n  "path": ',
-                           f',\n  "series": {json.dumps(name)},\n  "step": {s},\n  "value": ')
-                          for s, c in index]
-                fh.write("[")
-                for p, values in rows:
-                    texts = json.dumps(values)[1:-1].split(", ")
-                    fh.write(("," if p else "") + "\n" + ",\n".join(
-                        [f"{head}{p}{tail}{v}\n }}" for (head, tail), v in zip(fields, texts)]))
-                fh.write("\n]\n" if len(array) else "]\n")
+            fh.write(CSV_HEADER + "\n")
+            # a path row at a time; tolist() yields the Python floats that
+            # float(v) would
+            for p, values in enumerate(row.tolist() for row in array.reshape(
+                    len(array), len(index)).astype(float, copy=False)):
+                head = f"{p},"
+                fh.write(head + ("\n" + head).join(map(str.__add__, tails,
+                                                       map(repr, values))) + "\n")
         written.append(path)
     return written
 
@@ -257,7 +241,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str, *, seed: int,
             fh.write(table + "\n")
         if config.record:
             ens = Ensemble(config.spec, paths, steps, seed, frozenset(config.record), results[-1])
-            write_series(ens, config.record, out_dir, config.series_format)
+            write_series(ens, config.record, out_dir)
     except OSError as exc:
         print(f"error: failed to write outputs: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -6,8 +6,8 @@ arrays to named p-values: z-tests of a statistic against its exact
 expectation at the sizes run, a two-sample KS test and a permutation
 test, each one sub-check at the check's alpha over their number
 (Bonferroni), with margin level / p, <= 1 exactly when it passes. The
-verdict's statistic is the worst margin, so "pass iff statistic <=
-tolerance (= 1)" holds.
+verdict's statistic is the worst margin, so "pass iff statistic <= 1"
+holds.
 
 Verdicts are bit-reproducible from (spec, sizes, master seed): ensembles
 are deterministic, and the permutation test draws from a reserved verifier
@@ -67,8 +67,6 @@ class SubCheck:
 class TestVerdict:
     name: str
     statistic: float          # worst sub-check margin
-    reference: float          # margin budget
-    tolerance: float
     alpha: float
     passed: bool
     n_paths: int
@@ -89,7 +87,7 @@ def _verdict(name: str, p_values: dict, alpha: float, n_paths: int,
     subchecks = [SubCheck(sub, p, level, level / p if p > 0 else math.inf)
                  for sub, p in p_values.items()]
     worst = max(s.margin for s in subchecks)
-    return TestVerdict(name, worst, 1.0, 1.0, alpha, worst <= 1.0,
+    return TestVerdict(name, worst, alpha, worst <= 1.0,
                        n_paths, horizon, seed, subchecks, params)
 
 

@@ -16,7 +16,6 @@ from pcid.processes import (
     ReinforcedCoordState,
     StateSpaceCidState,
     gaussian_last_tick_step,
-    poisson_arrivals,
     reinforced_step,
     state_space_cid_step,
     uniform_coupled_step,
@@ -65,16 +64,17 @@ def test_mixture_normalization_invariant():
 def test_mixture_drops_zero_weight_atoms():
     # a uniform-coupled batch records W = 0 where the scalar step appends nothing
     spec = specs.PolyaSpec(1, (1.0,), (specs.UniformBase(),))
-    # the terminal predictive from the atoms' power sums 2 * 0.25 and
-    # 2 * 0.25^2, as the kernel forms it
+    # the predictive series from the atoms' power sums, as the kernel forms them
     base = specs.UniformBase()
-    mean, var = processes.mixture_mean_var(1.0, base.raw_moment(1), base.raw_moment(2),
-                                           0.5, 0.125, 3.0)
     arrays = {"observations": np.array([[[0.5], [0.25]]]),
               "weights": np.array([[[0.0], [2.0]]]),
-              "total_weight": np.array([[3.0]]),
-              "terminal_mean": np.array([[mean]]), "terminal_var": np.array([[var]])}
-    ens = Ensemble(spec, 1, 2, 0, frozenset({"observations", "weights"}), arrays)
+              "total_weight": np.array([[3.0]])}
+    tot = processes.total_weights(1.0, arrays["weights"])
+    mean, var = processes.predictive_series(1.0, base.raw_moment(1), base.raw_moment(2),
+                                            arrays["observations"], arrays["weights"], tot)
+    arrays.update(predictive_mean=mean, predictive_var=var, terminal_mean=mean[:, -1])
+    record = frozenset({"observations", "weights", "predictive_mean", "predictive_var"})
+    ens = Ensemble(spec, 1, 2, 0, record, arrays)
     state = ReinforcedCoordState(1.0, specs.UniformBase())
     state.append_atom(0.25, 2.0)    # the scalar step's one atom
     assert np.allclose(state.component_probabilities(), [1.0 / 3.0, 2.0 / 3.0])
@@ -111,14 +111,13 @@ def test_martingale_identity_exact_on_atom_representation():
 
 
 def _assert_terminal_mixtures_match(ens, p, states):
-    """Path p's own scalar states against the ensemble: the terminal mean
-    and variance, and `mixture_cdf` on the path's row over a grid that
-    holds every atom, bit for bit."""
+    """Path p's own scalar states against the ensemble: the terminal mean,
+    the last predictive variance, and `mixture_cdf` on the path's row over
+    a grid that holds every atom, bit for bit."""
     rspec = specs.reinforced_view(ens.spec)
-    mean, var = ens.terminal_mean, ens.terminal_var
     for i, st in enumerate(states):
-        assert st.predictive_mean() == mean[p, i]
-        assert st.predictive_var() == var[p, i]
+        assert st.predictive_mean() == ens.terminal_mean[p, i]
+        assert st.predictive_var() == ens.predictive_var[p, -1, i]
         lo, hi = st.base.support()
         grid = np.concatenate([np.linspace(lo - 1.0, hi + 1.0, 41), st.atom_values])
         row = slice(p, p + 1)
@@ -255,17 +254,6 @@ def test_gaussian_step_rejects_nonpositive_gap():
     state = GaussianCoordState(0.0, 1.0, 1.0, 1.0)
     with pytest.raises(ProcessError):
         gaussian_last_tick_step([state], 0.0, FakeStreams([FakeStream(normals=[0.0])]))
-
-
-def test_poisson_arrivals_properties():
-    rng = np.random.default_rng(4)
-    t = poisson_arrivals(1.0, 50, rng)
-    assert np.all(np.diff(t) > 0) and t[0] > 0
-    first = np.array([poisson_arrivals(1.0, 1, np.random.default_rng(s))[0]
-                      for s in range(20_000)])
-    assert abs(first.mean() - 1.0) < 0.02
-    with pytest.raises(ProcessError):
-        poisson_arrivals(0.0, 5, rng)
 
 
 def test_first_interpolation_fraction_is_uniform():
@@ -454,13 +442,11 @@ def test_scalar_matches_vectorized_gaussian(monkeypatch):
             scalar = {"observations": xs, "predictive_mean": mus, "predictive_var": s2s,
                       "arrivals": arrivals, "lambdas": lambdas}
             for ens in ensembles:
-                assert set(ens.arrays) == ens.record | {"gamma_hat", "terminal_mean",
-                                                        "terminal_var"}
+                assert set(ens.arrays) == ens.record | {"gamma_hat", "terminal_mean"}
                 for name in ens.record:
                     assert np.array_equal(np.array(scalar[name]), ens.arrays[name][p]), name
                 assert ens.gamma_hat[p] == gamma
                 assert np.array_equal(np.array(mus[-1]), ens.terminal_mean[p])
-                assert np.array_equal(np.array(s2s[-1]), ens.terminal_var[p])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import json
-import io
 import os
 import subprocess
 import sys
@@ -13,6 +12,7 @@ from pcid.processes import SERIES
 from pcid.runner import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
+    EXIT_IO,
     EXIT_OK,
     ConfigError,
     load_config,
@@ -45,6 +45,32 @@ def test_list_subcommands(capsys):
 def test_unknown_config_exits_2(capsys):
     assert main(["run", "--config", "no_such_config"]) == EXIT_CONFIG
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,code", [
+    pytest.param("missing.json", EXIT_CONFIG, id="missing"),
+    pytest.param("invalid.json", EXIT_CONFIG, id="invalid_json"),
+    pytest.param("a_directory", EXIT_CONFIG, id="directory"),
+    pytest.param("latin1.json", EXIT_CONFIG, id="not_utf8"),
+    pytest.param("polya_baseline", EXIT_IO, id="out_is_a_file"),
+])
+def test_unreadable_config_or_output_writes_nothing(config, code, tmp_path, capsys):
+    # a config that cannot be read or parsed exits 2 and an --out that is a
+    # regular file exits 3, each with one error line and nothing written
+    (tmp_path / "invalid.json").write_text('{"spec": ')
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "latin1.json").write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    out = tmp_path / "out"
+    if code == EXIT_IO:
+        out.write_text("kept")
+    before = sorted(os.listdir(tmp_path))
+    path = config if code == EXIT_IO else str(tmp_path / config)
+    assert main(["run", "--config", path, "--out", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert code == EXIT_IO or path in err[0]
+    assert sorted(os.listdir(tmp_path)) == before
+    assert code == EXIT_CONFIG or read(out) == "kept"
 
 
 def test_unknown_spec_kind_exits_2(tmp_path, capsys):
@@ -197,6 +223,7 @@ _GOOD_CHECK = {"name": "check_stopping_time", "params": {"tau": {"kind": "consta
     ({"tests": [{"name": "check_stopping_time",
                  "params": {"tau": {"kind": "constant", "n": 3, "cap": 5}}}]},
      "tests[0].params.tau.cap: undeclared key"),
+    ({"format": "csv"}, "format: undeclared key"),
 ])
 def test_undeclared_key_exits_2_at_every_level(doc, key, monkeypatch, tmp_path, capsys):
     # each of these keys was once dropped: the run went on with the default
@@ -300,7 +327,7 @@ def test_clt_checks_and_record_share_one_ensemble(monkeypatch, tmp_path):
     alone = [verifiers.check_clt_forecast_errors(spec, 40, 1000, 5).to_dict(),
              verifiers.check_clt_sample_mean(spec, 40, 1000, 5).to_dict()]
     runner.write_series(run_ensemble(spec, 40, 1000, 5, record=frozenset({"observations"})),
-                        ["observations"], str(tmp_path), "csv")
+                        ["observations"], str(tmp_path))
     calls = _spy_on_simulation(monkeypatch)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"spec": doc, "n_paths": 40, "horizon": 1000, "master_seed": 5,
@@ -373,7 +400,7 @@ def test_positive_control_config_passes(tmp_path, capsys):
     assert main(["run", "--config", "polya_baseline", "--out", str(out)]) == EXIT_OK
     report = json.loads(read(out / "report.json"))
     assert report["all_pass"] is True
-    assert report["report_schema"] == 4
+    assert report["report_schema"] == 5
     assert report["library_version"]
     assert report["master_seed"] == 2024
     assert report["config"]["spec"]["kind"] == "polya"
@@ -494,7 +521,7 @@ def test_series_csv_values_format_as_float_repr(tmp_path):
     special = np.array([-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, np.nan, np.inf, -np.inf])
     arrays = {"observations": np.resize(special, (3, 4, 2)),
               "arrivals": np.resize(special[::-1], (3, 5))}
-    runner.write_series(SimpleNamespace(arrays=arrays), list(arrays), str(tmp_path), "csv")
+    runner.write_series(SimpleNamespace(arrays=arrays), list(arrays), str(tmp_path))
     for name, array in arrays.items():
         first, _, per_coord = SERIES[name]
         want = ["path,step,coordinate,series,value"]
@@ -504,47 +531,6 @@ def test_series_csv_values_format_as_float_repr(tmp_path):
                     v = array[p, s, c] if per_coord else array[p, s]
                     want.append(f"{p},{s + first},{c},{name},{float(v)!r}")
         assert read(tmp_path / f"series_{name}.csv") == "\n".join(want) + "\n"
-
-
-def test_series_json_bytes_equal_json_dump(tmp_path):
-    # the file written a path row at a time is the json.dump of the whole
-    # payload as one dict per value, for the values of the CSV test, with
-    # and without a coordinate axis, and for a series of no paths
-    special = np.array([-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, np.nan, np.inf, -np.inf])
-    arrays = {"observations": np.resize(special, (3, 4, 2)),
-              "arrivals": np.resize(special[::-1], (3, 5)),
-              "lambdas": np.empty((0, 4))}
-    ens = SimpleNamespace(arrays=arrays)
-    assert runner.write_series(ens, [], str(tmp_path), "json") == []
-    runner.write_series(ens, list(arrays), str(tmp_path), "json")
-    for name, array in arrays.items():
-        index = runner._series_index(name, array)
-        payload = [{"path": p, "step": s, "coordinate": c, "series": name, "value": float(v)}
-                   for p, row in enumerate(array.reshape(len(array), len(index)))
-                   for (s, c), v in zip(index, row)]
-        want = io.StringIO()
-        json.dump(payload, want, indent=1, sort_keys=True)
-        assert read(tmp_path / f"series_{name}.json") == want.getvalue() + "\n", name
-
-
-def test_series_json_rows_equal_csv_rows(tmp_path):
-    # the same run written in both formats gives the same rows in the same
-    # order, with and without a coordinate axis
-    for kind, record in (("uniform_coupled", ["observations", "predictive_mean", "weights"]),
-                         ("gaussian_last_tick", ["arrivals", "predictive_var"])):
-        outs = {}
-        for fmt in ("csv", "json"):
-            cfg = tmp_path / f"{kind}_{fmt}.json"
-            cfg.write_text(json.dumps({"spec": {"kind": kind}, "n_paths": 3, "horizon": 4,
-                                       "master_seed": 5, "record": record, "format": fmt}))
-            outs[fmt] = tmp_path / f"{kind}_{fmt}"
-            assert main(["run", "--config", str(cfg), "--out", str(outs[fmt])]) == EXIT_OK
-        for name in record:
-            csv_rows = read(outs["csv"] / f"series_{name}.csv").splitlines()[1:]
-            payload = json.loads(read(outs["json"] / f"series_{name}.json"))
-            assert [f"{r['path']},{r['step']},{r['coordinate']},{r['series']},{r['value']!r}"
-                    for r in payload] == csv_rows
-            assert all(type(r["value"]) is float for r in payload)
 
 
 def test_series_reject_unavailable(tmp_path, capsys):
@@ -583,9 +569,6 @@ def test_cli_overrides_sizes(tmp_path):
 def test_parse_config_validates_sizes():
     with pytest.raises(ConfigError, match="n_paths"):
         parse_config({"spec": {"kind": "polya"}, "n_paths": 0, "horizon": 5})
-    with pytest.raises(ConfigError, match="format"):
-        parse_config({"spec": {"kind": "polya"}, "n_paths": 1, "horizon": 5,
-                      "format": "xml"})
 
 
 def test_load_bundled_configs_all_parse():

@@ -352,7 +352,7 @@ def test_chunk_reducers_return_only_what_verdicts_read(rru_two_point_spec):
     assert set(statistics.gaussian_path_summaries(gauss)) == {"gamma_hat", "terminal_mean"}
     state = specs.StateSpaceCidSpec()
     assert set(run_ensemble(state, 6, 20, 3).arrays) == default_record(state) | {
-        "terminal_mean", "terminal_var"}
+        "terminal_mean"}
 
 
 @pytest.mark.parametrize("spec", [specs.GaussianLastTickSpec(), specs.Ar1DriftSpec()],

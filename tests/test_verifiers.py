@@ -589,10 +589,10 @@ def test_gaussian_limit_fixed_t0_skips_closed_forms():
 def test_verdict_margin_convention():
     v = check_stopping_time(specs.PolyaSpec(1, (1.0,), (specs.UniformBase(),)),
                             4000, 10, 7, tau={"kind": "constant", "n": 5})
-    assert v.passed == (v.statistic <= v.tolerance)
+    assert v.passed == (v.statistic <= 1.0)
     d = v.to_dict()
-    assert set(d) >= {"name", "statistic", "reference", "tolerance", "alpha", "pass",
-                      "n_paths", "horizon", "seed", "subchecks"}
+    assert set(d) == {"name", "statistic", "alpha", "pass", "n_paths", "horizon", "seed",
+                      "subchecks", "params"}
 
 
 def test_verdict_fails_on_a_nan_margin():
@@ -651,8 +651,7 @@ def test_non_integral_n_paths_rejected_before_simulating(monkeypatch, name, n_pa
 def test_verdict_dict_form_is_its_fields():
     v = verifiers._verdict("check", {"s": 0.5}, 0.25, 10, 20, 3, {"n": 1})
     assert v.to_dict() == {
-        "name": "check", "statistic": 0.5, "reference": 1.0, "tolerance": 1.0,
-        "alpha": 0.25, "pass": True, "n_paths": 10, "horizon": 20, "seed": 3,
+        "name": "check", "statistic": 0.5, "alpha": 0.25, "pass": True, "n_paths": 10, "horizon": 20, "seed": 3,
         "params": {"n": 1},
         "subchecks": [{"name": "s", "statistic": 0.5, "tolerance": 0.25, "margin": 0.5,
                        "pass": True}]}
