@@ -266,7 +266,6 @@ class GaussianCoordState:
     mu: float
     sigma2: float
     T: float        # current arrival time T_n
-    t_prev: float   # last inter-arrival consumed
 
 
 def gaussian_last_tick_step(states, t_n: float, streams):
@@ -283,7 +282,6 @@ def gaussian_last_tick_step(states, t_n: float, streams):
         st.mu = (1.0 - lam) * st.mu + lam * x[i]
         st.sigma2 = (1.0 - lam * lam) * st.sigma2
         st.T = t_next
-        st.t_prev = t_n
     return x
 
 
@@ -292,7 +290,6 @@ class StateSpaceCidState:
     """Latent level of the damped-random-walk model."""
 
     theta: float
-    step: int = 0
 
 
 def state_space_cid_step(state: StateSpaceCidState, n: int, spec: StateSpaceCidSpec, rng):
@@ -303,7 +300,6 @@ def state_space_cid_step(state: StateSpaceCidState, n: int, spec: StateSpaceCidS
     eps = rng.standard_normal()
     x = theta + math.sqrt(spec.c - b_n) * eps
     state.theta = theta
-    state.step = n
     return x, state
 
 

@@ -35,7 +35,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-REPORT_SCHEMA = 5
+REPORT_SCHEMA = 6
 
 CSV_HEADER = "path,step,coordinate,series,value"
 
@@ -112,10 +112,9 @@ def load_config(path_or_name: str) -> ExperimentConfig:
 
 
 def resolve_seed(cli_seed: int | None, config_seed: int | None) -> int:
-    """Seed priority: --seed flag, then the config, then PCID_SEED, then 0.
-    Each is read and checked as the config's master_seed is."""
-    for name, value in (("--seed", cli_seed), ("master_seed", config_seed),
-                        ("PCID_SEED", os.environ.get("PCID_SEED"))):
+    """Seed priority: --seed flag, then the config, then 0. Each is read and
+    checked as the config's master_seed is."""
+    for name, value in (("--seed", cli_seed), ("master_seed", config_seed)):
         if value is not None:
             try:
                 seed = _int(value)

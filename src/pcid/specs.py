@@ -19,8 +19,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .kolmogorov import ndtr
-
 
 class SpecValidationError(ValueError):
     """Raised when a spec (or config block) has an invalid field."""
@@ -319,7 +317,8 @@ class NormalBase(_DictForm):
         raise ValueError(f"raw moments implemented up to order 4, got {r}")
 
     def cdf(self, x):
-        return ndtr((np.asarray(x, float) - self.mean_value) / math.sqrt(self.var))
+        from scipy import special
+        return special.ndtr((np.asarray(x, float) - self.mean_value) / math.sqrt(self.var))
 
     def ppf(self, q):
         from scipy import special

@@ -231,7 +231,7 @@ def test_uniform_coupled_expected_atom_share():
 
 
 def test_gaussian_step_exact_update():
-    state = GaussianCoordState(mu=0.0, sigma2=1.0, T=1.0, t_prev=1.0)
+    state = GaussianCoordState(mu=0.0, sigma2=1.0, T=1.0)
     streams = FakeStreams([FakeStream(normals=[2.0])])
     x = gaussian_last_tick_step([state], 1.0, streams)   # lambda = 1/2
     assert x[0] == 2.0
@@ -241,7 +241,7 @@ def test_gaussian_step_exact_update():
 
 
 def test_gaussian_step_small_fraction_bounds():
-    state = GaussianCoordState(mu=0.4, sigma2=0.9, T=100.0, t_prev=1.0)
+    state = GaussianCoordState(mu=0.4, sigma2=0.9, T=100.0)
     streams = FakeStreams([FakeStream(normals=[1.5])])
     t_n = 1e-3
     lam = t_n / (100.0 + t_n)
@@ -251,7 +251,7 @@ def test_gaussian_step_small_fraction_bounds():
 
 
 def test_gaussian_step_rejects_nonpositive_gap():
-    state = GaussianCoordState(0.0, 1.0, 1.0, 1.0)
+    state = GaussianCoordState(0.0, 1.0, 1.0)
     with pytest.raises(ProcessError):
         gaussian_last_tick_step([state], 0.0, FakeStreams([FakeStream(normals=[0.0])]))
 
@@ -426,7 +426,7 @@ def test_scalar_matches_vectorized_gaussian(monkeypatch):
             gaps = streams.weights.standard_exponential(horizon + 1) / spec.rate
             if t0 is not None:
                 gaps[0] = t0
-            states = [GaussianCoordState(m, s, gaps[0], gaps[0])
+            states = [GaussianCoordState(m, s, gaps[0])
                       for m, s in zip(spec.mu1, spec.sigma2_1)]
             xs, arrivals, lambdas = [], [states[0].T], []
             mus, s2s = [[st.mu for st in states]], [[st.sigma2 for st in states]]

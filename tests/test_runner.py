@@ -400,7 +400,7 @@ def test_positive_control_config_passes(tmp_path, capsys):
     assert main(["run", "--config", "polya_baseline", "--out", str(out)]) == EXIT_OK
     report = json.loads(read(out / "report.json"))
     assert report["all_pass"] is True
-    assert report["report_schema"] == 5
+    assert report["report_schema"] == 6
     assert report["library_version"]
     assert report["master_seed"] == 2024
     assert report["config"]["spec"]["kind"] == "polya"
@@ -469,16 +469,14 @@ def test_report_byte_identical_across_reruns_and_threads(tmp_path):
 
 
 def test_seed_resolution_order(monkeypatch):
-    monkeypatch.delenv("PCID_SEED", raising=False)
     assert resolve_seed(5, 9) == 5
     assert resolve_seed(None, 9) == 9
     assert resolve_seed(None, None) == 0
-    monkeypatch.setenv("PCID_SEED", "123")
-    assert resolve_seed(None, None) == 123
-    assert resolve_seed(None, 9) == 9
-    monkeypatch.setenv("PCID_SEED", "xyz")
-    with pytest.raises(ConfigError):
-        resolve_seed(None, None)
+    # the environment is not a seed source
+    for value in ("123", "xyz"):
+        monkeypatch.setenv("PCID_SEED", value)
+        assert resolve_seed(None, None) == 0
+        assert resolve_seed(None, 9) == 9
 
 
 def test_series_csv_schema(tmp_path):

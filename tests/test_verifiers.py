@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.spatial.distance import cdist
 
 from pcid import engine, kolmogorov, runner, specs, verifiers
@@ -502,12 +503,18 @@ def test_qv_check_zero_spread():
 def test_qv_check_is_a_z_test_of_the_mean_difference():
     rng = np.random.default_rng(3)
     values, qv = rng.normal(0.1, 1.0, 400), rng.normal(0.0, 1.0, 400)
-    d = values - qv
-    z = d.mean() / (d.std(ddof=1) / np.sqrt(400))
-    p = verifiers._z_test_p(values, qv)
-    assert p == pytest.approx(2.0 * kolmogorov.ndtr(-abs(z)), rel=1e-12)
-    # a constant reference is the same test
-    assert verifiers._z_test_p(d, 0.0) == pytest.approx(p, rel=1e-12)
+    diff = values - qv
+    # the p-value is the normal tail area 2 Phi(-|z|), for z from 0 to about
+    # 35, where it is near 1e-268
+    for shift in np.linspace(0.0, 1.75, 36) * diff.std(ddof=1) - diff.mean():
+        ref = qv - shift
+        d = values - ref
+        z = d.mean() / (d.std(ddof=1) / np.sqrt(400))
+        p = verifiers._z_test_p(values, ref)
+        assert p == pytest.approx(2.0 * special.ndtr(-abs(z)), rel=1e-12, abs=0.0)
+        # a constant reference is the same test
+        assert verifiers._z_test_p(d, 0.0) == pytest.approx(p, rel=1e-12, abs=0.0)
+    assert 0.0 < p < 1e-260
     sub = verifiers._verdict("check", {"v": p}, 0.01, 400, 10, 1, {}).subchecks[0]
     assert sub.margin == 0.01 / p
 
