@@ -35,7 +35,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-REPORT_SCHEMA = 6
+REPORT_SCHEMA = 7
 
 CSV_HEADER = "path,step,coordinate,series,value"
 

@@ -3,11 +3,11 @@
 Each check states the ensemble it reads, and `run_checks` simulates one
 for all the checks of equal (n_paths, horizon). A check reduces its
 arrays to named p-values: z-tests of a statistic against its exact
-expectation at the sizes run, a two-sample KS test and a permutation
-test, each one sub-check at the check's alpha over their number
-(Bonferroni), with margin level / p, <= 1 exactly when it passes. The
-verdict's statistic is the worst margin, so "pass iff statistic <= 1"
-holds.
+expectation at the sizes run, a two-sample KS test of two equal halves
+with its exact null law, and a permutation test, each one sub-check at
+the check's alpha over their number (Bonferroni), with margin level / p,
+<= 1 exactly when it passes. The verdict's statistic is the worst
+margin, so "pass iff statistic <= 1" holds.
 
 Verdicts are bit-reproducible from (spec, sizes, master seed): ensembles
 are deterministic, and the permutation test draws from a reserved verifier
@@ -389,6 +389,10 @@ def check_stopping_time(spec, n_paths: int, horizon: int, master_seed: int, *,
     The chunk workers reduce each path to (X_1, X_{tau+1}), so the caller
     holds two values per path, and only the 2 * (n_paths // 2) compared
     paths are simulated (a prefix of the ensemble).
+
+    Its p-value is the exact null law of D for two halves of n_paths // 2
+    points (`kolmogorov.ks_two_sample`), from 2 paths up; under ties
+    (discrete bases) the test is conservative.
     """
     rule = _read_nested(STOPPING_RULES, tau, "tau")
     bound, thr = (rule.n, None) if rule.kind == "constant" else (rule.cap, rule.threshold)

@@ -36,11 +36,11 @@ check_pcid: PASS (worst margin 0.01709, paths 3000, horizon 3)
 check_pcid: FAIL (worst margin 2, paths 10000, horizon 3)
   energy_distance_p        p 0.005  level 0.01  margin 2
 
-check_stopping_time: PASS (worst margin 0.017, paths 10000, horizon 24)
-  ks_p                     p 0.5881  level 0.01  margin 0.017
+check_stopping_time: PASS (worst margin 0.01684, paths 10000, horizon 24)
+  ks_p                     p 0.5937  level 0.01  margin 0.01684
 
-check_stopping_time: FAIL (worst margin 1.958e+269, paths 10000, horizon 8)
-  ks_p                     p 5.108e-272  level 0.01  margin 1.958e+269
+check_stopping_time: FAIL (worst margin 1.497e+267, paths 10000, horizon 8)
+  ks_p                     p 6.682e-270  level 0.01  margin 1.497e+267
 
 check_clt_forecast_errors: PASS (worst margin 0.0316, paths 2000, horizon 2000)
   variance_coord0          p 0.1055  level 0.003333  margin 0.0316

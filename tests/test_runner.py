@@ -400,7 +400,7 @@ def test_positive_control_config_passes(tmp_path, capsys):
     assert main(["run", "--config", "polya_baseline", "--out", str(out)]) == EXIT_OK
     report = json.loads(read(out / "report.json"))
     assert report["all_pass"] is True
-    assert report["report_schema"] == 6
+    assert report["report_schema"] == 7
     assert report["library_version"]
     assert report["master_seed"] == 2024
     assert report["config"]["spec"]["kind"] == "polya"
@@ -576,8 +576,10 @@ def test_load_bundled_configs_all_parse():
         assert cfg.n_paths >= 1
 
 
-# Imports pcid.runner in a fresh interpreter, runs every verifier at a small
-# size, and prints the scipy.stats modules then loaded.
+# Imports pcid.runner in a fresh interpreter, runs every verifier on uniform
+# (or Gaussian) bases at a small size, and prints the scipy modules then
+# loaded. The stopping-time check reads a p of about 1e-11 on the drifting
+# AR(1) sequence: its KS p-value is the exact law, formed without scipy.
 _RUN_EVERY_VERIFIER = """
 import sys
 import pcid.runner
@@ -587,8 +589,8 @@ rru = specs.ReinforcedSpec(2, (1.0, 1.0), (specs.UniformBase(),) * 2,
                            specs.CommonWeight(specs.TwoPointWeight(1.0, 3.0, 0.5)))
 calls = {
     "check_pcid": (rru, 20, None, {"n": 1}),
-    "check_stopping_time": (rru, 20, 6, {"tau": {"kind": "first_exceed",
-                                                 "threshold": 0.5, "cap": 4}}),
+    "check_stopping_time": (specs.Ar1DriftSpec(), 400, 8, {"tau": {"kind": "constant",
+                                                                  "n": 6}}),
     "check_clt_forecast_errors": (rru, 20, 1000, {}),
     "check_clt_sample_mean": (rru, 20, 1000, {}),
     "check_gaussian_limit": (specs.GaussianLastTickSpec(n_coords=2, mu1=(0.0, 0.0),
@@ -597,7 +599,6 @@ calls = {
 assert sorted(calls) == sorted(VERIFIERS), sorted(VERIFIERS)
 for name, (spec, paths, horizon, kw) in calls.items():
     VERIFIERS[name](spec, paths, horizon, 0, threads=1, **kw)
-print(sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats.")))
 """
 
 
@@ -614,9 +615,9 @@ def _run_fresh(script: str) -> str:
 
 
 def test_run_does_not_import_scipy_stats():
-    # scipy.stats costs more than half of a pcid run's start-up: the KS
-    # p-values come from pcid.kolmogorov instead
-    assert _run_fresh(_RUN_EVERY_VERIFIER) == "[]"
+    # scipy.stats costs more than half of a pcid run's start-up: no check
+    # on these bases loads any scipy module
+    assert _run_fresh(_RUN_EVERY_VERIFIER + _SCIPY_LOADED) == "[]"
 
 
 _SCIPY_LOADED = 'print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))'
@@ -627,9 +628,8 @@ def test_import_loads_no_scipy():
     assert _run_fresh("import sys\nimport pcid, pcid.runner\n" + _SCIPY_LOADED) == "[]"
 
 
-# Runs the forecast-error CLT check where S is far from N(0, 1), so that a
-# KS fit of S would reach the 2 * smirnov branch and load scipy.special,
-# and the Gaussian check.
+# Runs the forecast-error CLT check where S is far from N(0, 1), and the
+# Gaussian check: their p-values are z-tests, from math.erfc.
 _RUN_CLT_AND_GAUSSIAN_CHECKS = """
 import sys
 from pcid import specs

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 from scipy.spatial.distance import cdist
 
 from pcid import engine, kolmogorov, runner, specs, verifiers
@@ -373,6 +373,21 @@ def test_stopping_time_reduces_each_path_to_two_values(monkeypatch, tau):
     spec = specs.PolyaSpec(2, (1.0, 1.0), (specs.UniformBase(),) * 2)
     check_stopping_time(spec, 301, 12, 17, tau=tau, coord=1, threads=1)
     assert len(reduced_rows) > 1 and sum(reduced_rows) == 300
+
+
+@pytest.mark.parametrize("n_paths", [2, 3, 4, 5])
+def test_stopping_time_exact_at_tiny_sizes(n_paths):
+    # the p-value is the exact null law of two halves of n_paths // 2
+    # points, so a Polya positive control passes from 2 paths up
+    spec = specs.PolyaSpec(1, (1.0,), (specs.UniformBase(),))
+    obs = run_ensemble(spec, n_paths, 10, 1, record=frozenset({"observations"}),
+                       threads=1).observations[:, :, 0]
+    half = n_paths // 2
+    want = stats.ks_2samp(obs[:half, 0], obs[half:2 * half, 5], method="exact").pvalue
+    v = check_stopping_time(spec, n_paths, 10, 1, tau={"kind": "constant", "n": 5})
+    assert [s.name for s in v.subchecks] == ["ks_p"]
+    assert v.subchecks[0].statistic == want
+    assert v.passed
 
 
 def test_stopping_time_bound_validation():
